@@ -32,6 +32,8 @@ def read_signal_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = sorted(reader, key=lambda r: int(r["index"]))
+    if [int(r["index"]) for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: sample indices must be exactly 0..N-1")
     values = [float(r["re"]) + 1j * float(r["im"]) for r in rows]
     return make_signal(values)
 

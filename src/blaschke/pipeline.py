@@ -282,7 +282,8 @@ def _random_batch(entry, algorithms, n_samples, seed, descriptor):
         for i in range(count):
             truth, coeffs = random_blaschke_form(degree, seed + i)
             f = synthesize(BlaschkeModel(truth, coeffs), n_samples)
-            res = _run_algorithm(algo, f, degree, angular, seed + i, truth)
+            # a search seeded like its form would start at scaled true poles
+            res = _run_algorithm(algo, f, degree, angular, seed + i + 2**32, truth)
             name = f"random_n{degree}_{i}"
             rows.append(_result_row(name, algo, degree, res))
             errs.append(res.l2_relative_error)

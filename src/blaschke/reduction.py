@@ -6,13 +6,16 @@ this factor is unimodular, so the discrete norm telescopes exactly.  The
 energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2, and its
 Wirtinger derivative with respect to each pole needs only the remainder and
 remainder derivative of the reduction branch that visits that pole last.
+
+Every remainder value f_j(a) is one O(N) Parseval mean (`series_value`), with
+no FFT, so a reduction step costs O(N); energy, error and gradient all run
+through the one chain loop `reduce_chain`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feval import eval_interior
 from .hardy import (
     Signal,
     Spectrum,
@@ -20,13 +23,14 @@ from .hardy import (
     inverse_spectrum,
     norm_sq,
     spectrum,
-    szego_signal,
+    szego_kernel,
 )
 
 __all__ = [
     "ReductionTrail",
     "EnergyGradient",
     "spectral_derivative",
+    "series_value",
     "reduce_step",
     "derivative_reduce_step",
     "reduce_chain",
@@ -72,13 +76,6 @@ class EnergyGradient:
         return -np.conj(self.d_minus_e)
 
 
-def _check_pole(a):
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise ValueError(f"pole must satisfy |a| < 1, got |a| = {abs(a)}")
-    return a
-
-
 def spectral_derivative(f):
     """Samples of f' on the circle: coefficient k of f' is (k+1) * f_hat(k+1)."""
     c = spectrum(f).coeffs
@@ -88,35 +85,36 @@ def spectral_derivative(f):
     return inverse_spectrum(Spectrum(dc))
 
 
-def kernel_coefficient(fj, a):
-    """Discrete inner product <f, e_a> in closed form.
+def series_value(f, a):
+    """Truncated series value f(a) = sum_k f_hat(k) a^k at a pole |a| < 1.
 
-    The sampled kernel's aliased coefficients are sqrt(1-|a|^2) *
-    conj(a)^k / (1 - conj(a)^N), so the spectral inner product collapses to
-    sqrt(1-|a|^2) * f(a) / (1 - a^N) with f(a) the truncated series value.
+    By Parseval <f, e_a> = sqrt(1-|a|^2) * mean(f * z/(z - a)) over the circle
+    points z, and the sampled kernel's aliased coefficients give <f, e_a> =
+    sqrt(1-|a|^2) * f(a) / (1 - a^N); so f(a) = mean(f * z/(z-a)) * (1 - a^N).
     """
-    a = _check_pole(a)
-    n = fj.n_samples
-    return (
-        np.sqrt(1.0 - abs(a) ** 2) * eval_interior(fj, a) / (1.0 - a**n)
-    )
+    a = complex(a)
+    if abs(a) >= 1.0:
+        raise ValueError(f"pole must satisfy |a| < 1, got |a| = {abs(a)}")
+    z = circle_points(f.n_samples)
+    return complex(np.mean(f.samples * z / (z - a))) * (1.0 - a**f.n_samples)
+
+
+def kernel_coefficient(fj, a):
+    """Discrete inner product <f, e_a> = sqrt(1-|a|^2) * f(a) / (1 - a^N)."""
+    return series_value(fj, a) * np.sqrt(1.0 - abs(a) ** 2) / (1.0 - a**fj.n_samples)
 
 
 def reduce_step(fj, a):
     """One reduction: extract the e_a component and divide out the Moebius factor."""
-    a = _check_pole(a)
     z = circle_points(fj.n_samples)
-    e_a = szego_signal(a, fj.n_samples)
-    coeff = kernel_coefficient(fj, a)
-    resid = fj.samples - coeff * e_a.samples
+    resid = fj.samples - kernel_coefficient(fj, a) * szego_kernel(a, z)
     return Signal(resid * (1.0 - z * np.conj(a)) / (z - a))
 
 
 def derivative_reduce_step(fj, fj_prime, a):
     """Remainder-derivative recursion paired with reduce_step at pole a."""
-    a = _check_pole(a)
+    fj_at_a = series_value(fj, a)
     z = circle_points(fj.n_samples)
-    fj_at_a = eval_interior(fj, a)
     term1 = fj_prime.samples * (1.0 - np.conj(a) * z) / (z - a)
     term2 = (fj.samples - fj_at_a) * (abs(a) ** 2 - 1.0) / (z - a) ** 2
     return Signal(term1 + term2)
@@ -144,17 +142,17 @@ def _branch_order(poles, leader):
     return np.array([poles[(leader + 1 + j) % n] for j in range(n - 1)])
 
 
+def _chain_energy(remainders, poles):
+    """sum_j (1-|a_j|^2) |f_j(a_j)|^2 over remainders visited in tuple order."""
+    return sum(
+        (1.0 - abs(a) ** 2) * abs(series_value(fj, a)) ** 2
+        for fj, a in zip(remainders, poles)
+    )
+
+
 def energy(f, tup):
     """Energy E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 via one reduction pass."""
-    total = 0.0
-    fj = f
-    poles = tup.poles
-    for j, a in enumerate(poles):
-        val = eval_interior(fj, a)
-        total += (1.0 - abs(a) ** 2) * abs(val) ** 2
-        if j < poles.size - 1:
-            fj = reduce_step(fj, a)
-    return total
+    return _chain_energy(reduce_chain(f, tup.poles[:-1]).remainders, tup.poles)
 
 
 def error_energy(f, tup):
@@ -166,10 +164,7 @@ def error_energy(f, tup):
     A is computed from the small remainder itself instead of as the
     difference of two order-one quantities.
     """
-    fj = f
-    for a in tup.poles:
-        fj = reduce_step(fj, a)
-    return norm_sq(fj)
+    return norm_sq(reduce_chain(f, tup.poles).remainders[-1])
 
 
 def energy_gradient(f, tup):
@@ -185,7 +180,8 @@ def energy_gradient(f, tup):
     for ell in range(n):
         trail = reduce_chain(f, _branch_order(poles, ell), with_derivative=True)
         a = poles[ell]
-        g = eval_interior(trail.remainders[-1], a)
-        gp = eval_interior(trail.remainder_derivs[-1], a)
+        g = series_value(trail.remainders[-1], a)
+        gp = series_value(trail.remainder_derivs[-1], a)
         grad[ell] = np.conj(g) * (np.conj(a) * g - (1.0 - abs(a) ** 2) * gp)
-    return EnergyGradient(energy(f, tup), grad)
+    # the last branch visits a_1..a_{n-1} in tuple order, as energy() does
+    return EnergyGradient(_chain_energy(trail.remainders, poles), grad)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feval import build_polar_grid, eval_interior, feval_table
+from .feval import build_polar_grid, feval_table
 from .hardy import PoleTuple, norm_sq, spectrum
-from .reduction import reduce_chain
+from .reduction import reduce_chain, series_value
 
 __all__ = [
     "SearchConfig",
@@ -105,7 +105,7 @@ def _random_start(rng, n, radius):
 
 def _partial_energy_amp(f_n, a):
     """|<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)| for the current remainder."""
-    return np.sqrt(1.0 - abs(a) ** 2) * abs(eval_interior(f_n, a))
+    return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n, a))
 
 
 def _remainder(f, poles):

@@ -111,6 +111,22 @@ class TestValidationExitCodes:
         )
         assert res.returncode == 2
 
+    def test_indices_must_be_zero_to_n_minus_one(self, tmp_path):
+        for indices in ([0, 0, 5, 7], [0, 1, 2, 4], [1, 2, 3, 4]):
+            sig = tmp_path / "bad.csv"
+            with open(sig, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["index", "re", "im"])
+                for j in indices:
+                    writer.writerow([j, 1.0, 0.0])
+            with pytest.raises(ValueError):
+                read_signal_csv(sig)
+        res = run_cli(
+            "approximate", "--input", str(sig), "--degree", "1",
+            "--out", str(tmp_path / "o.json"),
+        )
+        assert res.returncode == 2
+
     def test_unknown_builtin(self, tmp_path):
         res = run_cli(
             "approximate", "--builtin", "mystery", "--degree", "1",

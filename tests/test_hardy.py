@@ -19,7 +19,7 @@ from blaschke import (
     szego_signal,
     tm_basis,
 )
-from blaschke.pipeline import BUILTIN_FORMS
+from blaschke.pipeline import BUILTIN_FORMS, random_blaschke_form
 
 from conftest import monomial_signal, quadrature_inner, random_smooth_signal
 
@@ -189,6 +189,15 @@ class TestProject:
         assert float(np.sum(np.abs(model.coeffs) ** 2)) <= norm_sq(f) + 1e-12
         assert model.residual_error >= 0.0
 
+    def test_guard_scales_with_signal(self):
+        # the round-off guard is relative to ||f||^2, so a large amplitude
+        # must not trip it
+        tup, coeffs = random_blaschke_form(10, 0)
+        f = synthesize(BlaschkeModel(tup, coeffs), 1024)
+        model = project(Signal(1e3 * f.samples), tup)
+        np.testing.assert_allclose(model.coeffs, 1e3 * coeffs, atol=1e-5)
+        assert model.residual_error >= 0.0
+
     def test_permutation_invariant_residual(self, rng):
         f = random_smooth_signal(rng, 256)
         poles = np.array([0.4, -0.3j, 0.2 + 0.5j])
@@ -216,9 +225,14 @@ class TestSynthesize:
     def test_round_trip_through_projection(self, rng):
         tup = PoleTuple([0.2, -0.5j, 0.3 + 0.3j])
         coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = synthesize(BlaschkeModel(tup, coeffs), 1024)
-        model = project(f, tup)
-        np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-8)
+        # the second input is the size of the benchmark's roundtrip items
+        for tup, coeffs, n_samples in (
+            (tup, coeffs, 1024),
+            (*random_blaschke_form(30, 3), 4096),
+        ):
+            f = synthesize(BlaschkeModel(tup, coeffs), n_samples)
+            model = project(f, tup)
+            np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-8)
 
     def test_coefficient_count_must_match_degree(self):
         with pytest.raises(ValueError):

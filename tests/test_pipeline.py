@@ -1,5 +1,7 @@
 """End-to-end driver, metrics, random forms, and the benchmark harness."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,31 @@ class TestRunBenchmark:
         stats = [r["stat"] for r in rows if r["stat"]]
         assert stats == ["mean", "max", "std"]
         assert len(rows) == 6
+
+    def test_random_batch_search_seed_differs_from_form_seed(self, monkeypatch):
+        import blaschke.pipeline as pipeline
+
+        form_seeds, search_seeds = [], []
+        draw = pipeline.random_blaschke_form
+
+        def record_form(n, seed):
+            form_seeds.append(seed)
+            return draw(n, seed)
+
+        def record_run(algo, f, degree, angular, seed, truth):
+            search_seeds.append(seed)
+            return SimpleNamespace(
+                l2_relative_error=0.0, tuple_distance=0.0, wall_time_seconds=0.0
+            )
+
+        monkeypatch.setattr(pipeline, "random_blaschke_form", record_form)
+        monkeypatch.setattr(pipeline, "_run_algorithm", record_run)
+        run_benchmark(
+            {"targets": [{"name": "random", "degree": 2, "count": 4}], "seed": 7}
+        )
+        assert form_seeds == [7, 8, 9, 10]
+        assert len(search_seeds) == 4
+        assert not set(search_seeds) & set(form_seeds)
 
     def test_unknown_target(self):
         with pytest.raises(KeyError):

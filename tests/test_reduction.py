@@ -24,6 +24,7 @@ from blaschke.reduction import (
     kernel_coefficient,
     reduce_chain,
     reduce_step,
+    series_value,
     spectral_derivative,
 )
 
@@ -64,6 +65,11 @@ class TestKernelCoefficient:
         for a in (0.5, -0.3 + 0.4j, 0.0, 0.85j):
             want = inner_product(f, szego_signal(a, 256))
             assert kernel_coefficient(f, a) == pytest.approx(want, abs=1e-13)
+
+    def test_series_value_matches_direct_series(self, rng):
+        f = random_smooth_signal(rng, 1024)
+        for a in (0.0, 0.5, -0.3 + 0.4j, 0.98 * np.exp(0.7j)):
+            assert series_value(f, a) == pytest.approx(eval_interior(f, a), abs=1e-13)
 
 
 class TestReduceStep:
