@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .hardy import PoleTuple, norm_sq
-from .reduction import DEGENERATE_TOL, energy_gradient, error_energy
+from .reduction import energy_gradient, error_energy, is_degenerate
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 
@@ -49,6 +49,8 @@ class CgdConfig:
             raise ValueError("neighbor_radius must be positive")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,7 @@ def _max_inward_step(poles, direction):
 
 
 def _feasible(poles):
-    if np.any(np.abs(poles) > 1.0 - BOUNDARY_MARGIN):
-        return False
-    if poles.size > 1:
-        diff = poles[:, None] - poles[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.min(np.abs(diff)) < DEGENERATE_TOL:
-            return False
-    return True
+    return np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN) and not is_degenerate(poles)
 
 
 def cgd_refine(f, start, cfg=CgdConfig()):
@@ -93,41 +88,32 @@ def cgd_refine(f, start, cfg=CgdConfig()):
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
-    iterations = 0
-    while iterations < cfg.max_iters:
+    for iterations in range(cfg.max_iters + 1):
         g = grad_info.ascent_direction
         gnorm_sq = float(np.sum(np.abs(g) ** 2))
         if gnorm_sq <= cfg.tol:
-            return CgdReport(
-                PoleTuple(poles), iterations, gnorm_sq, trace, CgdStatus.CONVERGED
-            )
+            status = CgdStatus.CONVERGED
+            break
+        if iterations == cfg.max_iters:
+            status = CgdStatus.ITERATION_CAP
+            break
         g_inf = np.max(np.abs(g))
         s1 = _max_inward_step(poles, g)
         s2 = cfg.neighbor_radius / g_inf
         s = min(s1, s2, 1.0)
-        accepted = False
         for _ in range(cfg.max_backtracks):
             cand = poles + s * g
             if _feasible(cand):
                 err_cand = error_energy(f, PoleTuple(cand))
                 # E(c) >= E(a) + (s/2)||g||^2, written in terms of A
                 if err_cand <= err_curr - 0.5 * s * gnorm_sq:
-                    accepted = True
                     break
             s *= cfg.beta
-        if not accepted:
-            return CgdReport(
-                PoleTuple(poles),
-                iterations,
-                gnorm_sq,
-                trace,
-                CgdStatus.LINE_SEARCH_STALL,
-            )
+        else:
+            status = CgdStatus.LINE_SEARCH_STALL
+            break
         poles = cand
         err_curr = err_cand
         grad_info = energy_gradient(f, PoleTuple(poles))
         trace.append(total - err_curr)
-        iterations += 1
-    gnorm_sq = float(np.sum(np.abs(grad_info.ascent_direction) ** 2))
-    status = CgdStatus.CONVERGED if gnorm_sq <= cfg.tol else CgdStatus.ITERATION_CAP
     return CgdReport(PoleTuple(poles), iterations, gnorm_sq, trace, status)

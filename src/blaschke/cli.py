@@ -2,7 +2,8 @@
 
 Signals travel as CSV (columns index,re,im), models as JSON with full
 double precision.  Exit codes: 0 success, 2 validation error, 3 search
-non-convergence, 4 line-search stall (the result is still written).
+non-convergence, 4 line-search stall, 5 iteration cap (for 4 and 5 the model
+is still written).
 """
 
 import csv
@@ -26,6 +27,7 @@ from .search import SearchConfig, SearchNonConvergence
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_STALL = 4
+EXIT_ITERATION_CAP = 5
 
 
 def read_signal_csv(path):
@@ -136,6 +138,8 @@ def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
     click.echo(f"status: {result.cgd_report.status.value}")
     if result.cgd_report.status is CgdStatus.LINE_SEARCH_STALL:
         sys.exit(EXIT_STALL)
+    if result.cgd_report.status is CgdStatus.ITERATION_CAP:
+        sys.exit(EXIT_ITERATION_CAP)
 
 
 @click.group()

@@ -7,24 +7,17 @@ energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2, and its
 Wirtinger derivative with respect to each pole needs only the remainder and
 remainder derivative of the reduction branch that visits that pole last.
 
-Every remainder value f_j(a) is one O(N) Parseval mean (`series_value`), with
-no FFT, so a reduction step costs O(N); energy, error and gradient all run
-through the one chain loop `reduce_chain`.
+The kernel works on raw sample arrays; only `energy`, `error_energy` and
+`energy_gradient` take a `Signal` and a `PoleTuple`.  `reduce_chain` takes
+each stage's value f_j(a_j) once, as one O(N) Parseval mean with no FFT
+(`series_value`), and both steps and the energy reuse it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import (
-    Signal,
-    Spectrum,
-    circle_points,
-    inverse_spectrum,
-    norm_sq,
-    spectrum,
-    szego_kernel,
-)
+from .hardy import circle_points
 
 __all__ = [
     "ReductionTrail",
@@ -43,17 +36,27 @@ __all__ = [
 DEGENERATE_TOL = 1e-12
 
 
+def is_degenerate(poles):
+    """Whether two poles lie closer than DEGENERATE_TOL."""
+    if poles.size < 2:
+        return False
+    diff = np.abs(poles[:, None] - poles[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return bool(np.min(diff) < DEGENERATE_TOL)
+
+
 @dataclass(frozen=True)
 class ReductionTrail:
-    """Remainders f_j and derivatives f'_j along one permutation branch.
+    """Remainders f_j, derivatives f'_j and values f_j(a_j) along one branch.
 
-    remainders[0] is the input signal; entry j is the remainder after the
-    first j poles of `order` have been extracted.
+    remainders[0] is the input; entry j is the remainder after the first j
+    poles of the visit order have been extracted, and values[j] is f_j at
+    pole j + 1.
     """
 
     remainders: list
     remainder_derivs: list
-    order: np.ndarray
+    values: list
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,10 @@ class EnergyGradient:
 
 def spectral_derivative(f):
     """Samples of f' on the circle: coefficient k of f' is (k+1) * f_hat(k+1)."""
-    c = spectrum(f).coeffs
+    c = np.fft.fft(f) / f.size
     dc = np.zeros_like(c)
-    k = np.arange(1, c.size)
-    dc[:-1] = k * c[k]
-    return inverse_spectrum(Spectrum(dc))
+    dc[:-1] = np.arange(1, c.size) * c[1:]
+    return np.fft.ifft(dc) * dc.size
 
 
 def series_value(f, a):
@@ -95,41 +97,42 @@ def series_value(f, a):
     a = complex(a)
     if abs(a) >= 1.0:
         raise ValueError(f"pole must satisfy |a| < 1, got |a| = {abs(a)}")
-    z = circle_points(f.n_samples)
-    return complex(np.mean(f.samples * z / (z - a))) * (1.0 - a**f.n_samples)
+    z = circle_points(f.size)
+    return complex(np.mean(f * z / (z - a))) * (1.0 - a**f.size)
 
 
-def kernel_coefficient(fj, a):
-    """Discrete inner product <f, e_a> = sqrt(1-|a|^2) * f(a) / (1 - a^N)."""
-    return series_value(fj, a) * np.sqrt(1.0 - abs(a) ** 2) / (1.0 - a**fj.n_samples)
+def reduce_step(fj, a, fj_at_a):
+    """One reduction: extract the e_a component and divide out the Moebius factor.
+
+    (f - <f, e_a> e_a) (1 - conj(a) z)/(z - a), with <f, e_a> e_a(z) =
+    f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out.
+    """
+    z = circle_points(fj.size)
+    extracted = fj_at_a * (1.0 - abs(a) ** 2) / (1.0 - a**fj.size)
+    return (fj * (1.0 - np.conj(a) * z) - extracted) / (z - a)
 
 
-def reduce_step(fj, a):
-    """One reduction: extract the e_a component and divide out the Moebius factor."""
-    z = circle_points(fj.n_samples)
-    resid = fj.samples - kernel_coefficient(fj, a) * szego_kernel(a, z)
-    return Signal(resid * (1.0 - z * np.conj(a)) / (z - a))
-
-
-def derivative_reduce_step(fj, fj_prime, a):
+def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
     """Remainder-derivative recursion paired with reduce_step at pole a."""
-    fj_at_a = series_value(fj, a)
-    z = circle_points(fj.n_samples)
-    term1 = fj_prime.samples * (1.0 - np.conj(a) * z) / (z - a)
-    term2 = (fj.samples - fj_at_a) * (abs(a) ** 2 - 1.0) / (z - a) ** 2
-    return Signal(term1 + term2)
+    z = circle_points(fj.size)
+    term1 = fj_prime * (1.0 - np.conj(a) * z) / (z - a)
+    term2 = (fj - fj_at_a) * (abs(a) ** 2 - 1.0) / (z - a) ** 2
+    return term1 + term2
 
 
-def reduce_chain(f, order, with_derivative=False):
-    """Run the reduction through the poles of `order`, recording every stage."""
+def reduce_chain(f, order, f_prime=None):
+    """Reduce f through the poles of `order`, and f_prime along if given."""
     order = np.atleast_1d(np.asarray(order, dtype=complex))
     remainders = [f]
-    derivs = [spectral_derivative(f)] if with_derivative else []
+    derivs = [] if f_prime is None else [f_prime]
+    values = []
     for a in order:
-        if with_derivative:
-            derivs.append(derivative_reduce_step(remainders[-1], derivs[-1], a))
-        remainders.append(reduce_step(remainders[-1], a))
-    return ReductionTrail(remainders, derivs, order)
+        fj = remainders[-1]
+        values.append(series_value(fj, a))
+        if derivs:
+            derivs.append(derivative_reduce_step(fj, derivs[-1], a, values[-1]))
+        remainders.append(reduce_step(fj, a, values[-1]))
+    return ReductionTrail(remainders, derivs, values)
 
 
 def _branch_order(poles, leader):
@@ -138,21 +141,25 @@ def _branch_order(poles, leader):
     Matches the 1-shift permutation powers: branch l reduces through
     a_{l+1}, ..., a_n, a_1, ..., a_{l-1} and differentiates at a_l.
     """
-    n = poles.size
-    return np.array([poles[(leader + 1 + j) % n] for j in range(n - 1)])
+    return np.roll(poles, -(leader + 1))[:-1]
 
 
-def _chain_energy(remainders, poles):
-    """sum_j (1-|a_j|^2) |f_j(a_j)|^2 over remainders visited in tuple order."""
-    return sum(
-        (1.0 - abs(a) ** 2) * abs(series_value(fj, a)) ** 2
-        for fj, a in zip(remainders, poles)
-    )
+def _stage_energy(poles, values):
+    """sum_j (1-|a_j|^2) |f_j(a_j)|^2 over stage values in tuple order."""
+    return sum((1.0 - abs(a) ** 2) * abs(v) ** 2 for a, v in zip(poles, values))
+
+
+def _finite(value, name):
+    """The scalar result, checked at the boundary instead of every stage."""
+    if not np.isfinite(value):
+        raise ArithmeticError(f"{name} is not finite")
+    return value
 
 
 def energy(f, tup):
     """Energy E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 via one reduction pass."""
-    return _chain_energy(reduce_chain(f, tup.poles[:-1]).remainders, tup.poles)
+    trail = reduce_chain(f.samples, tup.poles)
+    return _finite(_stage_energy(tup.poles, trail.values), "energy")
 
 
 def error_energy(f, tup):
@@ -164,24 +171,22 @@ def error_energy(f, tup):
     A is computed from the small remainder itself instead of as the
     difference of two order-one quantities.
     """
-    return norm_sq(reduce_chain(f, tup.poles).remainders[-1])
+    rest = reduce_chain(f.samples, tup.poles).remainders[-1]
+    return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
 def energy_gradient(f, tup):
     """Energy and d(-E)/dz_l for each pole, one permutation branch per pole."""
     poles = tup.poles
-    n = poles.size
-    if n > 1:
-        diff = poles[:, None] - poles[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.min(np.abs(diff)) < DEGENERATE_TOL:
-            raise ValueError("pole tuple is degenerate (nearly repeated poles)")
-    grad = np.empty(n, dtype=complex)
-    for ell in range(n):
-        trail = reduce_chain(f, _branch_order(poles, ell), with_derivative=True)
+    if is_degenerate(poles):
+        raise ValueError("pole tuple is degenerate (nearly repeated poles)")
+    f_prime = spectral_derivative(f.samples)
+    grad = np.empty(poles.size, dtype=complex)
+    for ell in range(poles.size):
+        trail = reduce_chain(f.samples, _branch_order(poles, ell), f_prime)
         a = poles[ell]
         g = series_value(trail.remainders[-1], a)
         gp = series_value(trail.remainder_derivs[-1], a)
         grad[ell] = np.conj(g) * (np.conj(a) * g - (1.0 - abs(a) ** 2) * gp)
-    # the last branch visits a_1..a_{n-1} in tuple order, as energy() does
-    return EnergyGradient(_chain_energy(trail.remainders, poles), grad)
+    # the last branch visits a_1..a_{n-1} in tuple order, then a_n
+    return EnergyGradient(_stage_energy(poles, trail.values + [g]), grad)

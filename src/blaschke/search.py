@@ -5,7 +5,8 @@ the last pole fixed, scan a grid for the node maximizing |<f_n, e_z>| of
 the reduced remainder, replace the last pole when the gain exceeds eta,
 then 1-shift the tuple and rebuild the remainder.  The polar search shares
 one FFT per radius ring across the whole scan; the rectangular baseline
-evaluates every node directly.
+evaluates every node directly.  The remainder is reduced on raw sample
+arrays and wrapped in a `Signal` once per scan, for the grid table.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import build_polar_grid, feval_table
-from .hardy import PoleTuple, norm_sq, spectrum
+from .hardy import PoleTuple, Signal, norm_sq, spectrum
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -105,23 +106,27 @@ def _random_start(rng, n, radius):
 
 def _partial_energy_amp(f_n, a):
     """|<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)| for the current remainder."""
-    return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n, a))
+    return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
 
 
 def _remainder(f, poles):
     """Remainder after reducing through all but the last pole."""
     if poles.size <= 1:
         return f
-    return reduce_chain(f, poles[:-1]).remainders[-1]
+    return Signal(reduce_chain(f.samples, poles[:-1]).remainders[-1])
 
 
 def _masked_argmax(mags, nodes, fixed):
-    """Best node by magnitude, skipping nodes that coincide with fixed poles."""
+    """Best node by magnitude, skipping nodes that coincide with fixed poles.
+
+    Only each winner is tested; a coinciding one is masked and skipped.
+    """
     mags = mags.copy()
-    if fixed.size:
-        close = np.abs(nodes[None, :] - fixed[:, None]) < COINCIDENCE_TOL
-        mags[np.any(close, axis=0)] = -np.inf
-    idx = int(np.argmax(mags))
+    for _ in range(fixed.size + 1):
+        idx = int(np.argmax(mags))
+        if np.all(np.abs(fixed - nodes[idx]) >= COINCIDENCE_TOL):
+            break
+        mags[idx] = -np.inf
     return mags[idx], nodes[idx]
 
 
@@ -133,20 +138,17 @@ def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
     the remainder/partial-energy refresh follow the cyclic scheme exactly.
     """
     poles = _random_start(rng, n, start_radius)
-    f_n = _remainder(f, poles)
-    v = _partial_energy_amp(f_n, poles[-1])
     for _ in range(max_sweeps):
         accepted = 0
         for _ in range(n):
+            f_n = _remainder(f, poles)
+            v = _partial_energy_amp(f_n, poles[-1])
             mags, nodes = scan(f_n)
             v_t, a_t = _masked_argmax(mags, nodes, poles[:-1])
             if v_t > v + eta:
                 poles[-1] = a_t
-                v = v_t
                 accepted += 1
             poles = np.roll(poles, 1)
-            f_n = _remainder(f, poles)
-            v = _partial_energy_amp(f_n, poles[-1])
         if accepted == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(

@@ -37,6 +37,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CgdConfig(tol=0.0)
 
+    def test_nonnegative_max_iters(self):
+        with pytest.raises(ValueError):
+            CgdConfig(max_iters=-1)
+
 
 class TestCgdRefine:
     def test_stationary_start_converges_immediately(self):
@@ -80,6 +84,14 @@ class TestCgdRefine:
         )
         assert report.status is CgdStatus.ITERATION_CAP
         assert report.iterations == 2
+
+    def test_zero_iteration_cap(self):
+        report = cgd_refine(
+            monomial_signal(1, 256), PoleTuple([0.2]), CgdConfig(max_iters=0)
+        )
+        assert report.status is CgdStatus.ITERATION_CAP
+        assert report.iterations == 0 and len(report.energy_trace) == 1
+        assert report.final_gradient_norm_sq > 0.0
 
     def test_line_search_stall_status(self):
         cfg = CgdConfig(max_backtracks=0)

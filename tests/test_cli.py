@@ -92,6 +92,17 @@ class TestSynthesizeAndRecover:
         assert "l2_relative_error" in res.stdout
         assert out.exists()
 
+    def test_iteration_cap_exits_5_and_writes_model(self, tmp_path):
+        out = tmp_path / "out.json"
+        res = run_cli(
+            "approximate", "--builtin", "ex5_2_f2", "--degree", "2",
+            "--samples", "256", "--radial", "20", "--angular", "64",
+            "--out", str(out),
+        )
+        assert res.returncode == 5, res.stderr
+        assert "status: iteration-cap" in res.stdout
+        assert read_model_json(out).degree == 2
+
 
 class TestValidationExitCodes:
     def test_missing_source_is_usage_error(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from blaschke import (
     BlaschkeModel,
     PoleTuple,
+    Signal,
     circle_points,
     eval_interior,
     inner_product,
@@ -21,7 +22,6 @@ from blaschke.reduction import (
     energy,
     energy_gradient,
     error_energy,
-    kernel_coefficient,
     reduce_chain,
     reduce_step,
     series_value,
@@ -43,16 +43,37 @@ def random_tuple(rng, n, radius=0.8, gap=0.05):
     return PoleTuple(poles)
 
 
+def kernel_coefficient(f, a):
+    """<f, e_a> = sqrt(1-|a|^2) * f(a) / (1 - a^N) from the series value."""
+    value = series_value(f.samples, a)
+    return value * np.sqrt(1.0 - abs(a) ** 2) / (1.0 - a**f.n_samples)
+
+
+def step(f, a):
+    """One reduction step of the Signal f, with the stage value reduce_chain passes."""
+    return Signal(reduce_step(f.samples, a, series_value(f.samples, a)))
+
+
+def derivative_step(f, fp, a):
+    """derivative_reduce_step on Signals, with the stage value reduce_chain passes."""
+    value = series_value(f.samples, a)
+    return Signal(derivative_reduce_step(f.samples, fp.samples, a, value))
+
+
+def derivative_of(f):
+    return Signal(spectral_derivative(f.samples))
+
+
 class TestSpectralDerivative:
     def test_monomial(self):
         for k in (1, 2, 5):
-            d = spectral_derivative(monomial_signal(k, 64))
+            d = spectral_derivative(monomial_signal(k, 64).samples)
             want = k * circle_points(64) ** (k - 1)
-            np.testing.assert_allclose(d.samples, want, atol=1e-12)
+            np.testing.assert_allclose(d, want, atol=1e-12)
 
     def test_finite_difference(self, rng):
         f = random_smooth_signal(rng, 64)
-        d = spectral_derivative(f)
+        d = derivative_of(f)
         h = 1e-6
         for z in (0.3, -0.2 + 0.4j, 0.5j):
             fd = (eval_interior(f, z + h) - eval_interior(f, z - h)) / (2 * h)
@@ -69,31 +90,33 @@ class TestKernelCoefficient:
     def test_series_value_matches_direct_series(self, rng):
         f = random_smooth_signal(rng, 1024)
         for a in (0.0, 0.5, -0.3 + 0.4j, 0.98 * np.exp(0.7j)):
-            assert series_value(f, a) == pytest.approx(eval_interior(f, a), abs=1e-13)
+            assert series_value(f.samples, a) == pytest.approx(
+                eval_interior(f, a), abs=1e-13
+            )
 
 
 class TestReduceStep:
     def test_full_extraction_of_kernel(self):
         a = 0.3 - 0.4j
-        resid = reduce_step(szego_signal(a, 256), a)
+        resid = step(szego_signal(a, 256), a)
         assert norm_sq(resid) < 1e-10
 
     def test_monomial_shift_down(self):
-        got = reduce_step(monomial_signal(1, 64), 0.0)
+        got = step(monomial_signal(1, 64), 0.0)
         np.testing.assert_allclose(got.samples, np.ones(64), atol=1e-12)
-        got = reduce_step(monomial_signal(2, 64), 0.0)
+        got = step(monomial_signal(2, 64), 0.0)
         np.testing.assert_allclose(got.samples, circle_points(64), atol=1e-12)
 
     def test_boundary_pole_rejected(self):
         with pytest.raises(ValueError):
-            reduce_step(monomial_signal(1, 64), 1.0)
+            step(monomial_signal(1, 64), 1.0)
 
     def test_norm_telescopes(self, rng):
         # ||f||^2 = (extracted coefficient)^2 + ||next remainder||^2 exactly
         f = random_smooth_signal(rng, 256)
         a = 0.4 - 0.2j
         c = kernel_coefficient(f, a)
-        nxt = reduce_step(f, a)
+        nxt = step(f, a)
         assert norm_sq(f) == pytest.approx(abs(c) ** 2 + norm_sq(nxt), abs=1e-12)
 
 
@@ -101,26 +124,27 @@ class TestDerivativeReduceStep:
     def test_kernel_reduction_kills_derivative(self):
         a = 0.3 + 0.2j
         f = szego_signal(a, 256)
-        fp = spectral_derivative(f)
-        nxt = reduce_step(f, a)
-        nxt_p = derivative_reduce_step(f, fp, a)
+        fp = derivative_of(f)
+        nxt = step(f, a)
+        nxt_p = derivative_step(f, fp, a)
         assert norm_sq(nxt) < 1e-10
         assert norm_sq(nxt_p) < 1e-8
 
     def test_monomial_case(self):
         f = monomial_signal(2, 64)
-        fp = spectral_derivative(f)
-        nxt_p = derivative_reduce_step(f, fp, 0.0)
+        fp = derivative_of(f)
+        nxt_p = derivative_step(f, fp, 0.0)
         np.testing.assert_allclose(nxt_p.samples, np.ones(64), atol=1e-12)
 
     def test_against_finite_differences(self, rng):
         tup = random_tuple(rng, 3)
         coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         f = synthesize(BlaschkeModel(tup, coeffs), 256)
-        trail = reduce_chain(f, tup.poles, with_derivative=True)
+        trail = reduce_chain(f.samples, tup.poles, spectral_derivative(f.samples))
         h = 1e-6
         pts = 0.6 * (rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)) / np.sqrt(2)
         for fj, fjp in zip(trail.remainders, trail.remainder_derivs):
+            fj, fjp = Signal(fj), Signal(fjp)
             for z in pts:
                 fd = (eval_interior(fj, z + h) - eval_interior(fj, z - h)) / (2 * h)
                 assert eval_interior(fjp, z) == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -158,8 +182,8 @@ class TestEnergy:
     def test_telescoping(self, rng):
         f = random_smooth_signal(rng, 256)
         tup = random_tuple(rng, 3)
-        trail = reduce_chain(f, tup.poles)
-        total = energy(f, tup) + norm_sq(trail.remainders[-1])
+        trail = reduce_chain(f.samples, tup.poles)
+        total = energy(f, tup) + norm_sq(Signal(trail.remainders[-1]))
         assert total == pytest.approx(norm_sq(f), abs=1e-9)
 
     def test_permutation_invariance(self, rng):
@@ -177,6 +201,15 @@ class TestEnergy:
         assert energy(f, tup) + error_energy(f, tup) == pytest.approx(
             norm_sq(f), abs=1e-9
         )
+
+    def test_non_finite_result_raises(self):
+        # samples are finite, but their squares overflow
+        f = Signal(np.full(64, 1e200))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArithmeticError):
+                energy(f, PoleTuple([0.3]))
+            with pytest.raises(ArithmeticError):
+                error_energy(f, PoleTuple([0.3]))
 
     def test_matches_projection_residual(self, rng):
         f = random_smooth_signal(rng, 256)
@@ -243,14 +276,32 @@ class TestEnergyGradient:
 class TestReductionTrail:
     def test_first_remainder_is_input(self, rng):
         f = random_smooth_signal(rng, 128)
-        trail = reduce_chain(f, [0.3, -0.2j])
-        assert trail.remainders[0] is f
+        trail = reduce_chain(f.samples, [0.3, -0.2j])
+        assert trail.remainders[0] is f.samples
         assert len(trail.remainders) == 3
 
     def test_remainders_stay_analytic(self, rng):
         # high-order coefficients (implied aliased tail) stay tiny
         f = random_smooth_signal(rng, 256)
-        trail = reduce_chain(f, [0.3, -0.2j, 0.5 + 0.1j])
-        for fj in trail.remainders:
+        trail = reduce_chain(f.samples, [0.3, -0.2j, 0.5 + 0.1j])
+        for fj in map(Signal, trail.remainders):
             tail = np.sum(np.abs(spectrum(fj).coeffs[200:]) ** 2)
             assert tail <= 1e-8 * norm_sq(fj)
+
+    def test_recorded_values_are_stage_values(self, rng):
+        f = random_smooth_signal(rng, 1024)
+        order = [0.3 - 0.2j, 0.98 * np.exp(0.7j), -0.5j]
+        trail = reduce_chain(f.samples, order)
+        assert len(trail.values) == len(order)
+        for fj, a, value in zip(trail.remainders, order, trail.values):
+            assert value == pytest.approx(eval_interior(Signal(fj), a), abs=1e-12)
+
+    def test_step_matches_reference_definition(self, rng):
+        # (f - <f, e_a> e_a) (1 - conj(a) z) / (z - a)
+        f = random_smooth_signal(rng, 1024)
+        a = 0.98 * np.exp(0.7j)
+        e_a = szego_signal(a, 1024)
+        z = circle_points(1024)
+        resid = f.samples - inner_product(f, e_a) * e_a.samples
+        want = resid * (1.0 - np.conj(a) * z) / (z - a)
+        np.testing.assert_allclose(step(f, a).samples, want, rtol=0, atol=1e-12)

@@ -16,6 +16,7 @@ from blaschke.search import (
     RectGridConfig,
     SearchConfig,
     SearchNonConvergence,
+    _masked_argmax,
     its_search,
     rect_cafd_search,
     rect_grid_nodes,
@@ -58,6 +59,19 @@ class TestConfigValidation:
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             its_search(monomial_signal(1, 64), 0)
+
+
+class TestMaskedArgmax:
+    def test_best_node_on_fixed_pole_falls_to_second_best(self):
+        nodes = np.array([0.1, 0.2j, -0.3, 0.4 + 0.1j])
+        mags = np.array([0.5, 0.9, 0.7, 0.8])
+        fixed = np.array([0.2j, 0.5])
+        assert _masked_argmax(mags, nodes, fixed) == (0.8, 0.4 + 0.1j)
+        # a chain of coinciding winners is skipped one by one
+        fixed = np.array([0.4 + 0.1j, 0.2j])
+        assert _masked_argmax(mags, nodes, fixed) == (0.7, -0.3)
+        np.testing.assert_array_equal(mags, [0.5, 0.9, 0.7, 0.8])
+        assert _masked_argmax(mags, nodes, fixed[:0]) == (0.9, 0.2j)
 
 
 class TestItsSearch:
