@@ -14,7 +14,7 @@ import click
 
 from .cgd import CgdConfig, CgdStatus
 from .feval import build_polar_grid, feval_table
-from .hardy import BlaschkeModel, PoleTuple, make_signal, synthesize
+from .hardy import BlaschkeModel, PoleTuple, make_signal, norm_sq, synthesize
 from .pipeline import (
     RunConfig,
     builtin_signal,
@@ -108,27 +108,17 @@ def _run_options(fn):
     return fn
 
 
-def _build_config(degree, samples, radial, angular, beta, trust, tol, eta_rel, seed):
-    from .hardy import norm_sq  # late import keeps the option plumbing flat
-
-    def make(f):
-        eta = eta_rel * norm_sq(f)
-        return RunConfig(
-            degree=degree,
-            search=SearchConfig(radial=radial, angular=angular, eta=eta, seed=seed),
-            cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
-            n_samples=samples,
-            seed=seed,
-        )
-
-    return make
-
-
 def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
                  trust, tol, eta_rel, seed, out_path, truth_path=None):
     f = _load_input(input_path, builtin, samples)
-    cfg = _build_config(degree, f.n_samples, radial, angular, beta, trust, tol,
-                        eta_rel, seed)(f)
+    cfg = RunConfig(
+        degree=degree,
+        search=SearchConfig(radial=radial, angular=angular, eta=eta_rel * norm_sq(f),
+                            seed=seed),
+        cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
+        n_samples=f.n_samples,
+        seed=seed,
+    )
     truth = read_tuple_json(truth_path) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)
     write_model_json(out_path, result.model)

@@ -176,6 +176,12 @@ def random_blaschke_form(n, seed, max_tries=10000):
     return PoleTuple(poles), coeffs
 
 
+def _check_truth(truth, degree):
+    """Reject a truth tuple of another degree before any search runs."""
+    if truth is not None and truth.degree != degree:
+        raise ValueError(f"truth tuple has degree {truth.degree}, not {degree}")
+
+
 def cafd_cgd_result(f, cfg, truth=None):
     """Full pipeline with timing and metrics: search, refine, project.
 
@@ -183,6 +189,7 @@ def cafd_cgd_result(f, cfg, truth=None):
     reported tuple (at worst the search tuple itself) is projected and
     returned.
     """
+    _check_truth(truth, cfg.degree)
     start_time = time.perf_counter()
     its_tuple = its_search(f, cfg.degree, cfg.search)
     report = cgd_refine(f, its_tuple, cfg.cgd)
@@ -204,6 +211,7 @@ def cafd_cgd(f, n, cfg=None):
 
 def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):
     """Rectangular-grid baseline run with the same reporting as the pipeline."""
+    _check_truth(truth, n)
     start_time = time.perf_counter()
     tup = rect_cafd_search(f, n, cfg)
     model = project(f, tup)

@@ -3,14 +3,17 @@
 Each reduction step extracts the e_a component from the current remainder
 and divides out the Moebius factor (z - a)/(1 - conj(a) z); on the circle
 this factor is unimodular, so the discrete norm telescopes exactly.  The
-energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2, and its
-Wirtinger derivative with respect to each pole needs only the remainder and
-remainder derivative of the reduction branch that visits that pole last.
+energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2.  The
+remainder does not depend on the order of the poles, so its Wirtinger
+derivative has the closed form d(-E)/da_l = -conj(g_l) f_n(a_l), with f_n
+the final remainder of one chain and g_l = mean(f conj(B) z/(1 - conj(a_l) z))
+over the circle, B being the tuple's Blaschke product: one reduction pass per
+gradient, and no remainder is differentiated.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
 `energy_gradient` take a `Signal` and a `PoleTuple`.  `reduce_chain` takes
 each stage's value f_j(a_j) once, as one O(N) Parseval mean with no FFT
-(`series_value`), and both steps and the energy reuse it.
+(`series_value`), and the step and the energy reuse it.
 """
 
 from dataclasses import dataclass
@@ -47,7 +50,7 @@ def is_degenerate(poles):
 
 @dataclass(frozen=True)
 class ReductionTrail:
-    """Remainders f_j, derivatives f'_j and values f_j(a_j) along one branch.
+    """Remainders f_j and values f_j(a_j) along one chain.
 
     remainders[0] is the input; entry j is the remainder after the first j
     poles of the visit order have been extracted, and values[j] is f_j at
@@ -55,7 +58,6 @@ class ReductionTrail:
     """
 
     remainders: list
-    remainder_derivs: list
     values: list
 
 
@@ -120,28 +122,14 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
     return term1 + term2
 
 
-def reduce_chain(f, order, f_prime=None):
-    """Reduce f through the poles of `order`, and f_prime along if given."""
-    order = np.atleast_1d(np.asarray(order, dtype=complex))
+def reduce_chain(f, order):
+    """Reduce f through the poles of `order`, recording each stage value."""
     remainders = [f]
-    derivs = [] if f_prime is None else [f_prime]
     values = []
-    for a in order:
-        fj = remainders[-1]
-        values.append(series_value(fj, a))
-        if derivs:
-            derivs.append(derivative_reduce_step(fj, derivs[-1], a, values[-1]))
-        remainders.append(reduce_step(fj, a, values[-1]))
-    return ReductionTrail(remainders, derivs, values)
-
-
-def _branch_order(poles, leader):
-    """Cyclic visit order that reduces through every pole except `leader` last.
-
-    Matches the 1-shift permutation powers: branch l reduces through
-    a_{l+1}, ..., a_n, a_1, ..., a_{l-1} and differentiates at a_l.
-    """
-    return np.roll(poles, -(leader + 1))[:-1]
+    for a in np.atleast_1d(np.asarray(order, dtype=complex)):
+        values.append(series_value(remainders[-1], a))
+        remainders.append(reduce_step(remainders[-1], a, values[-1]))
+    return ReductionTrail(remainders, values)
 
 
 def _stage_energy(poles, values):
@@ -176,17 +164,25 @@ def error_energy(f, tup):
 
 
 def energy_gradient(f, tup):
-    """Energy and d(-E)/dz_l for each pole, one permutation branch per pole."""
+    """Energy and d(-E)/da_l = -conj(g_l) f_n(a_l) for each pole, from one chain.
+
+    The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
+    so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
+    reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
+    f with the kernel times B/M_l.  The means for g_l run on 2N points, where
+    conj(B) = prod (1 - conj(a_j) z)/(z - a_j) aliases at max|a|^(2N), not
+    max|a|^N.
+    """
     poles = tup.poles
     if is_degenerate(poles):
         raise ValueError("pole tuple is degenerate (nearly repeated poles)")
-    f_prime = spectral_derivative(f.samples)
-    grad = np.empty(poles.size, dtype=complex)
-    for ell in range(poles.size):
-        trail = reduce_chain(f.samples, _branch_order(poles, ell), f_prime)
-        a = poles[ell]
-        g = series_value(trail.remainders[-1], a)
-        gp = series_value(trail.remainder_derivs[-1], a)
-        grad[ell] = np.conj(g) * (np.conj(a) * g - (1.0 - abs(a) ** 2) * gp)
-    # the last branch visits a_1..a_{n-1} in tuple order, then a_n
-    return EnergyGradient(_stage_energy(poles, trail.values + [g]), grad)
+    trail = reduce_chain(f.samples, poles)
+    fine = np.fft.ifft(np.fft.fft(f.samples), 2 * f.n_samples) * 2
+    z = circle_points(fine.size)
+    weight = fine * z
+    for a in poles:
+        weight = weight * (1.0 - np.conj(a) * z) / (z - a)
+    g = np.array([np.mean(weight / (1.0 - np.conj(a) * z)) for a in poles])
+    rest = trail.remainders[-1]
+    rest_at = np.array([series_value(rest, a) for a in poles])
+    return EnergyGradient(_stage_energy(poles, trail.values), -np.conj(g) * rest_at)

@@ -214,6 +214,21 @@ class TestPipeline:
         # residual round-off at eps * ||f||^2 surfaces as sqrt(eps) here
         assert result.l2_relative_error <= 1e-7
 
+    def test_truth_degree_checked_before_search(self, monkeypatch):
+        import blaschke.pipeline as pipeline
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran before the truth degree was checked")
+
+        monkeypatch.setattr(pipeline, "its_search", no_search)
+        monkeypatch.setattr(pipeline, "rect_cafd_search", no_search)
+        f = builtin_signal("ex5_1_f1", 256)
+        truth = PoleTuple([0.1, 0.2j])
+        with pytest.raises(ValueError, match="degree"):
+            cafd_cgd_result(f, SMALL_RUN, truth=truth)
+        with pytest.raises(ValueError, match="degree"):
+            rect_cafd(f, 1, RectGridConfig(gap=0.05), truth=truth)
+
 
 class TestRunBenchmark:
     def test_empty_descriptor(self):

@@ -64,6 +64,21 @@ def derivative_of(f):
     return Signal(spectral_derivative(f.samples))
 
 
+def branch_gradient(f, tup):
+    """d(-E)/da_l by definition: reduce through every pole but a_l, then
+    conj(g) (conj(a) g - (1-|a|^2) g') with g, g' the remainder and its
+    derivative at a = a_l."""
+    poles = tup.poles
+    grad = np.empty(poles.size, dtype=complex)
+    for ell, a in enumerate(poles):
+        h, hp = f, derivative_of(f)
+        for b in np.roll(poles, -(ell + 1))[:-1]:
+            h, hp = step(h, b), derivative_step(h, hp, b)
+        g, gp = series_value(h.samples, a), series_value(hp.samples, a)
+        grad[ell] = np.conj(g) * (np.conj(a) * g - (1.0 - abs(a) ** 2) * gp)
+    return grad
+
+
 class TestSpectralDerivative:
     def test_monomial(self):
         for k in (1, 2, 5):
@@ -139,15 +154,16 @@ class TestDerivativeReduceStep:
     def test_against_finite_differences(self, rng):
         tup = random_tuple(rng, 3)
         coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = synthesize(BlaschkeModel(tup, coeffs), 256)
-        trail = reduce_chain(f.samples, tup.poles, spectral_derivative(f.samples))
+        fj = synthesize(BlaschkeModel(tup, coeffs), 256)
+        fjp = derivative_of(fj)
         h = 1e-6
         pts = 0.6 * (rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)) / np.sqrt(2)
-        for fj, fjp in zip(trail.remainders, trail.remainder_derivs):
-            fj, fjp = Signal(fj), Signal(fjp)
+        for a in list(tup.poles) + [None]:
             for z in pts:
                 fd = (eval_interior(fj, z + h) - eval_interior(fj, z - h)) / (2 * h)
                 assert eval_interior(fjp, z) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            if a is not None:
+                fj, fjp = step(fj, a), derivative_step(fj, fjp, a)
 
 
 class TestEnergy:
@@ -265,6 +281,18 @@ class TestEnergyGradient:
         f = monomial_signal(1, 64)
         with pytest.raises(ValueError):
             energy_gradient(f, PoleTuple([0.5, 0.5 + 1e-14]))
+
+    def test_closed_form_matches_branch_definition(self, rng):
+        f = random_smooth_signal(rng, 1024)
+        tuples = [random_tuple(rng, n) for n in (2, 5, 10)]
+        near_boundary = random_tuple(rng, 10).poles.copy()
+        near_boundary[0] = 0.98 * np.exp(0.7j)
+        tuples.append(PoleTuple(near_boundary))
+        for tup in tuples:
+            ref = branch_gradient(f, tup)
+            got = energy_gradient(f, tup).d_minus_e
+            bound = 1e-10 + 4 * np.max(np.abs(tup.poles)) ** 1024
+            assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
     def test_value_matches_energy(self, rng):
         f = random_smooth_signal(rng, 256)
