@@ -1,7 +1,7 @@
 """Best n-Blaschke-form approximation in the Hardy space H^2 on the unit disk.
 
 Two-stage pipeline: a cyclic coordinate search over a polar grid (with
-FFT-shared kernel inner products) seeds a complex gradient ascent on the
+FFT-shared kernel inner products) seeds a quasi-Newton ascent on the
 energy, which refines the pole tuple off the grid.
 """
 

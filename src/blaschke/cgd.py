@@ -1,10 +1,22 @@
-"""Complex gradient ascent on the energy with backtracking line search.
+"""Quasi-Newton ascent on the energy with backtracking line search.
 
-Each outer iteration steps a <- a + s * gradE, where the trial step s is
-the largest step keeping the tuple in the closed polydisk, capped by the
-per-coordinate trust region and by 1.  Backtracking shrinks s by beta while
-the sufficient-increase test E(a + s*gradE) >= E(a) + (s/2)*||gradE||^2
-fails, or while the step would leave the disk or merge two poles.
+Each outer iteration steps a <- a + s * p.  The direction is p = H g on the
+real vector [Re g; Im g] in R^2n, with g = gradE and H a BFGS estimate of
+the inverse Hessian of the squared error A (Nocedal & Wright, ch. 6).
+H starts at the identity, so the first step is the paper's steepest-ascent
+step p = gradE.  After each accepted step the pair s_k = s p,
+y_k = g_k - g_(k+1) updates H.  The update is skipped when
+s_k . y_k <= 0.  H is reset to the identity when p is not an ascent
+direction, Re<g, p> <= 0.  The first update from the identity, at the
+start or after a reset, first scales it to (s_k . y_k / y_k . y_k) I
+(N&W eq. 6.20).
+
+The trial step s is the largest step keeping the tuple in the closed
+polydisk, capped by the per-coordinate trust region neighbor_radius/max|p|
+and by 1.  Backtracking shrinks s by beta while the sufficient-increase
+test E(a + s*p) >= E(a) + (s/2)*Re<g, p> fails, or while the step would
+leave the disk or merge two poles.  The gradient at the accepted point is
+computed once and serves both the update and the next direction.
 
 The sufficient-increase test is evaluated on the squared error
 A = ||f||^2 - E rather than on E itself: A telescopes to the norm of the
@@ -80,16 +92,23 @@ def _feasible(poles):
     return np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN) and not is_degenerate(poles)
 
 
+def _real(z):
+    """Complex vector in C^n as [Re z; Im z] in R^2n."""
+    return np.concatenate([z.real, z.imag])
+
+
 def cgd_refine(f, start, cfg=CgdConfig()):
-    """Refine a pole tuple by gradient ascent on the energy."""
+    """Refine a pole tuple by quasi-Newton ascent on the energy."""
     poles = start.poles.copy()
-    grad_info = energy_gradient(f, PoleTuple(poles))
+    n = poles.size
+    g = energy_gradient(f, PoleTuple(poles)).ascent_direction
     err_curr = error_energy(f, PoleTuple(poles))
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
+    # inverse-Hessian estimate on [Re; Im]; None stands for H = I
+    h = None
     for iterations in range(cfg.max_iters + 1):
-        g = grad_info.ascent_direction
         gnorm_sq = float(np.sum(np.abs(g) ** 2))
         if gnorm_sq <= cfg.tol:
             status = CgdStatus.CONVERGED
@@ -97,23 +116,39 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         if iterations == cfg.max_iters:
             status = CgdStatus.ITERATION_CAP
             break
-        g_inf = np.max(np.abs(g))
-        s1 = _max_inward_step(poles, g)
-        s2 = cfg.neighbor_radius / g_inf
+        if h is not None:
+            hg = h @ _real(g)
+            p = hg[:n] + 1j * hg[n:]
+            slope = float(np.real(np.vdot(g, p)))
+            if slope <= 0.0:
+                h = None
+        if h is None:
+            p, slope = g, gnorm_sq
+        s1 = _max_inward_step(poles, p)
+        s2 = cfg.neighbor_radius / np.max(np.abs(p))
         s = min(s1, s2, 1.0)
         for _ in range(cfg.max_backtracks):
-            cand = poles + s * g
+            cand = poles + s * p
             if _feasible(cand):
                 err_cand = error_energy(f, PoleTuple(cand))
-                # E(c) >= E(a) + (s/2)||g||^2, written in terms of A
-                if err_cand <= err_curr - 0.5 * s * gnorm_sq:
+                # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
+                if err_cand <= err_curr - 0.5 * s * slope:
                     break
             s *= cfg.beta
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break
-        poles = cand
-        err_curr = err_cand
-        grad_info = energy_gradient(f, PoleTuple(poles))
+        g_next = energy_gradient(f, PoleTuple(cand)).ascent_direction
+        # g is the ascent direction, so the curvature pair of A is (s p, g - g_next)
+        sk, yk = _real(s * p), _real(g - g_next)
+        sy = sk @ yk
+        if sy > 0.0:
+            if h is None:
+                h = (sy / (yk @ yk)) * np.eye(2 * n)
+            # N&W (6.17): H <- (I - rho s y') H (I - rho y s') + rho s s'
+            hy = h @ yk
+            h += (np.outer(sk, sk) * (sy + yk @ hy) / sy
+                  - np.outer(sk, hy) - np.outer(hy, sk)) / sy
+        poles, err_curr, g = cand, err_cand, g_next
         trace.append(total - err_curr)
     return CgdReport(PoleTuple(poles), iterations, gnorm_sq, trace, status)

@@ -2,8 +2,10 @@
 
 Both searches run the same cyclic coordinate-ascent loop: holding all but
 the last pole fixed, scan a grid for the node maximizing |<f_n, e_z>| of
-the reduced remainder, replace the last pole when the gain exceeds eta,
-then 1-shift the tuple and rebuild the remainder.  The polar search shares
+the reduced remainder, replace the last pole a when the energy gain
+|<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds eta (an energy, like its default
+1e-12 * ||f||^2, so the search is invariant under f -> lambda f), then
+1-shift the tuple and rebuild the remainder.  The polar search shares
 one FFT per radius ring across the whole scan; the rectangular baseline
 evaluates every node directly.  The remainder is reduced on raw sample
 arrays and wrapped in a `Signal` once per scan, for the grid table.
@@ -145,7 +147,8 @@ def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
             v = _partial_energy_amp(f_n, poles[-1])
             mags, nodes = scan(f_n)
             v_t, a_t = _masked_argmax(mags, nodes, poles[:-1])
-            if v_t > v + eta:
+            # v and v_t are amplitudes; eta is an energy gain
+            if v_t**2 > v**2 + eta:
                 poles[-1] = a_t
                 accepted += 1
             poles = np.roll(poles, 1)

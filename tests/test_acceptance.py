@@ -21,7 +21,7 @@ from blaschke import (
     tm_basis,
     tuple_distance,
 )
-from blaschke.cgd import CgdConfig, CgdStatus
+from blaschke.cgd import CgdStatus
 from blaschke.pipeline import (
     RunConfig,
     builtin_signal,
@@ -245,7 +245,6 @@ def test_criterion_10_near_boundary_degradation(capsys):
     cfg = RunConfig(
         degree=4,
         search=SearchConfig(radial=100, angular=128),
-        cgd=CgdConfig(max_iters=20000),
     )
     res = cafd_cgd_result(f, cfg, truth=truth)
     status = res.cgd_report.status

@@ -1,10 +1,17 @@
-"""Gradient-ascent refinement with backtracking line search."""
+"""Quasi-Newton ascent refinement with backtracking line search."""
 
 import numpy as np
 import pytest
 
 from blaschke import BlaschkeModel, PoleTuple, synthesize, szego_signal, tuple_distance
-from blaschke.cgd import CgdConfig, CgdStatus, cgd_refine
+from blaschke.cgd import (
+    CgdConfig,
+    CgdStatus,
+    _feasible,
+    _max_inward_step,
+    cgd_refine,
+)
+from blaschke.reduction import energy_gradient, error_energy
 
 from conftest import monomial_signal
 
@@ -22,6 +29,21 @@ def well_separated_form(n, seed, radius=0.85, gap=0.15):
         poles.append(w)
     coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     return PoleTuple(poles), coeffs
+
+
+def paper_step(f, poles, cfg):
+    """One step of the paper's steepest ascent: a + s*grad E, backtracked."""
+    g = energy_gradient(f, PoleTuple(poles)).ascent_direction
+    gnorm_sq = float(np.sum(np.abs(g) ** 2))
+    err = error_energy(f, PoleTuple(poles))
+    s2 = cfg.neighbor_radius / np.max(np.abs(g))
+    s = min(_max_inward_step(poles, g), s2, 1.0)
+    while True:
+        cand = poles + s * g
+        if _feasible(cand):
+            if error_energy(f, PoleTuple(cand)) <= err - 0.5 * s * gnorm_sq:
+                return cand
+        s *= cfg.beta
 
 
 class TestConfigValidation:
@@ -78,6 +100,25 @@ class TestCgdRefine:
             step = np.max(np.abs(report.tuple.poles - np.atleast_1d(start)))
             assert step <= cfg.neighbor_radius + 1e-15
 
+    def test_first_step_is_steepest_ascent(self):
+        # the inverse-Hessian estimate starts at the identity; near the
+        # optimum (second case) the unit cap on s binds, so a scaled
+        # H0 would move the result
+        truth, coeffs = well_separated_form(3, 11)
+        cases = [
+            (monomial_signal(1, 256), np.array([0.2 + 0j])),
+            (monomial_signal(1, 256), np.array([0.69 + 0.02j])),
+            (monomial_signal(3, 256), np.array([0.3, -0.4j])),
+            (synthesize(BlaschkeModel(truth, coeffs), 256), truth.poles + 0.05),
+        ]
+        cfg = CgdConfig(max_iters=1)
+        for f, start in cases:
+            report = cgd_refine(f, PoleTuple(start), cfg)
+            assert report.iterations == 1
+            np.testing.assert_array_equal(
+                report.tuple.poles, paper_step(f, start, cfg)
+            )
+
     def test_iteration_cap_status(self):
         report = cgd_refine(
             monomial_signal(1, 256), PoleTuple([0.2]), CgdConfig(max_iters=2)
@@ -116,7 +157,6 @@ class TestConvergenceOnSmoothTargets:
     def test_recovery_from_nearby_start(self):
         # random well-separated targets, start perturbed within 0.02
         rng = np.random.default_rng(7)
-        cfg = CgdConfig(max_iters=20000)
         for i in range(20):
             n = 2 + i % 3
             truth, coeffs = well_separated_form(n, 2000 + i)
@@ -124,6 +164,6 @@ class TestConvergenceOnSmoothTargets:
             start = truth.poles + (
                 rng.uniform(-0.014, 0.014, n) + 1j * rng.uniform(-0.014, 0.014, n)
             )
-            report = cgd_refine(f, PoleTuple(start), cfg)
+            report = cgd_refine(f, PoleTuple(start))
             assert report.final_gradient_norm_sq <= 1e-18, f"case {i}"
             assert tuple_distance(report.tuple, truth) <= 1e-6, f"case {i}"

@@ -214,6 +214,15 @@ class TestPipeline:
         # residual round-off at eps * ||f||^2 surfaces as sqrt(eps) here
         assert result.l2_relative_error <= 1e-7
 
+    def test_small_amplitude_recovery(self):
+        # scaling f by 1e-2 scales the energy by 1e-4; the recovered tuple
+        # must still meet criterion 5's tuple-distance bound
+        f = builtin_signal("ex5_5", 1024)
+        truth = builtin_truth("ex5_5")
+        cfg = RunConfig(degree=4, search=SearchConfig(radial=100, angular=128))
+        res = cafd_cgd_result(Signal(1e-2 * f.samples), cfg, truth=truth)
+        assert res.tuple_distance <= 5e-3
+
     def test_truth_degree_checked_before_search(self, monkeypatch):
         import blaschke.pipeline as pipeline
 

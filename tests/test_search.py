@@ -6,6 +6,7 @@ import pytest
 from blaschke import (
     BlaschkeModel,
     PoleTuple,
+    Signal,
     build_polar_grid,
     feval_table,
     synthesize,
@@ -120,6 +121,18 @@ class TestItsSearch:
             cand = tup.poles.copy()
             cand[-1] = z
             assert energy(f, PoleTuple(cand)) <= base + 1e-9
+
+    def test_amplitude_invariance(self):
+        # eta defaults to an energy, 1e-12 * ||f||^2, so scaling f by lambda
+        # must leave every accept decision, and the tuple, unchanged
+        from blaschke.pipeline import builtin_signal
+
+        f = builtin_signal("ex5_3", 256)
+        cfg = SearchConfig(radial=20, angular=64, seed=3)
+        ref = its_search(f, 5, cfg)
+        for lam in (1e-4, 1e-6):
+            tup = its_search(Signal(lam * f.samples), 5, cfg)
+            np.testing.assert_array_equal(tup.poles, ref.poles)
 
     def test_sweep_cap_raises_with_best_tuple(self):
         # a degree-5 target cannot settle in a single sweep from a cold start
