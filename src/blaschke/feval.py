@@ -1,15 +1,25 @@
-"""Polar grid and FFT-accelerated evaluation of <f, e_z> over all grid nodes.
+"""Polar grid and fast evaluation of <f, e_z> over all grid nodes.
 
-The identity <f, e_z> = sqrt(1-r^2) * sum_k r^k f_hat(k) e^{ikt} for
-z = r e^{it} lets one inverse FFT evaluate a whole radius ring at once:
-scale the spectrum by r^k, transform, multiply by sqrt(1-r^2).  Total cost
-O(N*M*log N) over an (M-1) x N grid.
+For z = r e^{it}, <f, e_z> = sqrt(1-r^2) * sum_k r^k f_hat(k) e^{ikt}.  On
+a ring of A angles the series folds modulo A before one inverse FFT of
+length A, and the fold factors: with Q = N/A,
+
+    folded[j] = r^j * sum_q (r^A)^q * f_hat(j + qA),   0 <= j < A.
+
+The ring tables V[m, q] = r_m^{qA} and R[m, j] = sqrt(1-r_m^2) * r_m^j
+depend only on the grid and N; they are built once per (radial, angular,
+N), cached and read-only, with entries below 1e-200 set to exactly 0 so
+that no subnormal operand reaches the per-call path.  A call is one real
+matrix product of V with the spectrum viewed as a Q x 2A real array, a
+multiplication by R, and one inverse FFT of length A per ring: O(M*N)
+multiply-adds plus M FFTs over an (M-1) x A grid.
 
 `eval_interior` sums the series directly and is the tests' reference; the
 solver evaluates single points by Parseval (`reduction.series_value`).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,13 +110,33 @@ def eval_interior(f, z):
     return complex(values) if z.ndim == 0 else values
 
 
-def feval_table(f, grid):
-    """<f, e_z> at every polar-grid node via one inverse FFT per radius ring.
+# table entries below this are set to 0, so that their products with the
+# spectrum never fall into the subnormal range, where arithmetic is slow
+_FLUSH = 1e-200
 
-    Ring m uses the base spectrum scaled by (m*eps)^k.  The signal's sample
-    count must be a multiple of the grid's angular count; coarser rings fold
-    the scaled spectrum modulo the angular count, which evaluates the same
-    truncated series at the subsampled angles.
+# rings per block, so the per-call temporaries stay cache-resident and the
+# cost grows linearly in the ring count
+_BLOCK = 16
+
+
+@lru_cache(maxsize=32)
+def _ring_tables(grid, n):
+    """Read-only V[m, q] = r_m^{qA} and R[m, j] = sqrt(1-r_m^2) r_m^j."""
+    r = grid.radii[:, None]
+    v_tab = r ** (grid.angular * np.arange(n // grid.angular))
+    r_tab = np.sqrt(1.0 - r**2) * r ** np.arange(grid.angular)
+    for table in (v_tab, r_tab):
+        table[table < _FLUSH] = 0.0
+        table.setflags(write=False)
+    return v_tab, r_tab
+
+
+def feval_table(f, grid):
+    """<f, e_z> at every polar-grid node from the cached ring tables.
+
+    The signal's sample count must be a multiple of the grid's angular
+    count; the spectrum is folded modulo the angular count, which evaluates
+    the same truncated series at the subsampled angles.
     """
     if isinstance(f, Signal):
         coeffs = spectrum(f).coeffs
@@ -120,22 +150,17 @@ def feval_table(f, grid):
         raise ValueError(
             f"signal length {n_sig} is not a multiple of angular count {n_ang}"
         )
-    radii = grid.radii
-    rows = np.empty((radii.size, n_ang), dtype=complex)
-    # process rings in fixed-size blocks so the temporaries stay
-    # cache-resident and the cost scales linearly in the ring count
-    block = 16
-    for lo in range(0, radii.size, block):
-        r = radii[lo : lo + block]
-        # (block, n_sig) radial power table r_m^k by cumulative product
-        powers = np.ones((r.size, n_sig))
-        powers[:, 1:] = r[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        scaled = powers * coeffs[None, :]
-        folded = scaled.reshape(r.size, n_sig // n_ang, n_ang).sum(axis=1)
-        out = np.fft.ifft(folded, axis=1) * n_ang
-        out *= np.sqrt(1.0 - r**2)[:, None]
-        rows[lo : lo + block] = out
-    # column n-1 holds angle 2*pi*n/N (grid angles are 1-based)
-    rows = np.roll(rows, -1, axis=1)
+    v_tab, r_tab = _ring_tables(grid, n_sig)
+    # row q holds f_hat(qA .. qA+A-1) as interleaved real and imaginary parts
+    spec = coeffs.view(np.float64).reshape(n_sig // n_ang, 2 * n_ang)
+    rows = np.empty((grid.radial - 1, n_ang), dtype=complex)
+    for lo in range(0, rows.shape[0], _BLOCK):
+        hi = lo + _BLOCK
+        folded = (v_tab[lo:hi] @ spec).view(complex)
+        folded *= r_tab[lo:hi]
+        # the unscaled sum over j of folded[j] * e^{2 pi i jk/A}
+        out = np.fft.ifft(folded, axis=1, norm="forward")
+        # column n-1 holds angle 2*pi*n/A (grid angles are 1-based)
+        rows[lo:hi, :-1] = out[:, 1:]
+        rows[lo:hi, -1] = out[:, 0]
     return InnerProductTable(rows, grid)

@@ -5,8 +5,9 @@ the last pole fixed, scan a grid for the node maximizing |<f_n, e_z>| of
 the reduced remainder, replace the last pole a when the energy gain
 |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds eta (an energy, like its default
 1e-12 * ||f||^2, so the search is invariant under f -> lambda f), then
-1-shift the tuple and rebuild the remainder.  The polar search shares
-one FFT per radius ring across the whole scan; the rectangular baseline
+1-shift the tuple and rebuild the remainder.  The polar search scans the
+whole grid with `feval_table`: one small matrix product against cached
+ring tables and one inverse FFT per radius ring; the rectangular baseline
 evaluates every node directly.  The remainder is reduced on raw sample
 arrays and wrapped in a `Signal` once per scan, for the grid table.
 """
@@ -121,15 +122,18 @@ def _remainder(f, poles):
 def _masked_argmax(mags, nodes, fixed):
     """Best node by magnitude, skipping nodes that coincide with fixed poles.
 
-    Only each winner is tested; a coinciding one is masked and skipped.
+    Only each winner is tested; a coinciding one is masked and skipped in a
+    copy, made only when the first winner coincides.
     """
-    mags = mags.copy()
+    masked = mags
     for _ in range(fixed.size + 1):
-        idx = int(np.argmax(mags))
+        idx = int(np.argmax(masked))
         if np.all(np.abs(fixed - nodes[idx]) >= COINCIDENCE_TOL):
             break
-        mags[idx] = -np.inf
-    return mags[idx], nodes[idx]
+        if masked is mags:
+            masked = mags.copy()
+        masked[idx] = -np.inf
+    return masked[idx], nodes[idx]
 
 
 def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from blaschke import Signal, Spectrum, inverse_spectrum
+from blaschke import Signal, Spectrum, eval_interior, inverse_spectrum
 
 
 def random_smooth_signal(rng, n_samples=64, decay=0.5):
@@ -43,6 +43,12 @@ def quadrature_kernel_inner_many(coeffs, zs, oversample=4096):
         1.0 - np.conj(zs)[:, None] * w[None, :]
     )
     return np.mean(fvals[None, :] * np.conj(ez), axis=1)
+
+
+def kernel_reference(f, grid):
+    """sqrt(1-|z|^2) * f(z) at every polar-grid node, the series summed directly."""
+    nodes = grid.nodes()
+    return np.sqrt(1.0 - np.abs(nodes) ** 2) * eval_interior(f, nodes)
 
 
 def quadrature_inner(f, g):

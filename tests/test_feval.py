@@ -14,8 +14,10 @@ from blaschke import (
     scale_spectrum,
     spectrum,
 )
+from blaschke.feval import _ring_tables
+from blaschke.pipeline import builtin_signal
 
-from conftest import quadrature_kernel_inner, random_smooth_signal
+from conftest import kernel_reference, quadrature_kernel_inner, random_smooth_signal
 
 
 class TestPolarGrid:
@@ -163,3 +165,33 @@ class TestFevalTable:
     def test_rejects_non_signal_input(self):
         with pytest.raises(TypeError):
             feval_table([1, 2, 3, 4], build_polar_grid(4, 4))
+
+    def test_reference_on_benchmark_grids(self, rng):
+        # the search grids of the benchmark, a grid with angular = N (one
+        # fold), and a spectrum whose tail decays into the subnormal range
+        k = np.arange(1024)
+        phases = np.exp(2j * np.pi * rng.uniform(size=1024))
+        tail = Spectrum(phases * 10.0 ** (-310.0 * k / 1023))
+        cases = [
+            (builtin_signal("ex5_3", 1024), build_polar_grid(100, 128)),
+            (builtin_signal("ex5_5", 2048), build_polar_grid(100, 256)),
+            (builtin_signal("ex5_3", 1024), build_polar_grid(100, 256)),
+            (builtin_signal("ex5_5", 2048), build_polar_grid(100, 128)),
+            (builtin_signal("ex5_6", 1024), build_polar_grid(8, 1024)),
+            (tail, build_polar_grid(100, 128)),
+        ]
+        first = []
+        for f, grid in cases:
+            table = feval_table(f, grid).values
+            ref = kernel_reference(f, grid)
+            assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+            first.append(table)
+        # calls interleaved over grids and sample counts reuse the cached
+        # ring tables without changing a single result
+        for (f, grid), table in zip(cases, first):
+            np.testing.assert_array_equal(feval_table(f, grid).values, table)
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 0.0
+        for ring_table in _ring_tables(build_polar_grid(100, 128), 1024):
+            with pytest.raises(ValueError):
+                ring_table[0, 0] = 0.0

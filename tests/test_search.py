@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import blaschke.search
 from blaschke import (
     BlaschkeModel,
+    InnerProductTable,
     PoleTuple,
     Signal,
     build_polar_grid,
@@ -23,7 +25,7 @@ from blaschke.search import (
     rect_grid_nodes,
 )
 
-from conftest import monomial_signal
+from conftest import kernel_reference, monomial_signal
 
 
 class TestRectGridNodes:
@@ -133,6 +135,24 @@ class TestItsSearch:
         for lam in (1e-4, 1e-6):
             tup = its_search(Signal(lam * f.samples), 5, cfg)
             np.testing.assert_array_equal(tup.poles, ref.poles)
+
+    def test_tuple_independent_of_table_evaluator(self, monkeypatch):
+        # the fast table and a direct series sum differ by round-off only;
+        # the argmax must not see the difference
+        from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
+
+        def direct_table(f, grid):
+            return InnerProductTable(kernel_reference(f, grid), grid)
+
+        cfg = SearchConfig(radial=20, angular=32)
+        for name in ("ex5_3", "ex5_5"):
+            f = builtin_signal(name, 256)
+            n = BUILTIN_DEGREES[name]
+            fast = its_search(f, n, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(blaschke.search, "feval_table", direct_table)
+                direct = its_search(f, n, cfg)
+            np.testing.assert_array_equal(direct.poles, fast.poles)
 
     def test_sweep_cap_raises_with_best_tuple(self):
         # a degree-5 target cannot settle in a single sweep from a cold start
