@@ -75,17 +75,17 @@ class CgdReport:
 
 
 def _max_inward_step(poles, direction):
-    """Largest s with ||poles + s*direction||_inf = 1 (inf if never reached)."""
-    s1 = np.inf
-    for a, g in zip(poles, direction):
-        gg = abs(g) ** 2
-        if gg == 0.0:
-            continue
-        # |a + s g| = 1  =>  gg s^2 + 2 Re(conj(a) g) s + |a|^2 - 1 = 0
-        b = np.real(np.conj(a) * g)
-        disc = b * b + gg * (1.0 - abs(a) ** 2)
-        s1 = min(s1, (-b + np.sqrt(disc)) / gg)
-    return s1
+    """Largest s with ||poles + s*direction||_inf = 1 (inf if never reached).
+
+    Per pole, |a + s g| = 1 is gg s^2 + 2 Re(conj(a) g) s + |a|^2 - 1 = 0
+    with gg = |g|^2; the step is its positive root, over the poles that move.
+    """
+    gg = np.abs(direction) ** 2
+    b = np.real(np.conj(poles) * direction)
+    disc = b * b + gg * (1.0 - np.abs(poles) ** 2)
+    roots = np.full(gg.shape, np.inf)
+    np.divide(-b + np.sqrt(disc), gg, out=roots, where=gg != 0.0)
+    return float(np.min(roots))
 
 
 def _feasible(poles):

@@ -195,12 +195,15 @@ def szego_signal(a, n_samples):
 def _tm_columns(poles, z):
     """Yield B_1, ..., B_n at the points z from a running Moebius product.
 
-    B_k(z) = e_{a_k}(z) * prod_{j<k} (z - a_j) / (1 - conj(a_j) z).
+    B_k(z) = e_{a_k}(z) * prod_{j<k} (z - a_j) / (1 - conj(a_j) z).  Each
+    pole takes one reciprocal d = 1/(1 - conj(a) z), which both the kernel
+    and the Moebius factor reuse.
     """
     blaschke = np.ones_like(z)
     for a in poles:
-        yield szego_kernel(a, z) * blaschke
-        blaschke = blaschke * (z - a) / (1.0 - np.conj(a) * z)
+        d = 1.0 / (1.0 - np.conj(a) * z)
+        yield np.sqrt(1.0 - abs(a) ** 2) * d * blaschke
+        blaschke = blaschke * (z - a) * d
 
 
 def tm_basis(tup, k, points):

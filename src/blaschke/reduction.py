@@ -7,16 +7,28 @@ energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2.  The
 remainder does not depend on the order of the poles, so its Wirtinger
 derivative has the closed form d(-E)/da_l = -conj(g_l) f_n(a_l), with f_n
 the final remainder of one chain and g_l = mean(f conj(B) z/(1 - conj(a_l) z))
-over the circle, B being the tuple's Blaschke product: one reduction pass per
-gradient, and no remainder is differentiated.
+over the circle, B being the tuple's Blaschke product.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
-`energy_gradient` take a `Signal` and a `PoleTuple`.  `reduce_chain` takes
-each stage's value f_j(a_j) once, as one O(N) Parseval mean with no FFT
-(`series_value`), and the step and the energy reuse it.
+`energy_gradient` take a `Signal` and a `PoleTuple`.  A chain divides once
+per pole: it takes the reciprocal row w = 1/(z - a), and both the stage
+value f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval
+mean with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`)
+are products with it.  For a `PoleTuple` the rows are taken at the 2N circle
+points, ordered as the N sample points and then the N midpoints (the even
+samples of the 2N points are the N points bit for bit).  The N-point chain
+reads the first half of each row, and the gradient's means over all 2N
+points read the whole row, since on the circle 1/(1 - conj(a) z) = conj(z w)
+and the Moebius factor is (1 - conj(a) z) w: no further division.
+One evaluation of a tuple (rows, stage values, final remainder) is memoized
+on the immutable `Signal` in a single entry keyed on the pole bytes, so
+`energy_gradient` at a tuple that `error_energy` just evaluated, as the
+refinement's accepted line-search point, runs no second chain.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,29 +101,57 @@ def spectral_derivative(f):
     return np.fft.ifft(dc) * dc.size
 
 
-def series_value(f, a):
+def _reciprocals(poles, z):
+    """Rows 1/(z - a) at the points z, one per pole: one division each."""
+    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+    mags = np.abs(poles)
+    if np.any(mags >= 1.0):
+        raise ValueError(f"pole must satisfy |a| < 1, got |a| = {mags.max()}")
+    return 1.0 / (z - poles[:, None])
+
+
+@lru_cache(maxsize=32)
+def _doubled_points(n):
+    """The 2n circle points: the n sample points, then the n midpoints (read-only).
+
+    circle_points(2n)[::2] equals circle_points(n) bit for bit, so the first
+    half of a reciprocal row on these points is the n-point row, contiguous.
+    """
+    z = circle_points(2 * n)
+    pts = np.concatenate([z[::2], z[1::2]])
+    pts.setflags(write=False)
+    return pts
+
+
+def series_value(f, a, recip=None):
     """Truncated series value f(a) = sum_k f_hat(k) a^k at a pole |a| < 1.
 
     By Parseval <f, e_a> = sqrt(1-|a|^2) * mean(f * z/(z - a)) over the circle
     points z, and the sampled kernel's aliased coefficients give <f, e_a> =
-    sqrt(1-|a|^2) * f(a) / (1 - a^N); so f(a) = mean(f * z/(z-a)) * (1 - a^N).
+    sqrt(1-|a|^2) * f(a) / (1 - a^N); so f(a) = mean(f * z * w) * (1 - a^N)
+    with w = 1/(z - a).  `recip` is that row at the points of f, when the
+    caller already holds it.
     """
     a = complex(a)
-    if abs(a) >= 1.0:
-        raise ValueError(f"pole must satisfy |a| < 1, got |a| = {abs(a)}")
     z = circle_points(f.size)
-    return complex(np.mean(f * z / (z - a))) * (1.0 - a**f.size)
+    if recip is None:
+        recip = _reciprocals(a, z)[0]
+    return complex((f * z * recip).sum()) / f.size * (1.0 - a**f.size)
 
 
-def reduce_step(fj, a, fj_at_a):
+def reduce_step(fj, a, fj_at_a, recip=None):
     """One reduction: extract the e_a component and divide out the Moebius factor.
 
     (f - <f, e_a> e_a) (1 - conj(a) z)/(z - a), with <f, e_a> e_a(z) =
-    f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out.
+    f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out, is
+    (f (1 - conj(a) z) - c) w for the row w = 1/(z - a), passed as `recip`
+    when the caller already holds it.
     """
     z = circle_points(fj.size)
+    if recip is None:
+        recip = _reciprocals(a, z)[0]
     extracted = fj_at_a * (1.0 - abs(a) ** 2) / (1.0 - a**fj.size)
-    return (fj * (1.0 - np.conj(a) * z) - extracted) / (z - a)
+    return (fj * (1.0 - np.conj(a) * z) - extracted) * recip
 
 
 def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
@@ -124,12 +164,61 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
 
 def reduce_chain(f, order):
     """Reduce f through the poles of `order`, recording each stage value."""
+    order = np.atleast_1d(np.asarray(order, dtype=complex))
+    return _chain(f, order, _reciprocals(order, circle_points(f.size)))
+
+
+def _chain(f, order, rows):
+    """The reduction loop, with each pole's reciprocal row at the points of f."""
     remainders = [f]
     values = []
-    for a in np.atleast_1d(np.asarray(order, dtype=complex)):
-        values.append(series_value(remainders[-1], a))
-        remainders.append(reduce_step(remainders[-1], a, values[-1]))
+    for a, w in zip(order, rows):
+        values.append(series_value(remainders[-1], a, w))
+        remainders.append(reduce_step(remainders[-1], a, values[-1], w))
     return ReductionTrail(remainders, values)
+
+
+class _Evaluation(NamedTuple):
+    """A tuple's rows 1/(z - a) on `_doubled_points`, stage values, final remainder."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    rest: np.ndarray
+
+
+def _evaluate(f, poles):
+    """The evaluation of a tuple on a Signal, memoized in one entry.
+
+    The entry is keyed on the pole bytes and kept on the (immutable) Signal,
+    so a second call at the same tuple reuses the chain and a call at
+    another tuple replaces it.  Its arrays are read-only.
+    """
+    key = poles.tobytes()
+    cached = getattr(f, "_evaluation_cache", None)
+    if cached is None or cached[0] != key:
+        rows = _reciprocals(poles, _doubled_points(f.n_samples))
+        trail = _chain(f.samples, poles, rows[:, : f.n_samples])
+        evaluation = _Evaluation(rows, np.array(trail.values), trail.remainders[-1])
+        for array in evaluation:
+            array.setflags(write=False)
+        cached = (key, evaluation)
+        object.__setattr__(f, "_evaluation_cache", cached)
+    return cached[1]
+
+
+def _fine_times_z(f):
+    """f resampled to 2N points (one FFT pair) times z, on `_doubled_points`.
+
+    Memoized on the (immutable) Signal, like `hardy.spectrum`.
+    """
+    cached = getattr(f, "_fine_times_z_cache", None)
+    if cached is None:
+        n = f.n_samples
+        fine = np.fft.ifft(np.fft.fft(f.samples), 2 * n) * 2
+        cached = np.concatenate([fine[::2], fine[1::2]]) * _doubled_points(n)
+        cached.setflags(write=False)
+        object.__setattr__(f, "_fine_times_z_cache", cached)
+    return cached
 
 
 def _stage_energy(poles, values):
@@ -146,8 +235,8 @@ def _finite(value, name):
 
 def energy(f, tup):
     """Energy E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 via one reduction pass."""
-    trail = reduce_chain(f.samples, tup.poles)
-    return _finite(_stage_energy(tup.poles, trail.values), "energy")
+    values = _evaluate(f, tup.poles).values
+    return _finite(_stage_energy(tup.poles, values), "energy")
 
 
 def error_energy(f, tup):
@@ -159,7 +248,7 @@ def error_energy(f, tup):
     A is computed from the small remainder itself instead of as the
     difference of two order-one quantities.
     """
-    rest = reduce_chain(f.samples, tup.poles).remainders[-1]
+    rest = _evaluate(f, tup.poles).rest
     return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
@@ -170,19 +259,24 @@ def energy_gradient(f, tup):
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
     reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
     f with the kernel times B/M_l.  The means for g_l run on 2N points, where
-    conj(B) = prod (1 - conj(a_j) z)/(z - a_j) aliases at max|a|^(2N), not
-    max|a|^N.
+    conj(B) = prod (1 - conj(a_j) z) w_j aliases at max|a|^(2N), not
+    max|a|^N.  Everything is read off the tuple's memoized evaluation, the
+    one `error_energy` also uses: with w_l = 1/(z - a_l) at the 2N points,
+    1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means g_l are one
+    matrix-vector product with the rows, and the n values f_n(a_l) are
+    another with the rows' N-point halves.  Per call that is the Moebius
+    product conj(B) over the n rows and the two products, with no division
+    and, at a tuple already evaluated, no second chain.
     """
     poles = tup.poles
     if is_degenerate(poles):
         raise ValueError("pole tuple is degenerate (nearly repeated poles)")
-    trail = reduce_chain(f.samples, poles)
-    fine = np.fft.ifft(np.fft.fft(f.samples), 2 * f.n_samples) * 2
-    z = circle_points(fine.size)
-    weight = fine * z
-    for a in poles:
-        weight = weight * (1.0 - np.conj(a) * z) / (z - a)
-    g = np.array([np.mean(weight / (1.0 - np.conj(a) * z)) for a in poles])
-    rest = trail.remainders[-1]
-    rest_at = np.array([series_value(rest, a) for a in poles])
-    return EnergyGradient(_stage_energy(poles, trail.values), -np.conj(g) * rest_at)
+    ev = _evaluate(f, poles)
+    n = f.n_samples
+    z2 = _doubled_points(n)
+    conj_b = np.prod((1.0 - np.conj(poles)[:, None] * z2) * ev.rows, axis=0)
+    weight = _fine_times_z(f) * conj_b
+    # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
+    conj_g = ev.rows @ (np.conj(weight) * z2) / (2 * n)
+    rest_at = (1.0 - poles**n) * (ev.rows[:, :n] @ (ev.rest * circle_points(n))) / n
+    return EnergyGradient(_stage_energy(poles, ev.values), -conj_g * rest_at)

@@ -46,6 +46,44 @@ def paper_step(f, poles, cfg):
         s *= cfg.beta
 
 
+def scalar_max_inward_step(poles, direction):
+    """Reference: the positive root of |a + s g| = 1, pole by pole."""
+    s1 = np.inf
+    for a, g in zip(poles, direction):
+        gg = abs(g) ** 2
+        if gg == 0.0:
+            continue
+        b = np.real(np.conj(a) * g)
+        disc = b * b + gg * (1.0 - abs(a) ** 2)
+        s1 = min(s1, (-b + np.sqrt(disc)) / gg)
+    return s1
+
+
+class TestMaxInwardStep:
+    def test_matches_scalar_reference(self):
+        # the vectorized |g| and conj(a) g may round differently in the last
+        # bit; -b + sqrt(disc) amplifies that by at most 4|a|^2/(1-|a|^2) < 40
+        # for |a| <= 0.95
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n = 1 + trial % 6
+            poles = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+            direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            direction[rng.random(n) < 0.3] = 0.0
+            want = scalar_max_inward_step(poles, direction)
+            assert _max_inward_step(poles, direction) == pytest.approx(want, rel=1e-13)
+
+    def test_no_moving_pole_gives_inf(self):
+        poles = np.array([0.3 + 0.1j, -0.5j])
+        assert _max_inward_step(poles, np.zeros(2, dtype=complex)) == np.inf
+
+    def test_step_reaches_the_unit_circle(self):
+        poles = np.array([0.3 + 0.1j, -0.5j, 0.2])
+        direction = np.array([0.0, 1.0 + 1.0j, -0.5j])
+        s = _max_inward_step(poles, direction)
+        assert np.max(np.abs(poles + s * direction)) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestConfigValidation:
     def test_beta_range(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from blaschke import (
     synthesize,
     szego_signal,
 )
+from blaschke import reduction
 from blaschke.pipeline import BUILTIN_FORMS
 from blaschke.reduction import (
     derivative_reduce_step,
@@ -333,3 +334,76 @@ class TestReductionTrail:
         resid = f.samples - inner_product(f, e_a) * e_a.samples
         want = resid * (1.0 - np.conj(a) * z) / (z - a)
         np.testing.assert_allclose(step(f, a).samples, want, rtol=0, atol=1e-12)
+
+
+class TestSharedEvaluation:
+    """error_energy, energy and energy_gradient share one memoized chain."""
+
+    def test_reuse_equals_cold_evaluation(self, rng):
+        samples = random_smooth_signal(rng, 1024).samples
+        tup = random_tuple(rng, 5)
+        warm = Signal(samples)
+        err_warm = error_energy(warm, tup)
+        grad_warm = energy_gradient(warm, tup)
+        grad_cold = energy_gradient(Signal(samples), tup)
+        np.testing.assert_array_equal(grad_warm.d_minus_e, grad_cold.d_minus_e)
+        assert grad_warm.value == grad_cold.value
+        # and error_energy after a gradient, against a cold one
+        warm = Signal(samples)
+        energy_gradient(warm, tup)
+        assert error_energy(warm, tup) == error_energy(Signal(samples), tup) == err_warm
+
+    def test_gradient_at_evaluated_tuple_runs_no_chain(self, rng, monkeypatch):
+        f = random_smooth_signal(rng, 256)
+        tup = random_tuple(rng, 4)
+        steps = []
+
+        def counted(*args):
+            steps.append(args[1])
+            return reduce_step(*args)
+
+        monkeypatch.setattr(reduction, "reduce_step", counted)
+        error_energy(f, tup)
+        assert len(steps) == 4
+        energy_gradient(f, tup)
+        energy(f, tup)
+        assert len(steps) == 4
+
+    def test_second_tuple_does_not_reuse_first_entry(self, rng):
+        samples = random_smooth_signal(rng, 1024).samples
+        first, second = random_tuple(rng, 3), random_tuple(rng, 3)
+        f = Signal(samples)
+        energy_gradient(f, first)
+        for tup in (second, PoleTuple(first.poles[::-1]), first):
+            got = energy_gradient(f, tup)
+            want = energy_gradient(Signal(samples), tup)
+            np.testing.assert_array_equal(got.d_minus_e, want.d_minus_e)
+            assert error_energy(f, tup) == error_energy(Signal(samples), tup)
+        got = energy_gradient(f, second).d_minus_e
+        assert not np.array_equal(got, energy_gradient(f, first).d_minus_e)
+
+    def test_memoized_arrays_are_read_only(self, rng):
+        f = random_smooth_signal(rng, 256)
+        tup = random_tuple(rng, 3)
+        energy_gradient(f, tup)
+        arrays = list(reduction._evaluate(f, tup.poles))
+        arrays.append(reduction._fine_times_z(f))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_evaluation_matches_reduce_chain(self, rng):
+        # the N-point chain reads the even samples of the 2N-point rows,
+        # which are the N-point rows exactly
+        f = random_smooth_signal(rng, 1024)
+        tup = random_tuple(rng, 4)
+        trail = reduce_chain(f.samples, tup.poles)
+        ev = reduction._evaluate(f, tup.poles)
+        np.testing.assert_array_equal(ev.values, trail.values)
+        np.testing.assert_array_equal(ev.rest, trail.remainders[-1])
+
+    def test_reduce_chain_rejects_boundary_poles(self, rng):
+        f = random_smooth_signal(rng, 64)
+        for order in ([0.3, 1.0], [1.2j], [0.2, -0.5, -1.0j]):
+            with pytest.raises(ValueError):
+                reduce_chain(f.samples, order)
