@@ -44,8 +44,6 @@ from .pipeline import (
 )
 from .reduction import (
     EnergyGradient,
-    ReductionTrail,
-    derivative_reduce_step,
     energy,
     energy_gradient,
     reduce_step,

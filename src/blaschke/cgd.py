@@ -99,10 +99,10 @@ def _real(z):
 
 def cgd_refine(f, start, cfg=CgdConfig()):
     """Refine a pole tuple by quasi-Newton ascent on the energy."""
-    poles = start.poles.copy()
-    n = poles.size
-    g = energy_gradient(f, PoleTuple(poles)).ascent_direction
-    err_curr = error_energy(f, PoleTuple(poles))
+    tup = PoleTuple(start.poles)
+    n = tup.degree
+    err_curr = error_energy(f, tup)
+    g = energy_gradient(f, tup).ascent_direction
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
@@ -124,13 +124,14 @@ def cgd_refine(f, start, cfg=CgdConfig()):
                 h = None
         if h is None:
             p, slope = g, gnorm_sq
-        s1 = _max_inward_step(poles, p)
+        s1 = _max_inward_step(tup.poles, p)
         s2 = cfg.neighbor_radius / np.max(np.abs(p))
         s = min(s1, s2, 1.0)
         for _ in range(cfg.max_backtracks):
-            cand = poles + s * p
-            if _feasible(cand):
-                err_cand = error_energy(f, PoleTuple(cand))
+            poles = tup.poles + s * p
+            if _feasible(poles):
+                cand = PoleTuple(poles)
+                err_cand = error_energy(f, cand)
                 # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
                 if err_cand <= err_curr - 0.5 * s * slope:
                     break
@@ -138,7 +139,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break
-        g_next = energy_gradient(f, PoleTuple(cand)).ascent_direction
+        g_next = energy_gradient(f, cand).ascent_direction
         # g is the ascent direction, so the curvature pair of A is (s p, g - g_next)
         sk, yk = _real(s * p), _real(g - g_next)
         sy = sk @ yk
@@ -149,6 +150,6 @@ def cgd_refine(f, start, cfg=CgdConfig()):
             hy = h @ yk
             h += (np.outer(sk, sk) * (sy + yk @ hy) / sy
                   - np.outer(sk, hy) - np.outer(hy, sk)) / sy
-        poles, err_curr, g = cand, err_cand, g_next
+        tup, err_curr, g = cand, err_cand, g_next
         trace.append(total - err_curr)
-    return CgdReport(PoleTuple(poles), iterations, gnorm_sq, trace, status)
+    return CgdReport(tup, iterations, gnorm_sq, trace, status)

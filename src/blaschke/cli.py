@@ -116,8 +116,6 @@ def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
         search=SearchConfig(radial=radial, angular=angular, eta=eta_rel * norm_sq(f),
                             seed=seed),
         cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
-        n_samples=f.n_samples,
-        seed=seed,
     )
     truth = read_tuple_json(truth_path) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)

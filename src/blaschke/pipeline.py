@@ -91,6 +91,7 @@ class RunConfig:
     degree: int
     search: SearchConfig = SearchConfig()
     cgd: CgdConfig = CgdConfig()
+    # read by nothing; kept only because perfbench/workloads.py passes them
     n_samples: int = 1024
     seed: int = 0
 
@@ -259,8 +260,6 @@ def _run_algorithm(algo, f, degree, angular, seed, truth):
         cfg = RunConfig(
             degree=degree,
             search=SearchConfig(angular=angular, seed=seed),
-            n_samples=f.n_samples,
-            seed=seed,
         )
         return cafd_cgd_result(f, cfg, truth=truth)
     if algo == "rect_cafd":

@@ -10,18 +10,20 @@ the final remainder of one chain and g_l = mean(f conj(B) z/(1 - conj(a_l) z))
 over the circle, B being the tuple's Blaschke product.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
-`energy_gradient` take a `Signal` and a `PoleTuple`.  A chain divides once
-per pole: it takes the reciprocal row w = 1/(z - a), and both the stage
-value f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval
-mean with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`)
-are products with it.  For a `PoleTuple` the rows are taken at the 2N circle
-points, ordered as the N sample points and then the N midpoints (the even
-samples of the 2N points are the N points bit for bit).  The N-point chain
-reads the first half of each row, and the gradient's means over all 2N
-points read the whole row, since on the circle 1/(1 - conj(a) z) = conj(z w)
-and the Moebius factor is (1 - conj(a) z) w: no further division.
-One evaluation of a tuple (rows, stage values, final remainder) is memoized
-on the immutable `Signal` in a single entry keyed on the pole bytes, so
+`energy_gradient` take a `Signal` and a `PoleTuple`.  There is one reduction
+loop, `_chain`, and one result, an `Evaluation`: the reciprocal rows
+w = 1/(z - a), one per pole, the stage values f_j(a_j) and the final
+remainder f_n.  A stage makes no division: the value
+f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval mean
+with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`) are
+products with the pole's row.  `reduce_chain` returns the evaluation with
+N-point rows.  For a `PoleTuple` the rows are taken at the 2N circle points,
+ordered as the N sample points and then the N midpoints (the even samples of
+the 2N points are the N points bit for bit).  The chain reads the first half
+of each row, and the gradient's means over all 2N points read the whole row,
+since on the circle 1/(1 - conj(a) z) = conj(z w) and the Moebius factor is
+(1 - conj(a) z) w: no further division.  That evaluation is memoized on the
+immutable `Signal` in a single entry keyed on the pole bytes, so
 `energy_gradient` at a tuple that `error_energy` just evaluated, as the
 refinement's accepted line-search point, runs no second chain.
 """
@@ -35,12 +37,10 @@ import numpy as np
 from .hardy import circle_points
 
 __all__ = [
-    "ReductionTrail",
+    "Evaluation",
     "EnergyGradient",
-    "spectral_derivative",
     "series_value",
     "reduce_step",
-    "derivative_reduce_step",
     "reduce_chain",
     "energy",
     "error_energy",
@@ -60,17 +60,17 @@ def is_degenerate(poles):
     return bool(np.min(diff) < DEGENERATE_TOL)
 
 
-@dataclass(frozen=True)
-class ReductionTrail:
-    """Remainders f_j and values f_j(a_j) along one chain.
+class Evaluation(NamedTuple):
+    """One chain: the rows 1/(z - a), the stage values f_j(a_j), the final remainder.
 
-    remainders[0] is the input; entry j is the remainder after the first j
-    poles of the visit order have been extracted, and values[j] is f_j at
-    pole j + 1.
+    The rows are at the N sample points (`reduce_chain`) or at the 2N
+    `_doubled_points` (`_evaluate`); values[j] is the remainder after the
+    first j poles, taken at pole j + 1.
     """
 
-    remainders: list
-    values: list
+    rows: np.ndarray
+    values: np.ndarray
+    rest: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,6 @@ class EnergyGradient:
     def ascent_direction(self):
         """grad E per the Hermitian-transpose convention: -conj(d(-E)/dz)."""
         return -np.conj(self.d_minus_e)
-
-
-def spectral_derivative(f):
-    """Samples of f' on the circle: coefficient k of f' is (k+1) * f_hat(k+1)."""
-    c = np.fft.fft(f) / f.size
-    dc = np.zeros_like(c)
-    dc[:-1] = np.arange(1, c.size) * c[1:]
-    return np.fft.ifft(dc) * dc.size
 
 
 def _reciprocals(poles, z):
@@ -139,21 +131,19 @@ def series_value(f, a, recip=None):
     return complex((f * z * recip).sum()) / f.size * (1.0 - a**f.size)
 
 
-def reduce_step(fj, a, fj_at_a, recip=None):
+def reduce_step(fj, a, fj_at_a, recip):
     """One reduction: extract the e_a component and divide out the Moebius factor.
 
     (f - <f, e_a> e_a) (1 - conj(a) z)/(z - a), with <f, e_a> e_a(z) =
     f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out, is
-    (f (1 - conj(a) z) - c) w for the row w = 1/(z - a), passed as `recip`
-    when the caller already holds it.
+    (f (1 - conj(a) z) - c) w for the row w = 1/(z - a) at the points of f.
     """
     z = circle_points(fj.size)
-    if recip is None:
-        recip = _reciprocals(a, z)[0]
     extracted = fj_at_a * (1.0 - abs(a) ** 2) / (1.0 - a**fj.size)
     return (fj * (1.0 - np.conj(a) * z) - extracted) * recip
 
 
+# the solver makes no derivative step; perfbench/tracing.py CALL_SITES looks this up by name
 def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
     """Remainder-derivative recursion paired with reduce_step at pole a."""
     z = circle_points(fj.size)
@@ -163,27 +153,19 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
 
 
 def reduce_chain(f, order):
-    """Reduce f through the poles of `order`, recording each stage value."""
+    """Reduce f through the poles of `order`: the `Evaluation` on its N points."""
     order = np.atleast_1d(np.asarray(order, dtype=complex))
     return _chain(f, order, _reciprocals(order, circle_points(f.size)))
 
 
 def _chain(f, order, rows):
-    """The reduction loop, with each pole's reciprocal row at the points of f."""
-    remainders = [f]
+    """The reduction loop; each row starts with its pole's 1/(z - a) at the points of f."""
+    n = f.size
     values = []
     for a, w in zip(order, rows):
-        values.append(series_value(remainders[-1], a, w))
-        remainders.append(reduce_step(remainders[-1], a, values[-1], w))
-    return ReductionTrail(remainders, values)
-
-
-class _Evaluation(NamedTuple):
-    """A tuple's rows 1/(z - a) on `_doubled_points`, stage values, final remainder."""
-
-    rows: np.ndarray
-    values: np.ndarray
-    rest: np.ndarray
+        values.append(series_value(f, a, w[:n]))
+        f = reduce_step(f, a, values[-1], w[:n])
+    return Evaluation(rows, np.array(values, dtype=complex), f)
 
 
 def _evaluate(f, poles):
@@ -197,8 +179,7 @@ def _evaluate(f, poles):
     cached = getattr(f, "_evaluation_cache", None)
     if cached is None or cached[0] != key:
         rows = _reciprocals(poles, _doubled_points(f.n_samples))
-        trail = _chain(f.samples, poles, rows[:, : f.n_samples])
-        evaluation = _Evaluation(rows, np.array(trail.values), trail.remainders[-1])
+        evaluation = _chain(f.samples, poles, rows)
         for array in evaluation:
             array.setflags(write=False)
         cached = (key, evaluation)

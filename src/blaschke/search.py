@@ -116,7 +116,7 @@ def _remainder(f, poles):
     """Remainder after reducing through all but the last pole."""
     if poles.size <= 1:
         return f
-    return Signal(reduce_chain(f.samples, poles[:-1]).remainders[-1])
+    return Signal(reduce_chain(f.samples, poles[:-1]).rest)
 
 
 def _masked_argmax(mags, nodes, fixed):

@@ -26,7 +26,6 @@ from blaschke.reduction import (
     reduce_chain,
     reduce_step,
     series_value,
-    spectral_derivative,
 )
 
 from conftest import monomial_signal, random_smooth_signal
@@ -50,9 +49,27 @@ def kernel_coefficient(f, a):
     return value * np.sqrt(1.0 - abs(a) ** 2) / (1.0 - a**f.n_samples)
 
 
+def spectral_derivative(f):
+    """Samples of f' on the circle: coefficient k of f' is (k+1) * f_hat(k+1)."""
+    c = np.fft.fft(f) / f.size
+    dc = np.zeros_like(c)
+    dc[:-1] = np.arange(1, c.size) * c[1:]
+    return np.fft.ifft(dc) * dc.size
+
+
 def step(f, a):
-    """One reduction step of the Signal f, with the stage value reduce_chain passes."""
-    return Signal(reduce_step(f.samples, a, series_value(f.samples, a)))
+    """One reduction step of the Signal f, with the stage value and row reduce_chain passes."""
+    value = series_value(f.samples, a)
+    row = 1.0 / (circle_points(f.n_samples) - a)
+    return Signal(reduce_step(f.samples, a, value, row))
+
+
+def remainders(f, order):
+    """Every remainder of the chain through `order`, walked step by step from f."""
+    walk = [f]
+    for a in np.asarray(order, dtype=complex):
+        walk.append(step(walk[-1], a))
+    return walk
 
 
 def derivative_step(f, fp, a):
@@ -199,8 +216,7 @@ class TestEnergy:
     def test_telescoping(self, rng):
         f = random_smooth_signal(rng, 256)
         tup = random_tuple(rng, 3)
-        trail = reduce_chain(f.samples, tup.poles)
-        total = energy(f, tup) + norm_sq(Signal(trail.remainders[-1]))
+        total = energy(f, tup) + norm_sq(remainders(f, tup.poles)[-1])
         assert total == pytest.approx(norm_sq(f), abs=1e-9)
 
     def test_permutation_invariance(self, rng):
@@ -303,27 +319,26 @@ class TestEnergyGradient:
 
 
 class TestReductionTrail:
-    def test_first_remainder_is_input(self, rng):
+    def test_rest_matches_step_walk(self, rng):
         f = random_smooth_signal(rng, 128)
-        trail = reduce_chain(f.samples, [0.3, -0.2j])
-        assert trail.remainders[0] is f.samples
-        assert len(trail.remainders) == 3
+        order = [0.3, -0.2j, 0.98 * np.exp(0.7j)]
+        chain = reduce_chain(f.samples, order)
+        np.testing.assert_array_equal(chain.rest, remainders(f, order)[-1].samples)
 
     def test_remainders_stay_analytic(self, rng):
         # high-order coefficients (implied aliased tail) stay tiny
         f = random_smooth_signal(rng, 256)
-        trail = reduce_chain(f.samples, [0.3, -0.2j, 0.5 + 0.1j])
-        for fj in map(Signal, trail.remainders):
+        for fj in remainders(f, [0.3, -0.2j, 0.5 + 0.1j]):
             tail = np.sum(np.abs(spectrum(fj).coeffs[200:]) ** 2)
             assert tail <= 1e-8 * norm_sq(fj)
 
     def test_recorded_values_are_stage_values(self, rng):
         f = random_smooth_signal(rng, 1024)
         order = [0.3 - 0.2j, 0.98 * np.exp(0.7j), -0.5j]
-        trail = reduce_chain(f.samples, order)
-        assert len(trail.values) == len(order)
-        for fj, a, value in zip(trail.remainders, order, trail.values):
-            assert value == pytest.approx(eval_interior(Signal(fj), a), abs=1e-12)
+        values = reduce_chain(f.samples, order).values
+        assert len(values) == len(order)
+        for fj, a, value in zip(remainders(f, order), order, values):
+            assert value == pytest.approx(eval_interior(fj, a), abs=1e-12)
 
     def test_step_matches_reference_definition(self, rng):
         # (f - <f, e_a> e_a) (1 - conj(a) z) / (z - a)
@@ -397,10 +412,10 @@ class TestSharedEvaluation:
         # which are the N-point rows exactly
         f = random_smooth_signal(rng, 1024)
         tup = random_tuple(rng, 4)
-        trail = reduce_chain(f.samples, tup.poles)
+        chain = reduce_chain(f.samples, tup.poles)
         ev = reduction._evaluate(f, tup.poles)
-        np.testing.assert_array_equal(ev.values, trail.values)
-        np.testing.assert_array_equal(ev.rest, trail.remainders[-1])
+        np.testing.assert_array_equal(ev.values, chain.values)
+        np.testing.assert_array_equal(ev.rest, chain.rest)
 
     def test_reduce_chain_rejects_boundary_poles(self, rng):
         f = random_smooth_signal(rng, 64)
