@@ -171,7 +171,7 @@ def benchmark(suite, out_path):
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=[
             "target", "algorithm", "degree", "l2_rel_error",
-            "tuple_distance", "wall_time_s", "stat",
+            "tuple_distance", "wall_time_s", "status", "iterations", "stat",
         ])
         writer.writeheader()
         for row in rows:

@@ -230,7 +230,9 @@ def run_benchmark(descriptor):
     builtin targets or {name: "random", degree, count} batches; `algorithms`
     selects "cafd_cgd" and/or "rect_cafd"; optional `n_samples`, `seed`,
     `angular` override the defaults.  Rows are dicts matching the CSV
-    column layout; batch runs append mean/max/std stat rows.
+    column layout, with the refinement's `status` (a `CgdStatus` value) and
+    `iterations`; batch runs append mean/max/std stat rows, which leave
+    those two blank.
     """
     n_samples = descriptor.get("n_samples", 1024)
     seed = descriptor.get("seed", 0)
@@ -275,6 +277,8 @@ def _result_row(target, algo, degree, res):
         "l2_rel_error": res.l2_relative_error,
         "tuple_distance": res.tuple_distance,
         "wall_time_s": res.wall_time_seconds,
+        "status": res.cgd_report.status.value,
+        "iterations": res.cgd_report.iterations,
         "stat": "",
     }
 
@@ -304,6 +308,8 @@ def _random_batch(entry, algorithms, n_samples, seed, descriptor):
                 "l2_rel_error": float(fn(errs)),
                 "tuple_distance": float(fn(dists)),
                 "wall_time_s": float(fn(times)),
+                "status": "",
+                "iterations": "",
                 "stat": stat,
             })
     return rows

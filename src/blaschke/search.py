@@ -1,15 +1,29 @@
 """Cyclic coordinate search for an initial pole tuple.
 
-Both searches run the same cyclic coordinate-ascent loop: holding all but
-the last pole fixed, scan a grid for the node maximizing |<f_n, e_z>| of
-the reduced remainder, replace the last pole a when the energy gain
-|<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds eta (an energy, like its default
-1e-12 * ||f||^2, so the search is invariant under f -> lambda f), then
-1-shift the tuple and rebuild the remainder.  The polar search scans the
-whole grid with `feval_table`: one small matrix product against cached
-ring tables and one inverse FFT per radius ring; the rectangular baseline
-evaluates every node directly.  The remainder is reduced on raw sample
-arrays and wrapped in a `Signal` once per scan, for the grid table.
+Both searches run the same cyclic coordinate-ascent loop.  A sweep visits
+the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
+poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
+remainder f_n of f reduced through those poles, and replaces the pole a
+there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds eta (an
+energy, like its default 1e-12 * ||f||^2, so the search is invariant under
+f -> lambda f).
+
+The remainder does not depend on the order of the poles it is reduced
+through (up to the O(max|a|^N) aliasing of the sampled kernel), so a sweep
+shares its chain work by divide and conquer over the positions in scan
+order: with g the remainder through every pole outside a block, the block's
+first half is scanned from g reduced through the second half's poles, and
+the second half from g reduced through the first half's poles, as the
+first half's scans left them.  A sweep of n positions then costs T(n)
+reduction steps, T(1) = 0 and T(k) = k + T(floor(k/2)) + T(ceil(k/2)), which
+is O(n log n): 34 at n = 10 and 148 at n = 30, against n(n-1) for
+rebuilding each remainder from f.
+
+The polar search scans the whole grid with `feval_table`: one small matrix
+product against cached ring tables and one inverse FFT per radius ring;
+the rectangular baseline evaluates every node directly.  Remainders are
+reduced on raw sample arrays and wrapped in a `Signal` once per scan, for
+the grid table.
 """
 
 from dataclasses import dataclass
@@ -112,13 +126,6 @@ def _partial_energy_amp(f_n, a):
     return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
 
 
-def _remainder(f, poles):
-    """Remainder after reducing through all but the last pole."""
-    if poles.size <= 1:
-        return f
-    return Signal(reduce_chain(f.samples, poles[:-1]).rest)
-
-
 def _masked_argmax(mags, nodes, fixed):
     """Best node by magnitude, skipping nodes that coincide with fixed poles.
 
@@ -136,27 +143,49 @@ def _masked_argmax(mags, nodes, fixed):
     return masked[idx], nodes[idx]
 
 
+def _coordinate_step(g, poles, c, scan, eta):
+    """Scan for pole c against the remainder g through the others; 1 if it moved."""
+    f_n = Signal(g)
+    v = _partial_energy_amp(f_n, poles[c])
+    mags, nodes = scan(f_n)
+    v_t, a_t = _masked_argmax(mags, nodes, np.delete(poles, c))
+    # v and v_t are amplitudes; eta is an energy gain
+    if v_t**2 > v**2 + eta:
+        poles[c] = a_t
+        return 1
+    return 0
+
+
+# module level, not a closure inside _cyclic_search: a closure that calls
+# itself is a reference cycle, which keeps every search's remainders alive
+# until the cyclic garbage collector runs
+def _sweep(g, poles, lo, hi, scan, eta):
+    """Scan positions hi-1 down to lo, updating `poles` in place.
+
+    g is f reduced through every pole outside [lo, hi).  The upper half is
+    scanned first, from g reduced through the lower half's poles; then the
+    lower half, from g reduced through the upper half's poles as updated.
+    Returns the number of accepted moves.
+    """
+    if hi - lo == 1:
+        return _coordinate_step(g, poles, lo, scan, eta)
+    mid = (lo + hi) // 2
+    accepted = _sweep(reduce_chain(g, poles[lo:mid]).rest, poles, mid, hi, scan, eta)
+    rest = reduce_chain(g, poles[mid:hi]).rest
+    return accepted + _sweep(rest, poles, lo, mid, scan, eta)
+
+
 def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
     """Shared cyclic coordinate-ascent driver.
 
     `scan(f_n)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>| over
-    the grid.  Replacement of the last pole, the 1-shift permutation, and
-    the remainder/partial-energy refresh follow the cyclic scheme exactly.
+    the grid.  Each sweep is one `_sweep` over all n positions, T(n)
+    reduction steps and n scans; the search stops after the first sweep
+    that accepts no move.
     """
     poles = _random_start(rng, n, start_radius)
     for _ in range(max_sweeps):
-        accepted = 0
-        for _ in range(n):
-            f_n = _remainder(f, poles)
-            v = _partial_energy_amp(f_n, poles[-1])
-            mags, nodes = scan(f_n)
-            v_t, a_t = _masked_argmax(mags, nodes, poles[:-1])
-            # v and v_t are amplitudes; eta is an energy gain
-            if v_t**2 > v**2 + eta:
-                poles[-1] = a_t
-                accepted += 1
-            poles = np.roll(poles, 1)
-        if accepted == 0:
+        if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
         f"no coordinate maximum within {max_sweeps} sweeps", PoleTuple(poles)

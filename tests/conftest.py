@@ -6,11 +6,19 @@ distance oracle enumerates permutations.
 """
 
 import itertools
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blaschke import Signal, Spectrum, eval_interior, inverse_spectrum
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci): a slow shared runner must
+# not trip the per-example deadline, and a fixed example sequence makes a
+# failure reproducible from the log
+settings.register_profile("ci", deadline=None, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_smooth_signal(rng, n_samples=64, decay=0.5):

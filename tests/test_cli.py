@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeModel, PoleTuple, build_polar_grid, feval_table
+from blaschke import BlaschkeModel, CgdStatus, PoleTuple, build_polar_grid, feval_table
 from blaschke.cli import (
     read_model_json,
     read_signal_csv,
@@ -167,10 +167,17 @@ class TestBenchmarkCommand:
         res = run_cli("benchmark", "--suite", str(desc), "--out", str(out))
         assert res.returncode == 0, res.stderr
         with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "target", "algorithm", "degree", "l2_rel_error",
+            "tuple_distance", "wall_time_s", "status", "iterations", "stat",
+        ]
         assert len(rows) == 1
         assert rows[0]["target"] == "ex5_1_f1"
         assert float(rows[0]["l2_rel_error"]) >= 0.0
+        assert rows[0]["status"] in {s.value for s in CgdStatus}
+        assert int(rows[0]["iterations"]) >= 0
 
     def test_empty_suite(self, tmp_path):
         desc = tmp_path / "suite.json"

@@ -15,7 +15,7 @@ from blaschke import (
     synthesize,
     tm_basis,
 )
-from blaschke.cgd import CgdConfig
+from blaschke.cgd import CgdConfig, CgdStatus
 from blaschke.pipeline import (
     BUILTIN_FORMS,
     BUILTIN_FUNCTIONS,
@@ -258,6 +258,8 @@ class TestRunBenchmark:
         assert row["algorithm"] == "cafd_cgd"
         assert row["l2_rel_error"] >= 0.0
         assert row["tuple_distance"] is None
+        assert row["status"] in {s.value for s in CgdStatus}
+        assert 0 <= row["iterations"] <= CgdConfig().max_iters
 
     def test_random_batch_stats(self):
         rows = run_benchmark(
@@ -271,6 +273,12 @@ class TestRunBenchmark:
         stats = [r["stat"] for r in rows if r["stat"]]
         assert stats == ["mean", "max", "std"]
         assert len(rows) == 6
+        for row in rows:
+            if row["stat"]:
+                assert row["status"] == row["iterations"] == ""
+            else:
+                assert row["status"] in {s.value for s in CgdStatus}
+                assert isinstance(row["iterations"], int)
 
     def test_random_batch_search_seed_differs_from_form_seed(self, monkeypatch):
         import blaschke.pipeline as pipeline
@@ -285,7 +293,8 @@ class TestRunBenchmark:
         def record_run(algo, f, degree, angular, seed, truth):
             search_seeds.append(seed)
             return SimpleNamespace(
-                l2_relative_error=0.0, tuple_distance=0.0, wall_time_seconds=0.0
+                l2_relative_error=0.0, tuple_distance=0.0, wall_time_seconds=0.0,
+                cgd_report=SimpleNamespace(status=CgdStatus.CONVERGED, iterations=0),
             )
 
         monkeypatch.setattr(pipeline, "random_blaschke_form", record_form)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blaschke import (
     BlaschkeModel,
@@ -318,7 +320,38 @@ class TestEnergyGradient:
         assert info.value == pytest.approx(energy(f, tup), abs=1e-12)
 
 
+def separated(poles, gap=0.05):
+    """Whether every two of the points lie at least `gap` apart."""
+    return all(abs(p - q) >= gap for i, p in enumerate(poles) for q in poles[:i])
+
+
+POLE = st.builds(
+    lambda r, t: r * np.exp(1j * t),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 2.0 * np.pi),
+)
+
+
 class TestReductionTrail:
+    @given(
+        n_samples=st.sampled_from([256, 512, 1024]),
+        poles=st.lists(POLE, min_size=1, max_size=10).filter(separated),
+        decay=st.floats(0.5, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rest_independent_of_pole_order(self, n_samples, poles, decay, seed, data):
+        # the cyclic search's shared remainders rest on this: up to the
+        # O(max|a|^N) aliasing of the sampled kernel, the remainder through a
+        # set of poles does not depend on their order
+        f = random_smooth_signal(np.random.default_rng(seed), n_samples, decay)
+        poles = np.array(poles)
+        perm = data.draw(st.permutations(range(poles.size)))
+        diff = reduce_chain(f.samples, poles[perm]).rest - reduce_chain(f.samples, poles).rest
+        alias = float(np.max(np.abs(poles))) ** n_samples
+        bound = (1e-12 + 4 * poles.size * alias) * np.sqrt(norm_sq(f))
+        assert np.sqrt(np.mean(np.abs(diff) ** 2)) <= bound
+
     def test_rest_matches_step_walk(self, rng):
         f = random_smooth_signal(rng, 128)
         order = [0.3, -0.2j, 0.98 * np.exp(0.7j)]

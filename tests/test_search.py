@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blaschke.reduction
 import blaschke.search
 from blaschke import (
     BlaschkeModel,
@@ -14,18 +15,112 @@ from blaschke import (
     synthesize,
     szego_signal,
 )
-from blaschke.reduction import energy
+from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
+from blaschke.reduction import energy, reduce_chain
 from blaschke.search import (
     RectGridConfig,
     SearchConfig,
     SearchNonConvergence,
     _masked_argmax,
+    _partial_energy_amp,
+    _random_start,
     its_search,
     rect_cafd_search,
     rect_grid_nodes,
 )
 
 from conftest import kernel_reference, monomial_signal
+
+
+def roll_cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
+    """Reference sweep: rebuild each remainder from f, scan the last pole, roll.
+
+    Takes `_cyclic_search`'s arguments.  Each of the n steps of a sweep
+    reduces f through the first n - 1 poles, n(n-1) reduction steps per
+    sweep; after n rolls the tuple is back in array order.
+    """
+    poles = _random_start(rng, n, start_radius)
+    for _ in range(max_sweeps):
+        accepted = 0
+        for _ in range(n):
+            f_n = Signal(reduce_chain(f.samples, poles[:-1]).rest) if n > 1 else f
+            v = _partial_energy_amp(f_n, poles[-1])
+            mags, nodes = scan(f_n)
+            v_t, a_t = _masked_argmax(mags, nodes, poles[:-1])
+            if v_t**2 > v**2 + eta:
+                poles[-1] = a_t
+                accepted += 1
+            poles = np.roll(poles, 1)
+        if accepted == 0:
+            return PoleTuple(poles)
+    raise SearchNonConvergence("no coordinate maximum", PoleTuple(poles))
+
+
+def sweep_steps(n):
+    """T(n): reduction steps of one divide-and-conquer sweep over n poles."""
+    if n == 1:
+        return 0
+    return n + sweep_steps(n // 2) + sweep_steps(n - n // 2)
+
+
+class TestSweepEquivalence:
+    """The divide-and-conquer sweep against the roll-based reference loop."""
+
+    @staticmethod
+    def both(monkeypatch, search, f, n, cfg):
+        fast = search(f, n, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(blaschke.search, "_cyclic_search", roll_cyclic_search)
+            ref = search(f, n, cfg)
+        return fast, ref
+
+    @pytest.mark.parametrize(
+        "name, n, angular, seed",
+        [(name, BUILTIN_DEGREES[name], 128, seed)
+         for name in ("ex5_3", "ex5_4", "ex5_5", "ex5_6") for seed in (0, 1)]
+        + [("ex5_2_f1", 10, 256, 1)],
+    )
+    def test_polar_search(self, monkeypatch, name, n, angular, seed):
+        # the benchmark's search inputs: recover's targets and grid, and an
+        # approximate target at n = 10
+        f = builtin_signal(name, 1024)
+        cfg = SearchConfig(angular=angular, seed=seed)
+        fast, ref = self.both(monkeypatch, its_search, f, n, cfg)
+        np.testing.assert_array_equal(fast.poles, ref.poles)
+
+    def test_rectangular_search(self, monkeypatch):
+        f = builtin_signal("ex5_5", 256)
+        cfg = RectGridConfig(gap=0.05, seed=2)
+        fast, ref = self.both(monkeypatch, rect_cafd_search, f, 4, cfg)
+        np.testing.assert_array_equal(fast.poles, ref.poles)
+
+
+class TestSweepCost:
+    def test_step_recurrence(self):
+        assert [sweep_steps(n) for n in (1, 2, 4, 5, 8, 10, 30)] == [
+            0, 2, 8, 12, 24, 34, 148,
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
+    def test_steps_per_sweep(self, monkeypatch, n):
+        counts = {"steps": 0, "scans": 0}
+        step, table = blaschke.reduction.reduce_step, blaschke.search.feval_table
+
+        def counted_step(*args):
+            counts["steps"] += 1
+            return step(*args)
+
+        def counted_table(*args):
+            counts["scans"] += 1
+            return table(*args)
+
+        monkeypatch.setattr(blaschke.reduction, "reduce_step", counted_step)
+        monkeypatch.setattr(blaschke.search, "feval_table", counted_table)
+        f = builtin_signal("ex5_2_f3", 256)
+        its_search(f, n, SearchConfig(radial=10, angular=32))
+        sweeps, rem = divmod(counts["scans"], n)
+        assert sweeps >= 1 and rem == 0
+        assert counts["steps"] == sweeps * sweep_steps(n)
 
 
 class TestRectGridNodes:
