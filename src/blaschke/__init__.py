@@ -12,7 +12,6 @@ from .feval import (
     build_polar_grid,
     eval_interior,
     feval_table,
-    scale_spectrum,
 )
 from .hardy import (
     BlaschkeModel,

@@ -29,7 +29,6 @@ __all__ = [
     "PolarGrid",
     "InnerProductTable",
     "build_polar_grid",
-    "scale_spectrum",
     "eval_interior",
     "feval_table",
 ]
@@ -87,13 +86,6 @@ class InnerProductTable:
 def build_polar_grid(radial, angular):
     """Polar grid with radial step 1/radial and a power-of-two angular count."""
     return PolarGrid(radial, angular)
-
-
-def scale_spectrum(s, r):
-    """Apply the scaling operator: coefficient k is multiplied by r^k."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"scaling radius must lie in [0, 1], got {r}")
-    return Spectrum(s.coeffs * r ** np.arange(s.n_coeffs))
 
 
 def eval_interior(f, z):

@@ -6,7 +6,8 @@ product is defined spectrally, so the discrete Parseval identity holds by
 construction and agrees with the trapezoid quadrature of the circle
 integral: <f, g> is also the sample mean of f * conj(g).  The TM functions
 B_1, ..., B_n come from one running Moebius product, so projection and
-synthesis cost O(nN).
+synthesis cost O(nN).  Projection is modified Gram-Schmidt against the
+running residual, whose squared norm is the reported error.
 """
 
 from dataclasses import dataclass
@@ -196,14 +197,14 @@ def _tm_columns(poles, z):
     """Yield B_1, ..., B_n at the points z from a running Moebius product.
 
     B_k(z) = e_{a_k}(z) * prod_{j<k} (z - a_j) / (1 - conj(a_j) z).  Each
-    pole takes one reciprocal d = 1/(1 - conj(a) z), which both the kernel
-    and the Moebius factor reuse.
+    pole takes one division: with P_0 = 1, d_k = P_{k-1} / (1 - conj(a_k) z)
+    gives both B_k = sqrt(1 - |a_k|^2) * d_k and P_k = d_k * (z - a_k).
     """
     blaschke = np.ones_like(z)
     for a in poles:
-        d = 1.0 / (1.0 - np.conj(a) * z)
-        yield np.sqrt(1.0 - abs(a) ** 2) * d * blaschke
-        blaschke = blaschke * (z - a) * d
+        d = blaschke / (1.0 - np.conj(a) * z)
+        yield np.sqrt(1.0 - abs(a) ** 2) * d
+        blaschke = d * (z - a)
 
 
 def tm_basis(tup, k, points):
@@ -218,24 +219,21 @@ def tm_basis(tup, k, points):
 def project(f, tup):
     """Orthogonal projection of f onto the span of the TM system of the tuple.
 
-    The residual is the squared H^2 error ||f||^2 - sum |c_k|^2, clamped at
-    zero when numerical error drives it slightly negative.  The sampled TM
-    system is orthonormal only up to O(max|a|^N) aliasing, so the clamp
-    guard widens accordingly for near-boundary tuples; with |a| <= 0.9 and
-    N >= 1024 it stays at the 1e-12 round-off scale, relative to ||f||^2.
+    Modified Gram-Schmidt (Bjorck, BIT 7, 1967): each coefficient
+    c_k = <rest, B_k> is taken against the running residual, from which
+    c_k * B_k is then subtracted.  The reported residual is ||rest||^2, the
+    squared H^2 error of the returned model; it is a norm, so it is never
+    negative, and it equals `reduction.error_energy` at the same tuple to
+    round-off relative to ||f||^2.
     """
     n = f.n_samples
-    z = circle_points(n)
-    coeffs = np.array([np.vdot(b, f.samples) / n for b in _tm_columns(tup.poles, z)])
-    total = norm_sq(f)
-    residual = total - float(np.sum(np.abs(coeffs) ** 2))
-    alias = float(np.max(np.abs(tup.poles))) ** n
-    guard = (1e-12 + 4.0 * alias) * max(1.0, total)
-    if residual < -guard:
-        raise ArithmeticError(
-            f"projection residual {residual} below numerical guard {-guard}"
-        )
-    return BlaschkeModel(tup, coeffs, max(residual, 0.0))
+    rest = f.samples.copy()
+    coeffs = []
+    for b in _tm_columns(tup.poles, circle_points(n)):
+        c = np.vdot(b, rest) / n
+        rest -= c * b
+        coeffs.append(c)
+    return BlaschkeModel(tup, coeffs, float(np.vdot(rest, rest).real) / n)
 
 
 def synthesize(model, n_samples):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cgd import CgdConfig, CgdReport, CgdStatus, cgd_refine
+from .cgd import CgdConfig, CgdReport, cgd_refine
 from .hardy import (
     BlaschkeModel,
     PoleTuple,
@@ -106,7 +106,7 @@ class RecoveryResult:
     l2_relative_error: float
     wall_time_seconds: float
     its_tuple: PoleTuple
-    cgd_report: CgdReport
+    cgd_report: CgdReport | None  # None for rect_cafd, which runs no refinement
     tuple_distance: float = None
 
 
@@ -219,8 +219,7 @@ def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):
     wall = time.perf_counter() - start_time
     err = float(np.sqrt(model.residual_error / norm_sq(f)))
     dist = None if truth is None else tuple_distance(tup, truth)
-    report = CgdReport(tup, 0, float("nan"), [], CgdStatus.CONVERGED)
-    return RecoveryResult(model, err, wall, tup, report, dist)
+    return RecoveryResult(model, err, wall, tup, None, dist)
 
 
 def run_benchmark(descriptor):
@@ -231,8 +230,8 @@ def run_benchmark(descriptor):
     selects "cafd_cgd" and/or "rect_cafd"; optional `n_samples`, `seed`,
     `angular` override the defaults.  Rows are dicts matching the CSV
     column layout, with the refinement's `status` (a `CgdStatus` value) and
-    `iterations`; batch runs append mean/max/std stat rows, which leave
-    those two blank.
+    `iterations`; `rect_cafd` runs no refinement, so its rows leave those
+    two blank, as do the mean/max/std stat rows that batch runs append.
     """
     n_samples = descriptor.get("n_samples", 1024)
     seed = descriptor.get("seed", 0)
@@ -270,6 +269,7 @@ def _run_algorithm(algo, f, degree, angular, seed, truth):
 
 
 def _result_row(target, algo, degree, res):
+    report = res.cgd_report
     return {
         "target": target,
         "algorithm": algo,
@@ -277,8 +277,8 @@ def _result_row(target, algo, degree, res):
         "l2_rel_error": res.l2_relative_error,
         "tuple_distance": res.tuple_distance,
         "wall_time_s": res.wall_time_seconds,
-        "status": res.cgd_report.status.value,
-        "iterations": res.cgd_report.iterations,
+        "status": "" if report is None else report.status.value,
+        "iterations": "" if report is None else report.iterations,
         "stat": "",
     }
 

@@ -1,4 +1,4 @@
-"""Polar grid, spectrum scaling, interior evaluation, and the fast table."""
+"""Polar grid, interior evaluation, and the fast table."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from blaschke import (
     circle_points,
     eval_interior,
     feval_table,
-    scale_spectrum,
     spectrum,
 )
 from blaschke.feval import _ring_tables
@@ -46,35 +45,6 @@ class TestPolarGrid:
     def test_non_power_of_two_angular_rejected(self):
         with pytest.raises(ValueError):
             build_polar_grid(10, 12)
-
-
-class TestScaleSpectrum:
-    def test_unit_radius_is_identity(self, rng):
-        s = Spectrum(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        np.testing.assert_array_equal(scale_spectrum(s, 1.0).coeffs, s.coeffs)
-
-    def test_zero_radius_keeps_constant_term(self):
-        s = Spectrum([2.0, 3.0, 4.0, 5.0])
-        np.testing.assert_allclose(scale_spectrum(s, 0.0).coeffs, [2, 0, 0, 0])
-
-    def test_geometric_weights(self):
-        s = Spectrum([1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(
-            scale_spectrum(s, 0.5).coeffs, [1.0, 0.5, 0.25, 0.125]
-        )
-
-    def test_composition(self, rng):
-        s = Spectrum(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        once = scale_spectrum(scale_spectrum(s, 0.8), 0.7)
-        direct = scale_spectrum(s, 0.56)
-        np.testing.assert_allclose(once.coeffs, direct.coeffs, atol=1e-14)
-
-    def test_radius_out_of_range(self):
-        s = Spectrum([1.0, 0.0])
-        with pytest.raises(ValueError):
-            scale_spectrum(s, 1.5)
-        with pytest.raises(ValueError):
-            scale_spectrum(s, -0.1)
 
 
 class TestEvalInterior:

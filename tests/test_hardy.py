@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blaschke import (
     BlaschkeModel,
@@ -19,7 +21,12 @@ from blaschke import (
     szego_signal,
     tm_basis,
 )
-from blaschke.pipeline import BUILTIN_FORMS, random_blaschke_form
+from blaschke.pipeline import (
+    BUILTIN_FORMS,
+    builtin_signal,
+    builtin_truth,
+    random_blaschke_form,
+)
 
 from conftest import monomial_signal, quadrature_inner, random_smooth_signal
 
@@ -190,13 +197,22 @@ class TestProject:
         assert model.residual_error >= 0.0
 
     def test_guard_scales_with_signal(self):
-        # the round-off guard is relative to ||f||^2, so a large amplitude
-        # must not trip it
+        # a large amplitude once tripped a round-off guard on the residual
+        # that was not relative to ||f||^2; the coefficients scale with f
         tup, coeffs = random_blaschke_form(10, 0)
         f = synthesize(BlaschkeModel(tup, coeffs), 1024)
         model = project(Signal(1e3 * f.samples), tup)
         np.testing.assert_allclose(model.coeffs, 1e3 * coeffs, atol=1e-5)
         assert model.residual_error >= 0.0
+
+    def test_residual_is_model_error_near_boundary(self):
+        # ex5_4 has a pole at |a| = 0.984, so at N = 1024 the sampled TM
+        # system is orthonormal only to ~1e-7; the residual must still be
+        # the error of the model that project returns
+        f = builtin_signal("ex5_4", 1024)
+        model = project(f, builtin_truth("ex5_4"))
+        direct = norm_sq(Signal(f.samples - synthesize(model, 1024).samples))
+        assert abs(model.residual_error - direct) <= 1e-6 * direct
 
     def test_permutation_invariant_residual(self, rng):
         f = random_smooth_signal(rng, 256)
@@ -233,6 +249,23 @@ class TestSynthesize:
             f = synthesize(BlaschkeModel(tup, coeffs), n_samples)
             model = project(f, tup)
             np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-8)
+
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.sampled_from([1024, 4096]),
+        log_amplitude=st.floats(-4.0, 4.0),
+    )
+    def test_round_trip_property(self, n, seed, n_samples, log_amplitude):
+        tup, coeffs = random_blaschke_form(n, seed)
+        coeffs = 10.0**log_amplitude * coeffs
+        f = synthesize(BlaschkeModel(tup, coeffs), n_samples)
+        model = project(f, tup)
+        total = norm_sq(f)
+        direct = norm_sq(Signal(f.samples - synthesize(model, n_samples).samples))
+        assert np.max(np.abs(model.coeffs - coeffs)) <= 1e-12 * np.linalg.norm(coeffs)
+        assert model.residual_error <= 1e-24 * total
+        assert abs(model.residual_error - direct) <= 1e-24 * total
 
     def test_coefficient_count_must_match_degree(self):
         with pytest.raises(ValueError):

@@ -211,7 +211,7 @@ class TestPipeline:
         f = synthesize(BlaschkeModel(truth, [1.0]), 256)
         result = rect_cafd(f, 1, RectGridConfig(gap=0.05), truth=truth)
         assert result.tuple_distance == 0.0
-        # residual round-off at eps * ||f||^2 surfaces as sqrt(eps) here
+        # the residual is the model's own error, a round-off-sized norm here
         assert result.l2_relative_error <= 1e-7
 
     def test_small_amplitude_recovery(self):
@@ -260,6 +260,19 @@ class TestRunBenchmark:
         assert row["tuple_distance"] is None
         assert row["status"] in {s.value for s in CgdStatus}
         assert 0 <= row["iterations"] <= CgdConfig().max_iters
+
+    def test_rect_rows_leave_refinement_blank(self):
+        # rect_cafd runs no refinement, so it reports no status or count
+        rows = run_benchmark(
+            {
+                "targets": [{"name": "ex5_1_f1", "degree": 2}],
+                "algorithms": ["rect_cafd"],
+                "n_samples": 256,
+            }
+        )
+        assert len(rows) == 1
+        assert rows[0]["algorithm"] == "rect_cafd"
+        assert rows[0]["status"] == rows[0]["iterations"] == ""
 
     def test_random_batch_stats(self):
         rows = run_benchmark(
