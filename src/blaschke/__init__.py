@@ -6,13 +6,7 @@ energy, which refines the pole tuple off the grid.
 """
 
 from .cgd import CgdConfig, CgdReport, CgdStatus, cgd_refine
-from .feval import (
-    InnerProductTable,
-    PolarGrid,
-    build_polar_grid,
-    eval_interior,
-    feval_table,
-)
+from .feval import PolarGrid, build_polar_grid, eval_interior, feval_table
 from .hardy import (
     BlaschkeModel,
     PoleTuple,
@@ -21,7 +15,6 @@ from .hardy import (
     circle_points,
     inner_product,
     inverse_spectrum,
-    make_signal,
     norm_sq,
     project,
     spectrum,
@@ -41,12 +34,7 @@ from .pipeline import (
     run_benchmark,
     tuple_distance,
 )
-from .reduction import (
-    EnergyGradient,
-    energy,
-    energy_gradient,
-    reduce_step,
-)
+from .reduction import energy, energy_gradient, reduce_step
 from .search import (
     RectGridConfig,
     SearchConfig,

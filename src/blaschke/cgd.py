@@ -102,7 +102,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
     tup = PoleTuple(start.poles)
     n = tup.degree
     err_curr = error_energy(f, tup)
-    g = energy_gradient(f, tup).ascent_direction
+    g = energy_gradient(f, tup)
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
@@ -139,7 +139,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break
-        g_next = energy_gradient(f, cand).ascent_direction
+        g_next = energy_gradient(f, cand)
         # g is the ascent direction, so the curvature pair of A is (s p, g - g_next)
         sk, yk = _real(s * p), _real(g - g_next)
         sy = sk @ yk

@@ -14,7 +14,7 @@ import click
 
 from .cgd import CgdConfig, CgdStatus
 from .feval import build_polar_grid, feval_table
-from .hardy import BlaschkeModel, PoleTuple, make_signal, norm_sq, synthesize
+from .hardy import BlaschkeModel, PoleTuple, Signal, norm_sq, synthesize
 from .pipeline import (
     RunConfig,
     builtin_signal,
@@ -37,7 +37,7 @@ def read_signal_csv(path):
     if [int(r["index"]) for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: sample indices must be exactly 0..N-1")
     values = [float(r["re"]) + 1j * float(r["im"]) for r in rows]
-    return make_signal(values)
+    return Signal(values)
 
 
 def write_signal_csv(path, signal):
@@ -212,7 +212,7 @@ def eval_grid(input_path, radial, angular, out_path):
         for m in range(nodes.shape[0]):
             for n in range(nodes.shape[1]):
                 z = nodes[m, n]
-                v = table.values[m, n]
+                v = table[m, n]
                 writer.writerow([
                     m + 1, n + 1,
                     repr(float(z.real)), repr(float(z.imag)),

@@ -12,7 +12,8 @@ N), cached and read-only, with entries below 1e-200 set to exactly 0 so
 that no subnormal operand reaches the per-call path.  A call is one real
 matrix product of V with the spectrum viewed as a Q x 2A real array, a
 multiplication by R, and one inverse FFT of length A per ring: O(M*N)
-multiply-adds plus M FFTs over an (M-1) x A grid.
+multiply-adds plus M FFTs over an (M-1) x A grid.  The result is a plain
+(M-1) x A read-only complex array laid out like `PolarGrid.nodes()`.
 
 `eval_interior` sums the series directly and is the tests' reference; the
 solver evaluates single points by Parseval (`reduction.series_value`).
@@ -27,7 +28,6 @@ from .hardy import Signal, Spectrum, spectrum
 
 __all__ = [
     "PolarGrid",
-    "InnerProductTable",
     "build_polar_grid",
     "eval_interior",
     "feval_table",
@@ -63,24 +63,6 @@ class PolarGrid:
         """(M-1) x N node matrix, entry (m-1, n-1) = m*eps * exp(2*pi*i*n/N)."""
         angles = np.exp(2j * np.pi * np.arange(1, self.angular + 1) / self.angular)
         return self.radii[:, None] * angles[None, :]
-
-
-@dataclass(frozen=True)
-class InnerProductTable:
-    """Matrix of <f, e_z> over a polar grid, laid out like PolarGrid.nodes()."""
-
-    values: np.ndarray
-    grid: PolarGrid
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.radial - 1, self.grid.angular):
-            raise ValueError(
-                f"table shape {values.shape} does not match grid "
-                f"({self.grid.radial - 1}, {self.grid.angular})"
-            )
-        values.setflags(write=False)
 
 
 def build_polar_grid(radial, angular):
@@ -126,9 +108,11 @@ def _ring_tables(grid, n):
 def feval_table(f, grid):
     """<f, e_z> at every polar-grid node from the cached ring tables.
 
-    The signal's sample count must be a multiple of the grid's angular
-    count; the spectrum is folded modulo the angular count, which evaluates
-    the same truncated series at the subsampled angles.
+    Returns a read-only (radial-1) x angular complex array whose entry
+    (m-1, n-1) belongs to node (m-1, n-1) of `grid.nodes()`.  `f` is a
+    Signal or a Spectrum, and its sample count must be a multiple of the
+    grid's angular count; the spectrum is folded modulo the angular count,
+    which evaluates the same truncated series at the subsampled angles.
     """
     if isinstance(f, Signal):
         coeffs = spectrum(f).coeffs
@@ -155,4 +139,5 @@ def feval_table(f, grid):
         # column n-1 holds angle 2*pi*n/A (grid angles are 1-based)
         rows[lo:hi, :-1] = out[:, 1:]
         rows[lo:hi, -1] = out[:, 0]
-    return InnerProductTable(rows, grid)
+    rows.setflags(write=False)
+    return rows

@@ -21,7 +21,6 @@ __all__ = [
     "PoleTuple",
     "BlaschkeModel",
     "circle_points",
-    "make_signal",
     "spectrum",
     "inverse_spectrum",
     "inner_product",
@@ -141,11 +140,6 @@ def _circle_points_cached(n):
 def circle_points(n):
     """The n equidistant points exp(2*pi*i*j/n), j = 0..n-1 (cached, read-only)."""
     return _circle_points_cached(int(n))
-
-
-def make_signal(values):
-    """Wrap sample values into a Signal, validating length and finiteness."""
-    return Signal(np.asarray(values, dtype=complex))
 
 
 def spectrum(f):

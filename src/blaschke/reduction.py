@@ -7,7 +7,10 @@ energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2.  The
 remainder does not depend on the order of the poles, so its Wirtinger
 derivative has the closed form d(-E)/da_l = -conj(g_l) f_n(a_l), with f_n
 the final remainder of one chain and g_l = mean(f conj(B) z/(1 - conj(a_l) z))
-over the circle, B being the tuple's Blaschke product.
+over the circle, B being the tuple's Blaschke product.  `energy_gradient`
+returns the ascent direction gradE_l = -conj(d(-E)/da_l) = g_l conj(f_n(a_l))
+as a plain complex array, one entry per pole, the step direction of the
+refinement a <- a + s gradE.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
 `energy_gradient` take a `Signal` and a `PoleTuple`.  There is one reduction
@@ -28,7 +31,6 @@ immutable `Signal` in a single entry keyed on the pole bytes, so
 refinement's accepted line-search point, runs no second chain.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,7 +40,6 @@ from .hardy import circle_points
 
 __all__ = [
     "Evaluation",
-    "EnergyGradient",
     "series_value",
     "reduce_step",
     "reduce_chain",
@@ -71,26 +72,6 @@ class Evaluation(NamedTuple):
     rows: np.ndarray
     values: np.ndarray
     rest: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyGradient:
-    """Energy value E(a) and the Wirtinger derivatives d(-E)/dz_l."""
-
-    value: float
-    d_minus_e: np.ndarray
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.array(self.d_minus_e, dtype=complex))
-        object.__setattr__(self, "d_minus_e", d)
-        if not np.all(np.isfinite(d)):
-            raise ArithmeticError("gradient is not finite")
-        d.setflags(write=False)
-
-    @property
-    def ascent_direction(self):
-        """grad E per the Hermitian-transpose convention: -conj(d(-E)/dz)."""
-        return -np.conj(self.d_minus_e)
 
 
 def _reciprocals(poles, z):
@@ -208,8 +189,8 @@ def _stage_energy(poles, values):
 
 
 def _finite(value, name):
-    """The scalar result, checked at the boundary instead of every stage."""
-    if not np.isfinite(value):
+    """The result, checked at the boundary instead of every stage."""
+    if not np.all(np.isfinite(value)):
         raise ArithmeticError(f"{name} is not finite")
     return value
 
@@ -234,7 +215,11 @@ def error_energy(f, tup):
 
 
 def energy_gradient(f, tup):
-    """Energy and d(-E)/da_l = -conj(g_l) f_n(a_l) for each pole, from one chain.
+    """gradE_l = -conj(d(-E)/da_l) = conj(conj(g_l) f_n(a_l)) per pole, as an array.
+
+    The result is a complex array with one entry per pole, in tuple order;
+    ArithmeticError is raised when an entry is not finite.  The energy is
+    not summed here: `energy` reads it off the same memoized evaluation.
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
@@ -260,4 +245,4 @@ def energy_gradient(f, tup):
     # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
     conj_g = ev.rows @ (np.conj(weight) * z2) / (2 * n)
     rest_at = (1.0 - poles**n) * (ev.rows[:, :n] @ (ev.rest * circle_points(n))) / n
-    return EnergyGradient(_stage_energy(poles, ev.values), -conj_g * rest_at)
+    return _finite(np.conj(conj_g * rest_at), "gradient")

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feval import build_polar_grid, feval_table
-from .hardy import PoleTuple, Signal, norm_sq, spectrum
+from .feval import build_polar_grid, eval_interior, feval_table
+from .hardy import PoleTuple, Signal, norm_sq
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -205,8 +205,7 @@ def its_search(f, n, cfg=SearchConfig()):
     rng = np.random.default_rng(cfg.seed)
 
     def scan(f_n):
-        table = feval_table(f_n, grid)
-        return np.abs(table.values).ravel(), nodes
+        return np.abs(feval_table(f_n, grid)).ravel(), nodes
 
     return _cyclic_search(
         f, n, scan, _resolve_eta(f, cfg.eta), cfg.max_sweeps, rng, 1.0 - grid.eps
@@ -222,8 +221,7 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
     rng = np.random.default_rng(cfg.seed)
 
     def scan(f_n):
-        vals = np.polynomial.polynomial.polyval(nodes, spectrum(f_n).coeffs)
-        return weight * np.abs(vals), nodes
+        return weight * np.abs(eval_interior(f_n, nodes)), nodes
 
     return _cyclic_search(
         f, n, scan, _resolve_eta(f, cfg.eta), cfg.max_sweeps, rng, 1.0 - cfg.gap

@@ -84,7 +84,7 @@ def test_criterion_02_feval_oracle_equivalence(capsys):
         f = random_smooth_signal(rng, 64)
         table = feval_table(f, grid)
         want = quadrature_kernel_inner_many(spectrum(f).coeffs, nodes)
-        worst = max(worst, float(np.max(np.abs(table.values.ravel() - want))))
+        worst = max(worst, float(np.max(np.abs(table.ravel() - want))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
     report(capsys, 2, ok,
@@ -102,11 +102,11 @@ def test_criterion_03_gradient_finite_differences(capsys):
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = synthesize(BlaschkeModel(truth, coeffs), 256)
         at = random_disk_tuple(rng, n, radius=0.8, gap=0.05)
-        info = energy_gradient(f, at)
+        d_minus_e = -np.conj(energy_gradient(f, at))
         for ell in range(n):
             for step, want in (
-                (h, -2.0 * np.real(info.d_minus_e[ell])),
-                (1j * h, 2.0 * np.imag(info.d_minus_e[ell])),
+                (h, -2.0 * np.real(d_minus_e[ell])),
+                (1j * h, 2.0 * np.imag(d_minus_e[ell])),
             ):
                 up, dn = at.poles.copy(), at.poles.copy()
                 up[ell] += step

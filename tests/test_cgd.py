@@ -33,7 +33,7 @@ def well_separated_form(n, seed, radius=0.85, gap=0.15):
 
 def paper_step(f, poles, cfg):
     """One step of the paper's steepest ascent: a + s*grad E, backtracked."""
-    g = energy_gradient(f, PoleTuple(poles)).ascent_direction
+    g = energy_gradient(f, PoleTuple(poles))
     gnorm_sq = float(np.sum(np.abs(g) ** 2))
     err = error_energy(f, PoleTuple(poles))
     s2 = cfg.neighbor_radius / np.max(np.abs(g))

@@ -8,14 +8,20 @@ import sys
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeModel, CgdStatus, PoleTuple, build_polar_grid, feval_table
+from blaschke import (
+    BlaschkeModel,
+    CgdStatus,
+    PoleTuple,
+    Signal,
+    build_polar_grid,
+    feval_table,
+)
 from blaschke.cli import (
     read_model_json,
     read_signal_csv,
     write_model_json,
     write_signal_csv,
 )
-from blaschke.hardy import make_signal
 
 
 def run_cli(*args):
@@ -43,7 +49,7 @@ def truth_file(tmp_path):
 
 class TestFileFormats:
     def test_signal_round_trip(self, tmp_path, rng):
-        f = make_signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        f = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
         path = tmp_path / "sig.csv"
         write_signal_csv(path, f)
         g = read_signal_csv(path)
@@ -191,7 +197,7 @@ class TestBenchmarkCommand:
 
 class TestEvalGridCommand:
     def test_table_dump_matches_library(self, tmp_path, rng):
-        f = make_signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        f = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
         sig = tmp_path / "sig.csv"
         write_signal_csv(sig, f)
         out = tmp_path / "grid.csv"
@@ -206,6 +212,6 @@ class TestEvalGridCommand:
         assert len(rows) == 3 * 64
         for row in rows:
             m, n = int(row["m"]), int(row["n"])
-            want = table.values[m - 1, n - 1]
+            want = table[m - 1, n - 1]
             assert float(row["re"]) == want.real
             assert float(row["im"]) == want.imag

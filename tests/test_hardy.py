@@ -12,7 +12,6 @@ from blaschke import (
     circle_points,
     inner_product,
     inverse_spectrum,
-    make_signal,
     norm_sq,
     project,
     spectrum,
@@ -33,31 +32,31 @@ from conftest import monomial_signal, quadrature_inner, random_smooth_signal
 
 class TestSignalConstruction:
     def test_constant_signal(self):
-        f = make_signal([1, 1, 1, 1])
+        f = Signal([1, 1, 1, 1])
         assert f.n_samples == 4
         np.testing.assert_allclose(f.samples, np.ones(4))
 
     def test_identity_function_samples(self):
-        f = make_signal([1, 1j, -1, -1j])
+        f = Signal([1, 1j, -1, -1j])
         np.testing.assert_allclose(f.samples, circle_points(4))
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            make_signal([1.0, 2.0, 3.0])
+            Signal([1.0, 2.0, 3.0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            make_signal([1.0, np.nan, 0.0, 0.0])
+            Signal([1.0, np.nan, 0.0, 0.0])
 
     def test_samples_read_only(self):
-        f = make_signal([1, 2, 3, 4])
+        f = Signal([1, 2, 3, 4])
         with pytest.raises(ValueError):
             f.samples[0] = 0.0
 
 
 class TestSpectrum:
     def test_constant(self):
-        s = spectrum(make_signal([1, 1, 1, 1]))
+        s = spectrum(Signal([1, 1, 1, 1]))
         np.testing.assert_allclose(s.coeffs, [1, 0, 0, 0], atol=1e-15)
 
     def test_pure_harmonic(self):
@@ -85,7 +84,7 @@ class TestSpectrum:
 
 class TestInnerProduct:
     def test_unit_constant(self):
-        one = make_signal([1, 1, 1, 1])
+        one = Signal([1, 1, 1, 1])
         assert inner_product(one, one) == pytest.approx(1.0)
 
     def test_harmonic_orthogonality(self):
@@ -104,7 +103,7 @@ class TestInnerProduct:
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            inner_product(make_signal([1, 1]), make_signal([1, 1, 1, 1]))
+            inner_product(Signal([1, 1]), Signal([1, 1, 1, 1]))
 
     def test_parseval(self, rng):
         f = random_smooth_signal(rng, 128)

@@ -256,13 +256,13 @@ class TestEnergy:
 class TestEnergyGradient:
     def test_stationary_at_monomial_maximizer(self):
         f = monomial_signal(1, 1024)
-        info = energy_gradient(f, PoleTuple([1.0 / np.sqrt(2.0)]))
-        assert np.max(np.abs(info.d_minus_e)) <= 1e-8
+        d_minus_e = -np.conj(energy_gradient(f, PoleTuple([1.0 / np.sqrt(2.0)])))
+        assert np.max(np.abs(d_minus_e)) <= 1e-8
 
     def test_stationary_at_kernel_pole(self):
         b = 0.4 + 0.3j
-        info = energy_gradient(szego_signal(b, 256), PoleTuple([b]))
-        assert np.max(np.abs(info.d_minus_e)) <= 1e-8
+        d_minus_e = -np.conj(energy_gradient(szego_signal(b, 256), PoleTuple([b])))
+        assert np.max(np.abs(d_minus_e)) <= 1e-8
 
     def test_finite_difference_relations(self, rng):
         # dE/dx = -2 Re d(-E)/dz and dE/dy = +2 Im d(-E)/dz
@@ -273,11 +273,11 @@ class TestEnergyGradient:
             coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             f = synthesize(BlaschkeModel(tup, coeffs), 256)
             start = random_tuple(rng, n)
-            info = energy_gradient(f, start)
+            d_minus_e = -np.conj(energy_gradient(f, start))
             for ell in range(n):
                 for step, want in (
-                    (h, -2.0 * np.real(info.d_minus_e[ell])),
-                    (1j * h, 2.0 * np.imag(info.d_minus_e[ell])),
+                    (h, -2.0 * np.real(d_minus_e[ell])),
+                    (1j * h, 2.0 * np.imag(d_minus_e[ell])),
                 ):
                     up = start.poles.copy()
                     dn = start.poles.copy()
@@ -293,8 +293,8 @@ class TestEnergyGradient:
         x_star = np.sqrt(2.0 / 3.0)
         low = energy_gradient(f, PoleTuple([x_star - 0.1]))
         high = energy_gradient(f, PoleTuple([x_star + 0.1]))
-        assert np.real(low.ascent_direction[0]) > 0
-        assert np.real(high.ascent_direction[0]) < 0
+        assert np.real(low[0]) > 0
+        assert np.real(high[0]) < 0
 
     def test_near_duplicate_poles_rejected(self):
         f = monomial_signal(1, 64)
@@ -309,15 +309,28 @@ class TestEnergyGradient:
         tuples.append(PoleTuple(near_boundary))
         for tup in tuples:
             ref = branch_gradient(f, tup)
-            got = energy_gradient(f, tup).d_minus_e
+            got = -np.conj(energy_gradient(f, tup))
             bound = 1e-10 + 4 * np.max(np.abs(tup.poles)) ** 1024
             assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
-    def test_value_matches_energy(self, rng):
+    def test_energy_is_not_summed(self, rng, monkeypatch):
+        # the gradient reads only the rows and the final remainder; the
+        # energy is energy()'s to sum
         f = random_smooth_signal(rng, 256)
         tup = random_tuple(rng, 3)
-        info = energy_gradient(f, tup)
-        assert info.value == pytest.approx(energy(f, tup), abs=1e-12)
+
+        def fail(*args):
+            raise AssertionError("stage energy called")
+
+        monkeypatch.setattr(reduction, "_stage_energy", fail)
+        assert energy_gradient(f, tup).shape == (3,)
+
+    def test_non_finite_gradient_raises(self):
+        # samples are finite, but the products of their means overflow
+        f = Signal(np.full(64, 1e200))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArithmeticError):
+                energy_gradient(f, PoleTuple([0.3]))
 
 
 def separated(poles, gap=0.05):
@@ -394,8 +407,7 @@ class TestSharedEvaluation:
         err_warm = error_energy(warm, tup)
         grad_warm = energy_gradient(warm, tup)
         grad_cold = energy_gradient(Signal(samples), tup)
-        np.testing.assert_array_equal(grad_warm.d_minus_e, grad_cold.d_minus_e)
-        assert grad_warm.value == grad_cold.value
+        np.testing.assert_array_equal(-np.conj(grad_warm), -np.conj(grad_cold))
         # and error_energy after a gradient, against a cold one
         warm = Signal(samples)
         energy_gradient(warm, tup)
@@ -425,10 +437,10 @@ class TestSharedEvaluation:
         for tup in (second, PoleTuple(first.poles[::-1]), first):
             got = energy_gradient(f, tup)
             want = energy_gradient(Signal(samples), tup)
-            np.testing.assert_array_equal(got.d_minus_e, want.d_minus_e)
+            np.testing.assert_array_equal(-np.conj(got), -np.conj(want))
             assert error_energy(f, tup) == error_energy(Signal(samples), tup)
-        got = energy_gradient(f, second).d_minus_e
-        assert not np.array_equal(got, energy_gradient(f, first).d_minus_e)
+        got = -np.conj(energy_gradient(f, second))
+        assert not np.array_equal(got, -np.conj(energy_gradient(f, first)))
 
     def test_memoized_arrays_are_read_only(self, rng):
         f = random_smooth_signal(rng, 256)
