@@ -30,8 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .hardy import PoleTuple, norm_sq
-from .reduction import energy_gradient, error_energy, is_degenerate
+from .hardy import PoleTuple, norm_sq, separated
+from .reduction import energy_gradient, error_energy
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 
@@ -89,7 +89,7 @@ def _max_inward_step(poles, direction):
 
 
 def _feasible(poles):
-    return np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN) and not is_degenerate(poles)
+    return np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN) and separated(poles)
 
 
 def _real(z):
@@ -98,8 +98,8 @@ def _real(z):
 
 
 def cgd_refine(f, start, cfg=CgdConfig()):
-    """Refine a pole tuple by quasi-Newton ascent on the energy."""
-    tup = PoleTuple(start.poles)
+    """Refine the PoleTuple `start` by quasi-Newton ascent on the energy."""
+    tup = start
     n = tup.degree
     err_curr = error_energy(f, tup)
     g = energy_gradient(f, tup)

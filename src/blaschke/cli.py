@@ -14,8 +14,10 @@ import click
 
 from .cgd import CgdConfig, CgdStatus
 from .feval import build_polar_grid, feval_table
-from .hardy import BlaschkeModel, PoleTuple, Signal, norm_sq, synthesize
+from .hardy import BlaschkeModel, PoleTuple, Signal, synthesize
 from .pipeline import (
+    BENCHMARK_COLUMNS,
+    DEFAULT_SAMPLES,
     RunConfig,
     builtin_signal,
     cafd_cgd_result,
@@ -94,14 +96,14 @@ def _run_options(fn):
         click.option("--input", "input_path", type=click.Path(exists=True)),
         click.option("--builtin", type=str, default=None),
         click.option("--degree", "-n", type=int, required=True),
-        click.option("--samples", type=int, default=1024, show_default=True),
-        click.option("--radial", type=int, default=100, show_default=True),
-        click.option("--angular", type=int, default=256, show_default=True),
-        click.option("--beta", type=float, default=0.5, show_default=True),
-        click.option("--trust", type=float, default=0.05, show_default=True),
-        click.option("--tol", type=float, default=1e-18, show_default=True),
-        click.option("--eta-rel", type=float, default=1e-12, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--samples", default=DEFAULT_SAMPLES, show_default=True),
+        click.option("--radial", default=SearchConfig.radial, show_default=True),
+        click.option("--angular", default=SearchConfig.angular, show_default=True),
+        click.option("--beta", default=CgdConfig.beta, show_default=True),
+        click.option("--trust", default=CgdConfig.neighbor_radius, show_default=True),
+        click.option("--tol", default=CgdConfig.tol, show_default=True),
+        click.option("--eta-rel", default=SearchConfig.eta_rel, show_default=True),
+        click.option("--seed", default=SearchConfig.seed, show_default=True),
         click.option("--out", "out_path", type=click.Path(), required=True),
     ]):
         fn = deco(fn)
@@ -113,8 +115,7 @@ def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
     f = _load_input(input_path, builtin, samples)
     cfg = RunConfig(
         degree=degree,
-        search=SearchConfig(radial=radial, angular=angular, eta=eta_rel * norm_sq(f),
-                            seed=seed),
+        search=SearchConfig(radial=radial, angular=angular, eta_rel=eta_rel, seed=seed),
         cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
     )
     truth = read_tuple_json(truth_path) if truth_path else None
@@ -152,7 +153,7 @@ def recover(truth_path, **kwargs):
 
 @main.command("synthesize")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
-@click.option("--samples", type=int, default=1024, show_default=True)
+@click.option("--samples", default=DEFAULT_SAMPLES, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synthesize_cmd(model_path, samples, out_path):
     """Sample a stored Blaschke model on the unit circle."""
@@ -169,10 +170,7 @@ def benchmark(suite, out_path):
     descriptor = _load_suite(suite)
     rows = run_benchmark(descriptor)
     with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "target", "algorithm", "degree", "l2_rel_error",
-            "tuple_distance", "wall_time_s", "status", "iterations", "stat",
-        ])
+        writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -180,7 +178,7 @@ def benchmark(suite, out_path):
 
 
 BUILTIN_SUITES = {
-    "ex5_1": {"targets": [{"name": f"ex5_1_f{i}", "degree": 6} for i in (1, 2, 3)],
+    "ex5_1": {"targets": [{"name": f"ex5_1_f{i}"} for i in (1, 2, 3)],
               "algorithms": ["cafd_cgd"]},
     "ex5_3": {"targets": [{"name": "ex5_3"}], "algorithms": ["cafd_cgd"]},
     "recovery": {"targets": [{"name": n} for n in ("ex5_3", "ex5_4", "ex5_5", "ex5_6")],

@@ -33,8 +33,19 @@ __all__ = [
 ]
 
 
+# the least distance between two poles of an admissible tuple
+MIN_SEPARATION = 1e-12
+
+
 def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def separated(poles):
+    """Whether every two of the finite poles lie at least MIN_SEPARATION apart."""
+    # only the n zero distances of the poles to themselves may fall below it
+    close = np.abs(poles[:, None] - poles) < MIN_SEPARATION
+    return np.count_nonzero(close) == poles.size
 
 
 @dataclass(frozen=True)
@@ -81,7 +92,12 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PoleTuple:
-    """Ordered tuple of distinct points strictly inside the unit disk."""
+    """Ordered tuple of poles |a| < 1, every two at least MIN_SEPARATION apart.
+
+    The one place a tuple is validated: the energy and its gradient take a
+    PoleTuple and test nothing again, and the search and the refinement
+    screen their moves with the same `separated` before they build one.
+    """
 
     poles: np.ndarray
 
@@ -91,13 +107,10 @@ class PoleTuple:
         if poles.size < 1:
             raise ValueError("pole tuple must be non-empty")
         mags = np.abs(poles)
-        if np.any(mags >= 1.0):
+        if not np.all(mags < 1.0):
             raise ValueError(f"all poles must satisfy |a| < 1, max |a| = {mags.max()}")
-        if poles.size > 1:
-            diff = poles[:, None] - poles[None, :]
-            np.fill_diagonal(diff, np.inf)
-            if np.min(np.abs(diff)) == 0.0:
-                raise ValueError("poles must be pairwise distinct")
+        if not separated(poles):
+            raise ValueError(f"poles must lie at least {MIN_SEPARATION} apart")
         poles.setflags(write=False)
 
     @property

@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+# circle samples of a builtin target unless the caller asks for another count
+DEFAULT_SAMPLES = 1024
+
+# the columns of a benchmark row, in the order of the CLI's CSV table
+BENCHMARK_COLUMNS = ("target", "algorithm", "degree", "l2_rel_error", "tuple_distance",
+                     "wall_time_s", "status", "iterations", "stat")
+
 # closed-form targets of the approximation suites, evaluated at tau on the circle
 BUILTIN_FUNCTIONS = {
     "ex5_1_f1": lambda t: 1.0 / (2.0 + t**4),
@@ -92,7 +99,7 @@ class RunConfig:
     search: SearchConfig = SearchConfig()
     cgd: CgdConfig = CgdConfig()
     # read by nothing; kept only because perfbench/workloads.py passes them
-    n_samples: int = 1024
+    n_samples: int = DEFAULT_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
@@ -110,7 +117,7 @@ class RecoveryResult:
     tuple_distance: float = None
 
 
-def builtin_signal(name, n_samples=1024):
+def builtin_signal(name, n_samples=DEFAULT_SAMPLES):
     """Sample a builtin target at n equidistant circle points."""
     tau = circle_points(n_samples)
     if name in BUILTIN_FUNCTIONS:
@@ -177,10 +184,14 @@ def random_blaschke_form(n, seed, max_tries=10000):
     return PoleTuple(poles), coeffs
 
 
-def _check_truth(truth, degree):
-    """Reject a truth tuple of another degree before any search runs."""
+def _checked_norm_sq(f, truth, degree):
+    """||f||^2, rejecting a zero f or a truth of another degree before any search."""
     if truth is not None and truth.degree != degree:
         raise ValueError(f"truth tuple has degree {truth.degree}, not {degree}")
+    total = norm_sq(f)
+    if total == 0.0:
+        raise ValueError("signal has zero norm; there is nothing to approximate")
+    return total
 
 
 def cafd_cgd_result(f, cfg, truth=None):
@@ -190,13 +201,13 @@ def cafd_cgd_result(f, cfg, truth=None):
     reported tuple (at worst the search tuple itself) is projected and
     returned.
     """
-    _check_truth(truth, cfg.degree)
+    total = _checked_norm_sq(f, truth, cfg.degree)
     start_time = time.perf_counter()
     its_tuple = its_search(f, cfg.degree, cfg.search)
     report = cgd_refine(f, its_tuple, cfg.cgd)
     model = project(f, report.tuple)
     wall = time.perf_counter() - start_time
-    err = float(np.sqrt(model.residual_error / norm_sq(f)))
+    err = float(np.sqrt(model.residual_error / total))
     dist = None if truth is None else tuple_distance(report.tuple, truth)
     return RecoveryResult(model, err, wall, its_tuple, report, dist)
 
@@ -212,12 +223,12 @@ def cafd_cgd(f, n, cfg=None):
 
 def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):
     """Rectangular-grid baseline run with the same reporting as the pipeline."""
-    _check_truth(truth, n)
+    total = _checked_norm_sq(f, truth, n)
     start_time = time.perf_counter()
     tup = rect_cafd_search(f, n, cfg)
     model = project(f, tup)
     wall = time.perf_counter() - start_time
-    err = float(np.sqrt(model.residual_error / norm_sq(f)))
+    err = float(np.sqrt(model.residual_error / total))
     dist = None if truth is None else tuple_distance(tup, truth)
     return RecoveryResult(model, err, wall, tup, None, dist)
 
@@ -228,12 +239,12 @@ def run_benchmark(descriptor):
     The descriptor is a dict: `targets` is a list of {name, degree} picking
     builtin targets or {name: "random", degree, count} batches; `algorithms`
     selects "cafd_cgd" and/or "rect_cafd"; optional `n_samples`, `seed`,
-    `angular` override the defaults.  Rows are dicts matching the CSV
-    column layout, with the refinement's `status` (a `CgdStatus` value) and
+    `angular` override the defaults.  Rows are dicts keyed by
+    BENCHMARK_COLUMNS, with the refinement's `status` (a `CgdStatus` value) and
     `iterations`; `rect_cafd` runs no refinement, so its rows leave those
     two blank, as do the mean/max/std stat rows that batch runs append.
     """
-    n_samples = descriptor.get("n_samples", 1024)
+    n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
     seed = descriptor.get("seed", 0)
     algorithms = descriptor.get("algorithms", ["cafd_cgd"])
     rows = []
@@ -268,19 +279,19 @@ def _run_algorithm(algo, f, degree, angular, seed, truth):
     raise KeyError(f"unknown algorithm {algo!r}")
 
 
+def _row(*values):
+    return dict(zip(BENCHMARK_COLUMNS, values, strict=True))
+
+
 def _result_row(target, algo, degree, res):
     report = res.cgd_report
-    return {
-        "target": target,
-        "algorithm": algo,
-        "degree": degree,
-        "l2_rel_error": res.l2_relative_error,
-        "tuple_distance": res.tuple_distance,
-        "wall_time_s": res.wall_time_seconds,
-        "status": "" if report is None else report.status.value,
-        "iterations": "" if report is None else report.iterations,
-        "stat": "",
-    }
+    return _row(
+        target, algo, degree,
+        res.l2_relative_error, res.tuple_distance, res.wall_time_seconds,
+        "" if report is None else report.status.value,
+        "" if report is None else report.iterations,
+        "",
+    )
 
 
 def _random_batch(entry, algorithms, n_samples, seed, descriptor):
@@ -301,15 +312,9 @@ def _random_batch(entry, algorithms, n_samples, seed, descriptor):
             dists.append(res.tuple_distance)
             times.append(res.wall_time_seconds)
         for stat, fn in (("mean", np.mean), ("max", np.max), ("std", np.std)):
-            rows.append({
-                "target": f"random_n{degree}",
-                "algorithm": algo,
-                "degree": degree,
-                "l2_rel_error": float(fn(errs)),
-                "tuple_distance": float(fn(dists)),
-                "wall_time_s": float(fn(times)),
-                "status": "",
-                "iterations": "",
-                "stat": stat,
-            })
+            rows.append(_row(
+                f"random_n{degree}", algo, degree,
+                float(fn(errs)), float(fn(dists)), float(fn(times)),
+                "", "", stat,
+            ))
     return rows

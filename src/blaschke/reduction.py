@@ -48,19 +48,6 @@ __all__ = [
     "energy_gradient",
 ]
 
-# minimum pairwise pole separation before a tuple counts as degenerate
-DEGENERATE_TOL = 1e-12
-
-
-def is_degenerate(poles):
-    """Whether two poles lie closer than DEGENERATE_TOL."""
-    if poles.size < 2:
-        return False
-    diff = np.abs(poles[:, None] - poles[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return bool(np.min(diff) < DEGENERATE_TOL)
-
-
 class Evaluation(NamedTuple):
     """One chain: the rows 1/(z - a), the stage values f_j(a_j), the final remainder.
 
@@ -220,6 +207,7 @@ def energy_gradient(f, tup):
     The result is a complex array with one entry per pole, in tuple order;
     ArithmeticError is raised when an entry is not finite.  The energy is
     not summed here: `energy` reads it off the same memoized evaluation.
+    The poles are not tested for separation here: a PoleTuple is separated.
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
@@ -235,8 +223,6 @@ def energy_gradient(f, tup):
     and, at a tuple already evaluated, no second chain.
     """
     poles = tup.poles
-    if is_degenerate(poles):
-        raise ValueError("pole tuple is degenerate (nearly repeated poles)")
     ev = _evaluate(f, poles)
     n = f.n_samples
     z2 = _doubled_points(n)

@@ -4,9 +4,10 @@ Both searches run the same cyclic coordinate-ascent loop.  A sweep visits
 the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
 poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
-there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds eta (an
-energy, like its default 1e-12 * ||f||^2, so the search is invariant under
-f -> lambda f).
+there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds
+eta = eta_rel * ||f||^2 (so the search is invariant under f -> lambda f).
+A node is a candidate only when the tuple it would make is `separated`,
+the rule a PoleTuple enforces.
 
 The remainder does not depend on the order of the poles it is reduced
 through (up to the O(max|a|^N) aliasing of the sampled kernel), so a sweep
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import build_polar_grid, eval_interior, feval_table
-from .hardy import PoleTuple, Signal, norm_sq
+from .hardy import PoleTuple, Signal, norm_sq, separated
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -43,11 +44,6 @@ __all__ = [
     "rect_grid_nodes",
 ]
 
-# grid candidates closer than this to a fixed pole are skipped to keep
-# the tuple pairwise distinct
-COINCIDENCE_TOL = 1e-12
-
-
 class SearchNonConvergence(RuntimeError):
     """Sweep cap reached; carries the best tuple found so far."""
 
@@ -58,35 +54,35 @@ class SearchNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Polar-grid search parameters; eta=None means 1e-12 * ||f||^2."""
+    """Polar-grid search parameters; a move must gain more than eta_rel * ||f||^2."""
 
     radial: int = 100
     angular: int = 256
-    eta: float = None
+    eta_rel: float = 1e-12
     max_sweeps: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if self.eta_rel <= 0.0:
+            raise ValueError("eta_rel must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
 class RectGridConfig:
-    """Rectangular-grid baseline parameters."""
+    """Rectangular-grid baseline parameters; eta_rel as in SearchConfig."""
 
     gap: float = 0.01
-    eta: float = None
+    eta_rel: float = 1e-12
     max_sweeps: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.gap < 1.0:
             raise ValueError("gap must lie in (0, 1)")
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if self.eta_rel <= 0.0:
+            raise ValueError("eta_rel must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -107,14 +103,14 @@ def rect_grid_nodes(gap):
 
 
 def _random_start(rng, n, radius):
-    """n points uniform in the disk of the given radius, pairwise distinct."""
+    """n points uniform in the disk of the given radius, pairwise `separated`."""
     poles = np.empty(n, dtype=complex)
     count = 0
     while count < n:
         w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
         if abs(w) >= radius:
             continue
-        if count and np.min(np.abs(poles[:count] - w)) < 10 * COINCIDENCE_TOL:
+        if not separated(np.append(poles[:count], w)):
             continue
         poles[count] = w
         count += 1
@@ -127,7 +123,7 @@ def _partial_energy_amp(f_n, a):
 
 
 def _masked_argmax(mags, nodes, fixed):
-    """Best node by magnitude, skipping nodes that coincide with fixed poles.
+    """Best node by magnitude, skipping nodes not `separated` from the fixed poles.
 
     Only each winner is tested; a coinciding one is masked and skipped in a
     copy, made only when the first winner coincides.
@@ -135,7 +131,7 @@ def _masked_argmax(mags, nodes, fixed):
     masked = mags
     for _ in range(fixed.size + 1):
         idx = int(np.argmax(masked))
-        if np.all(np.abs(fixed - nodes[idx]) >= COINCIDENCE_TOL):
+        if separated(np.append(fixed, nodes[idx])):
             break
         if masked is mags:
             masked = mags.copy()
@@ -192,10 +188,6 @@ def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
     )
 
 
-def _resolve_eta(f, eta):
-    return 1e-12 * norm_sq(f) if eta is None else eta
-
-
 def its_search(f, n, cfg=SearchConfig()):
     """Initial tuple selection over the polar grid using the fast table."""
     if n < 1:
@@ -208,7 +200,7 @@ def its_search(f, n, cfg=SearchConfig()):
         return np.abs(feval_table(f_n, grid)).ravel(), nodes
 
     return _cyclic_search(
-        f, n, scan, _resolve_eta(f, cfg.eta), cfg.max_sweeps, rng, 1.0 - grid.eps
+        f, n, scan, cfg.eta_rel * norm_sq(f), cfg.max_sweeps, rng, 1.0 - grid.eps
     )
 
 
@@ -224,5 +216,5 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
         return weight * np.abs(eval_interior(f_n, nodes)), nodes
 
     return _cyclic_search(
-        f, n, scan, _resolve_eta(f, cfg.eta), cfg.max_sweeps, rng, 1.0 - cfg.gap
+        f, n, scan, cfg.eta_rel * norm_sq(f), cfg.max_sweeps, rng, 1.0 - cfg.gap
     )

@@ -7,7 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from blaschke import cli
 from blaschke import (
     BlaschkeModel,
     CgdStatus,
@@ -22,6 +24,7 @@ from blaschke.cli import (
     write_model_json,
     write_signal_csv,
 )
+from blaschke.pipeline import RunConfig
 
 
 def run_cli(*args):
@@ -110,6 +113,20 @@ class TestSynthesizeAndRecover:
         assert "status: iteration-cap" in res.stdout
         assert read_model_json(out).degree == 6
 
+    def test_no_tuning_flags_give_library_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(f, cfg, truth=None):
+            seen.append(cfg)
+            raise RuntimeError("config captured")
+
+        monkeypatch.setattr(cli, "cafd_cgd_result", capture)
+        CliRunner().invoke(cli.main, [
+            "approximate", "--builtin", "ex5_5", "--degree", "4",
+            "--out", str(tmp_path / "o.json"),
+        ])
+        assert seen == [RunConfig(degree=4)]
+
 
 class TestValidationExitCodes:
     def test_missing_source_is_usage_error(self, tmp_path):
@@ -144,6 +161,16 @@ class TestValidationExitCodes:
             "--out", str(tmp_path / "o.json"),
         )
         assert res.returncode == 2
+
+    def test_zero_signal(self, tmp_path):
+        sig = tmp_path / "zero.csv"
+        write_signal_csv(sig, Signal(np.zeros(64)))
+        res = run_cli(
+            "approximate", "--input", str(sig), "--degree", "1",
+            "--out", str(tmp_path / "o.json"),
+        )
+        assert res.returncode == 2
+        assert "zero norm" in res.stderr
 
     def test_unknown_builtin(self, tmp_path):
         res = run_cli(

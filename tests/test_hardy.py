@@ -158,10 +158,17 @@ class TestPoleTupleValidation:
     def test_pole_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             PoleTuple([0.5, 1.2])
+        # NaN is not inside the disk either
+        with pytest.raises(ValueError):
+            PoleTuple([0.5, np.nan])
 
     def test_duplicate_poles_rejected(self):
         with pytest.raises(ValueError):
             PoleTuple([0.5, 0.5])
+        # distinct, but closer than MIN_SEPARATION = 1e-12
+        with pytest.raises(ValueError):
+            PoleTuple([0.5, 0.5 + 1e-14])
+        assert PoleTuple([0.5, 0.5 + 1e-11]).degree == 2
 
     def test_degree(self):
         assert PoleTuple([0.1, 0.2, 0.3j]).degree == 3

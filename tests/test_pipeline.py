@@ -238,6 +238,20 @@ class TestPipeline:
         with pytest.raises(ValueError, match="degree"):
             rect_cafd(f, 1, RectGridConfig(gap=0.05), truth=truth)
 
+    def test_zero_signal_rejected_before_search(self, monkeypatch):
+        import blaschke.pipeline as pipeline
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on a zero signal")
+
+        monkeypatch.setattr(pipeline, "its_search", no_search)
+        monkeypatch.setattr(pipeline, "rect_cafd_search", no_search)
+        f = Signal(np.zeros(256))
+        with pytest.raises(ValueError, match="zero norm"):
+            cafd_cgd_result(f, SMALL_RUN)
+        with pytest.raises(ValueError, match="zero norm"):
+            rect_cafd(f, 1, RectGridConfig(gap=0.05))
+
 
 class TestRunBenchmark:
     def test_empty_descriptor(self):

@@ -18,7 +18,7 @@ from blaschke import (
     synthesize,
     szego_signal,
 )
-from blaschke import reduction
+from blaschke import hardy, reduction
 from blaschke.pipeline import BUILTIN_FORMS
 from blaschke.reduction import (
     derivative_reduce_step,
@@ -323,6 +323,19 @@ class TestEnergyGradient:
             raise AssertionError("stage energy called")
 
         monkeypatch.setattr(reduction, "_stage_energy", fail)
+        assert energy_gradient(f, tup).shape == (3,)
+
+    def test_separation_is_not_tested(self, rng, monkeypatch):
+        # a PoleTuple is separated by construction, so the gradient does
+        # not test it again
+        f = random_smooth_signal(rng, 256)
+        tup = random_tuple(rng, 3)
+
+        def fail(*args):
+            raise AssertionError("separation tested")
+
+        monkeypatch.setattr(hardy, "separated", fail)
+        monkeypatch.setattr(reduction, "separated", fail, raising=False)
         assert energy_gradient(f, tup).shape == (3,)
 
     def test_non_finite_gradient_raises(self):

@@ -141,9 +141,9 @@ class TestRectGridNodes:
 class TestConfigValidation:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            SearchConfig(eta=-1.0)
+            SearchConfig(eta_rel=-1.0)
         with pytest.raises(ValueError):
-            RectGridConfig(eta=0.0)
+            RectGridConfig(eta_rel=0.0)
 
     def test_bad_gap(self):
         with pytest.raises(ValueError):
