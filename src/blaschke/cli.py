@@ -189,8 +189,17 @@ BUILTIN_SUITES = {
 def _load_suite(suite):
     if suite in BUILTIN_SUITES:
         return BUILTIN_SUITES[suite]
-    with open(suite) as fh:
-        return json.load(fh)
+    try:
+        with open(suite) as fh:
+            descriptor = json.load(fh)
+    except OSError as exc:
+        raise click.BadParameter(
+            f"{suite!r} is neither a builtin suite nor a readable file ({exc.strerror})",
+            param_hint="--suite")
+    if not isinstance(descriptor, dict):
+        raise click.BadParameter("the descriptor must be a JSON object",
+                                 param_hint="--suite")
+    return descriptor
 
 
 @main.command("eval-grid")
@@ -230,7 +239,7 @@ def run():
     except SearchNonConvergence as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
-    except (ValueError, KeyError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 

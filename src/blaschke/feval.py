@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hardy import Signal, Spectrum, spectrum
+from .hardy import Signal, Spectrum, disk_points, spectrum
 
 __all__ = [
     "PolarGrid",
@@ -76,9 +76,7 @@ def eval_interior(f, z):
     Sums the truncated power series sum_k f_hat(k) z^k directly; `f` may be
     a Signal or a Spectrum, `z` a scalar or an array of interior points.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("evaluation points must satisfy |z| < 1")
+    z = disk_points(z, "evaluation points")
     coeffs = f.coeffs if isinstance(f, Spectrum) else spectrum(f).coeffs
     values = np.polynomial.polynomial.polyval(z, coeffs)
     return complex(values) if z.ndim == 0 else values

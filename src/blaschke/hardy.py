@@ -41,6 +41,14 @@ def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def disk_points(points, name):
+    """The points as a complex array; the one test of |z| < 1, which NaN fails."""
+    z = np.asarray(points, dtype=complex)
+    if not np.all(np.abs(z) < 1.0):
+        raise ValueError(f"{name} must satisfy |z| < 1, max |z| = {np.max(np.abs(z))}")
+    return z
+
+
 def separated(poles):
     """Whether every two of the finite poles lie at least MIN_SEPARATION apart."""
     # only the n zero distances of the poles to themselves may fall below it
@@ -106,9 +114,7 @@ class PoleTuple:
         object.__setattr__(self, "poles", poles)
         if poles.size < 1:
             raise ValueError("pole tuple must be non-empty")
-        mags = np.abs(poles)
-        if not np.all(mags < 1.0):
-            raise ValueError(f"all poles must satisfy |a| < 1, max |a| = {mags.max()}")
+        disk_points(poles, "poles")
         if not separated(poles):
             raise ValueError(f"poles must lie at least {MIN_SEPARATION} apart")
         poles.setflags(write=False)
@@ -188,9 +194,7 @@ def norm_sq(f):
 
 def szego_kernel(a, points):
     """Normalized Szego kernel e_a(z) = sqrt(1-|a|^2) / (1 - conj(a) z)."""
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise ValueError(f"kernel parameter must satisfy |a| < 1, got |a| = {abs(a)}")
+    a = complex(disk_points(a, "kernel parameter"))
     z = np.asarray(points, dtype=complex)
     return np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
 

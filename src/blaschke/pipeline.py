@@ -1,8 +1,8 @@
 """End-to-end driver: search, refine, project, and the evaluation metrics.
 
 Also houses the builtin target registry (the closed-form functions and the
-fixed Blaschke forms used in the experiment suites) and the benchmark
-harness that compares the fast pipeline against the rectangular baseline.
+fixed Blaschke forms) and the benchmark harness, one row per case and
+algorithm; the pipeline and the rectangular baseline share one result assembly.
 """
 
 import time
@@ -85,11 +85,11 @@ BUILTIN_FORMS = {
     ),
 }
 
-# default degree per builtin target
+# default degree per builtin target; a form's is the size of its tuple
 BUILTIN_DEGREES = {
     "ex5_1_f1": 6, "ex5_1_f2": 6, "ex5_1_f3": 6,
     "ex5_2_f1": 10, "ex5_2_f2": 10, "ex5_2_f3": 30,
-    "ex5_3": 5, "ex5_4": 4, "ex5_5": 4, "ex5_6": 4,
+    **{name: len(poles) for name, (poles, _) in BUILTIN_FORMS.items()},
 }
 
 
@@ -152,10 +152,8 @@ def l2_relative_error(f, approx):
     """||f - approx|| / ||f|| in the discrete H^2 norm, as a fraction."""
     if f.n_samples != approx.n_samples:
         raise ValueError("sample counts differ")
-    denom = norm_sq(f)
-    if denom == 0.0:
-        raise ZeroDivisionError("relative error undefined for a zero signal")
-    return float(np.sqrt(norm_sq(Signal(f.samples - approx.samples)) / denom))
+    total = _checked_norm_sq(f)
+    return float(np.sqrt(norm_sq(Signal(f.samples - approx.samples)) / total))
 
 
 def random_blaschke_form(n, seed, max_tries=10000):
@@ -184,14 +182,24 @@ def random_blaschke_form(n, seed, max_tries=10000):
     return PoleTuple(poles), coeffs
 
 
-def _checked_norm_sq(f, truth, degree):
-    """||f||^2, rejecting a zero f or a truth of another degree before any search."""
+def _checked_norm_sq(f, truth=None, degree=None):
+    """||f||^2 for a relative error, rejecting a zero f or a truth of another degree."""
     if truth is not None and truth.degree != degree:
         raise ValueError(f"truth tuple has degree {truth.degree}, not {degree}")
     total = norm_sq(f)
     if total == 0.0:
         raise ValueError("signal has zero norm; there is nothing to approximate")
     return total
+
+
+def _result(f, total, start_time, search_tuple, report, truth):
+    """Project the last tuple, stop the clock and measure; rect_cafd has no report."""
+    final = search_tuple if report is None else report.tuple
+    model = project(f, final)
+    wall = time.perf_counter() - start_time
+    err = float(np.sqrt(model.residual_error / total))
+    dist = None if truth is None else tuple_distance(final, truth)
+    return RecoveryResult(model, err, wall, search_tuple, report, dist)
 
 
 def cafd_cgd_result(f, cfg, truth=None):
@@ -205,11 +213,7 @@ def cafd_cgd_result(f, cfg, truth=None):
     start_time = time.perf_counter()
     its_tuple = its_search(f, cfg.degree, cfg.search)
     report = cgd_refine(f, its_tuple, cfg.cgd)
-    model = project(f, report.tuple)
-    wall = time.perf_counter() - start_time
-    err = float(np.sqrt(model.residual_error / total))
-    dist = None if truth is None else tuple_distance(report.tuple, truth)
-    return RecoveryResult(model, err, wall, its_tuple, report, dist)
+    return _result(f, total, start_time, its_tuple, report, truth)
 
 
 def cafd_cgd(f, n, cfg=None):
@@ -226,11 +230,7 @@ def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):
     total = _checked_norm_sq(f, truth, n)
     start_time = time.perf_counter()
     tup = rect_cafd_search(f, n, cfg)
-    model = project(f, tup)
-    wall = time.perf_counter() - start_time
-    err = float(np.sqrt(model.residual_error / total))
-    dist = None if truth is None else tuple_distance(tup, truth)
-    return RecoveryResult(model, err, wall, tup, None, dist)
+    return _result(f, total, start_time, tup, None, truth)
 
 
 def run_benchmark(descriptor):
@@ -242,29 +242,43 @@ def run_benchmark(descriptor):
     `angular` override the defaults.  Rows are dicts keyed by
     BENCHMARK_COLUMNS, with the refinement's `status` (a `CgdStatus` value) and
     `iterations`; `rect_cafd` runs no refinement, so its rows leave those
-    two blank, as do the mean/max/std stat rows that batch runs append.
+    two blank, as do the mean/max/std stat rows that follow a batch's rows.
     """
     n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
     seed = descriptor.get("seed", 0)
     algorithms = descriptor.get("algorithms", ["cafd_cgd"])
     rows = []
     for entry in descriptor.get("targets", []):
-        name = entry["name"]
-        if name == "random":
-            rows.extend(
-                _random_batch(entry, algorithms, n_samples, seed, descriptor)
-            )
-            continue
-        degree = entry.get("degree", BUILTIN_DEGREES.get(name))
-        if degree is None:
-            raise KeyError(f"no degree given for target {name!r}")
-        f = builtin_signal(name, n_samples)
-        truth = builtin_truth(name)
-        angular = descriptor.get("angular", 128 if truth is not None else 256)
+        degree, cases = _cases(entry, n_samples, seed)
         for algo in algorithms:
-            res = _run_algorithm(algo, f, degree, angular, seed, truth)
-            rows.append(_result_row(name, algo, degree, res))
+            results = []
+            for name, f, truth, search_seed in cases:
+                angular = descriptor.get("angular", 128 if truth is not None else 256)
+                res = _run_algorithm(algo, f, degree, angular, search_seed, truth)
+                rows.append(_result_row(name, algo, degree, res))
+                results.append(res)
+            if entry["name"] == "random":
+                rows.extend(_stat_rows(f"random_n{degree}", algo, degree, results))
     return rows
+
+
+def _cases(entry, n_samples, seed):
+    """An entry's degree and its (name, signal, truth, search seed) cases."""
+    name = entry["name"]
+    if name == "random":
+        degree = entry["degree"]
+        # drawn once, then run under every algorithm
+        cases = []
+        for i in range(entry.get("count", 20)):
+            truth, coeffs = random_blaschke_form(degree, seed + i)
+            f = synthesize(BlaschkeModel(truth, coeffs), n_samples)
+            # a search seeded like its form would start at scaled true poles
+            cases.append((f"random_n{degree}_{i}", f, truth, seed + i + 2**32))
+        return degree, cases
+    degree = entry.get("degree", BUILTIN_DEGREES.get(name))
+    if degree is None:
+        raise KeyError(f"no degree given for target {name!r}")
+    return degree, [(name, builtin_signal(name, n_samples), builtin_truth(name), seed)]
 
 
 def _run_algorithm(algo, f, degree, angular, seed, truth):
@@ -294,27 +308,10 @@ def _result_row(target, algo, degree, res):
     )
 
 
-def _random_batch(entry, algorithms, n_samples, seed, descriptor):
-    degree = entry["degree"]
-    count = entry.get("count", 20)
-    angular = descriptor.get("angular", 128)
-    rows = []
-    for algo in algorithms:
-        errs, dists, times = [], [], []
-        for i in range(count):
-            truth, coeffs = random_blaschke_form(degree, seed + i)
-            f = synthesize(BlaschkeModel(truth, coeffs), n_samples)
-            # a search seeded like its form would start at scaled true poles
-            res = _run_algorithm(algo, f, degree, angular, seed + i + 2**32, truth)
-            name = f"random_n{degree}_{i}"
-            rows.append(_result_row(name, algo, degree, res))
-            errs.append(res.l2_relative_error)
-            dists.append(res.tuple_distance)
-            times.append(res.wall_time_seconds)
-        for stat, fn in (("mean", np.mean), ("max", np.max), ("std", np.std)):
-            rows.append(_row(
-                f"random_n{degree}", algo, degree,
-                float(fn(errs)), float(fn(dists)), float(fn(times)),
-                "", "", stat,
-            ))
-    return rows
+def _stat_rows(target, algo, degree, results):
+    """mean, max and std of a batch's errors, distances and times."""
+    columns = ([r.l2_relative_error for r in results],
+               [r.tuple_distance for r in results],
+               [r.wall_time_seconds for r in results])
+    return [_row(target, algo, degree, *(float(fn(c)) for c in columns), "", "", stat)
+            for stat, fn in (("mean", np.mean), ("max", np.max), ("std", np.std))]

@@ -13,8 +13,10 @@ as a plain complex array, one entry per pole, the step direction of the
 refinement a <- a + s gradE.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
-`energy_gradient` take a `Signal` and a `PoleTuple`.  There is one reduction
-loop, `_chain`, and one result, an `Evaluation`: the reciprocal rows
+`energy_gradient` take a `Signal` and a `PoleTuple`, whose poles they do not
+test again.  The raw-array entry points `reduce_chain` and `series_value`
+(when it builds its own row) test theirs with `hardy.disk_points`.  There is
+one reduction loop, `_chain`, and one result, an `Evaluation`: the reciprocal rows
 w = 1/(z - a), one per pole, the stage values f_j(a_j) and the final
 remainder f_n.  A stage makes no division: the value
 f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval mean
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hardy import circle_points
+from .hardy import circle_points, disk_points
 
 __all__ = [
     "Evaluation",
@@ -59,15 +61,6 @@ class Evaluation(NamedTuple):
     rows: np.ndarray
     values: np.ndarray
     rest: np.ndarray
-
-
-def _reciprocals(poles, z):
-    """Rows 1/(z - a) at the points z, one per pole: one division each."""
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    mags = np.abs(poles)
-    if np.any(mags >= 1.0):
-        raise ValueError(f"pole must satisfy |a| < 1, got |a| = {mags.max()}")
-    return 1.0 / (z - poles[:, None])
 
 
 @lru_cache(maxsize=32)
@@ -95,7 +88,7 @@ def series_value(f, a, recip=None):
     a = complex(a)
     z = circle_points(f.size)
     if recip is None:
-        recip = _reciprocals(a, z)[0]
+        recip = 1.0 / (z - disk_points(a, "pole"))
     return complex((f * z * recip).sum()) / f.size * (1.0 - a**f.size)
 
 
@@ -122,8 +115,8 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
 
 def reduce_chain(f, order):
     """Reduce f through the poles of `order`: the `Evaluation` on its N points."""
-    order = np.atleast_1d(np.asarray(order, dtype=complex))
-    return _chain(f, order, _reciprocals(order, circle_points(f.size)))
+    order = np.atleast_1d(disk_points(order, "poles"))
+    return _chain(f, order, 1.0 / (circle_points(f.size) - order[:, None]))
 
 
 def _chain(f, order, rows):
@@ -146,7 +139,7 @@ def _evaluate(f, poles):
     key = poles.tobytes()
     cached = getattr(f, "_evaluation_cache", None)
     if cached is None or cached[0] != key:
-        rows = _reciprocals(poles, _doubled_points(f.n_samples))
+        rows = 1.0 / (_doubled_points(f.n_samples) - poles[:, None])
         evaluation = _chain(f.samples, poles, rows)
         for array in evaluation:
             array.setflags(write=False)

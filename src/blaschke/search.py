@@ -1,6 +1,8 @@
 """Cyclic coordinate search for an initial pole tuple.
 
-Both searches run the same cyclic coordinate-ascent loop.  A sweep visits
+Both searches run one cyclic coordinate-ascent driver, `_cyclic_search`,
+which checks the degree, seeds the start, sets the threshold and caps the
+sweeps; each search only builds its grid scan.  A sweep visits
 the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
 poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
@@ -52,6 +54,14 @@ class SearchNonConvergence(RuntimeError):
         self.best_tuple = best_tuple
 
 
+# the checks of the fields `_cyclic_search` reads from either config
+def _check_sweep_fields(cfg):
+    if cfg.eta_rel <= 0.0:
+        raise ValueError("eta_rel must be positive")
+    if cfg.max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Polar-grid search parameters; a move must gain more than eta_rel * ||f||^2."""
@@ -63,10 +73,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta_rel <= 0.0:
-            raise ValueError("eta_rel must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        _check_sweep_fields(self)
 
 
 @dataclass(frozen=True)
@@ -81,10 +88,7 @@ class RectGridConfig:
     def __post_init__(self):
         if not 0.0 < self.gap < 1.0:
             raise ValueError("gap must lie in (0, 1)")
-        if self.eta_rel <= 0.0:
-            raise ValueError("eta_rel must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        _check_sweep_fields(self)
 
 
 def rect_grid_nodes(gap):
@@ -171,50 +175,43 @@ def _sweep(g, poles, lo, hi, scan, eta):
     return accepted + _sweep(rest, poles, lo, mid, scan, eta)
 
 
-def _cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
+def _cyclic_search(f, n, cfg, scan, start_radius):
     """Shared cyclic coordinate-ascent driver.
 
     `scan(f_n)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>| over
-    the grid.  Each sweep is one `_sweep` over all n positions, T(n)
-    reduction steps and n scans; the search stops after the first sweep
-    that accepts no move.
+    the grid; `cfg` gives the seed, eta_rel and max_sweeps.  Each sweep is
+    one `_sweep` over all n positions, T(n) reduction steps and n scans;
+    the search stops after the first sweep that accepts no move.
     """
-    poles = _random_start(rng, n, start_radius)
-    for _ in range(max_sweeps):
+    if n < 1:
+        raise ValueError("approximation degree must be at least 1")
+    eta = cfg.eta_rel * norm_sq(f)
+    poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
+    for _ in range(cfg.max_sweeps):
         if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
-        f"no coordinate maximum within {max_sweeps} sweeps", PoleTuple(poles)
+        f"no coordinate maximum within {cfg.max_sweeps} sweeps", PoleTuple(poles)
     )
 
 
 def its_search(f, n, cfg=SearchConfig()):
     """Initial tuple selection over the polar grid using the fast table."""
-    if n < 1:
-        raise ValueError("approximation degree must be at least 1")
     grid = build_polar_grid(cfg.radial, cfg.angular)
     nodes = grid.nodes().ravel()
-    rng = np.random.default_rng(cfg.seed)
 
     def scan(f_n):
         return np.abs(feval_table(f_n, grid)).ravel(), nodes
 
-    return _cyclic_search(
-        f, n, scan, cfg.eta_rel * norm_sq(f), cfg.max_sweeps, rng, 1.0 - grid.eps
-    )
+    return _cyclic_search(f, n, cfg, scan, 1.0 - grid.eps)
 
 
 def rect_cafd_search(f, n, cfg=RectGridConfig()):
     """Rectangular-grid baseline with direct per-node evaluation."""
-    if n < 1:
-        raise ValueError("approximation degree must be at least 1")
     nodes = rect_grid_nodes(cfg.gap)
     weight = np.sqrt(1.0 - np.abs(nodes) ** 2)
-    rng = np.random.default_rng(cfg.seed)
 
     def scan(f_n):
         return weight * np.abs(eval_interior(f_n, nodes)), nodes
 
-    return _cyclic_search(
-        f, n, scan, cfg.eta_rel * norm_sq(f), cfg.max_sweeps, rng, 1.0 - cfg.gap
-    )
+    return _cyclic_search(f, n, cfg, scan, 1.0 - cfg.gap)

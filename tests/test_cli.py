@@ -222,6 +222,23 @@ class TestBenchmarkCommand:
             assert list(csv.DictReader(fh)) == []
 
 
+    def test_unknown_suite_exits_2(self, tmp_path):
+        res = run_cli("benchmark", "--suite", "no_such_suite",
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "neither a builtin suite" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_descriptor_must_be_an_object(self, tmp_path):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps([{"name": "ex5_5"}]))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "JSON object" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestEvalGridCommand:
     def test_table_dump_matches_library(self, tmp_path, rng):
         f = Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64))

@@ -98,7 +98,7 @@ class TestL2RelativeError:
 
     def test_zero_target_rejected(self):
         zero = Signal(np.zeros(256))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="zero norm"):
             l2_relative_error(zero, zero)
 
     def test_length_mismatch(self):

@@ -480,3 +480,39 @@ class TestSharedEvaluation:
         for order in ([0.3, 1.0], [1.2j], [0.2, -0.5, -1.0j]):
             with pytest.raises(ValueError):
                 reduce_chain(f.samples, order)
+
+
+class TestInvariances:
+    @given(
+        n_samples=st.sampled_from([256, 1024]),
+        poles=st.lists(POLE, min_size=1, max_size=10).filter(separated),
+        decay=st.floats(0.5, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+        log_amp=st.floats(-4.0, 4.0),
+        phase=st.floats(0.0, 2.0 * np.pi),
+        data=st.data(),
+    )
+    def test_error_and_gradient(self, n_samples, poles, decay, seed, log_amp, phase, data):
+        # the north star's invariances, at the kernel: rotation f(wz),
+        # conjugation conj(f(conj z)), amplitude lambda f and pole order
+        f = random_smooth_signal(np.random.default_rng(seed), n_samples, decay).samples
+        poles = np.array(poles)
+        err = error_energy(Signal(f), PoleTuple(poles))
+        grad = energy_gradient(Signal(f), PoleTuple(poles))
+
+        def check(samples, moved, scale, want_grad, rtol=1e-12):
+            g, tup = Signal(samples), PoleTuple(moved)
+            err_gap = abs(error_energy(g, tup) - scale * err)
+            assert err_gap <= rtol * scale * norm_sq(Signal(f))
+            grad_gap = np.max(np.abs(energy_gradient(g, tup) - scale * want_grad))
+            assert grad_gap <= rtol * scale * np.max(np.abs(grad))
+
+        k = data.draw(st.integers(0, n_samples - 1))
+        turn = np.exp(-2j * np.pi * k / n_samples)
+        check(np.roll(f, -k), poles * turn, 1.0, grad * turn)
+        check(np.conj(np.roll(f[::-1], 1)), np.conj(poles), 1.0, np.conj(grad))
+        lam = 10.0**log_amp * np.exp(1j * phase)
+        check(lam * f, poles, abs(lam) ** 2, grad)
+        perm = np.array(data.draw(st.permutations(range(poles.size))), dtype=int)
+        alias = float(np.max(np.abs(poles))) ** n_samples
+        check(f, poles[perm], 1.0, grad[perm], 1e-12 + 4 * poles.size * alias)

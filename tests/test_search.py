@@ -11,6 +11,7 @@ from blaschke import (
     Signal,
     build_polar_grid,
     feval_table,
+    norm_sq,
     synthesize,
     szego_signal,
 )
@@ -31,15 +32,16 @@ from blaschke.search import (
 from conftest import kernel_reference, monomial_signal
 
 
-def roll_cyclic_search(f, n, scan, eta, max_sweeps, rng, start_radius):
+def roll_cyclic_search(f, n, cfg, scan, start_radius):
     """Reference sweep: rebuild each remainder from f, scan the last pole, roll.
 
     Takes `_cyclic_search`'s arguments.  Each of the n steps of a sweep
     reduces f through the first n - 1 poles, n(n-1) reduction steps per
     sweep; after n rolls the tuple is back in array order.
     """
-    poles = _random_start(rng, n, start_radius)
-    for _ in range(max_sweeps):
+    eta = cfg.eta_rel * norm_sq(f)
+    poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
+    for _ in range(cfg.max_sweeps):
         accepted = 0
         for _ in range(n):
             f_n = Signal(reduce_chain(f.samples, poles[:-1]).rest) if n > 1 else f
