@@ -191,15 +191,11 @@ def _load_suite(suite):
         return BUILTIN_SUITES[suite]
     try:
         with open(suite) as fh:
-            descriptor = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise click.BadParameter(
             f"{suite!r} is neither a builtin suite nor a readable file ({exc.strerror})",
             param_hint="--suite")
-    if not isinstance(descriptor, dict):
-        raise click.BadParameter("the descriptor must be a JSON object",
-                                 param_hint="--suite")
-    return descriptor
 
 
 @main.command("eval-grid")

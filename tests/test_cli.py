@@ -238,6 +238,20 @@ class TestBenchmarkCommand:
         assert "JSON object" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("descriptor, field", [
+        ({"targets": "ex5_5"}, "'targets'"),
+        ({"targets": [{"name": "ex5_5"}], "algorithms": "cafd_cgd"}, "'algorithms'"),
+        ({"targets": [{"name": "ex5_5", "degree": "4"}]}, "'degree'"),
+    ])
+    def test_field_of_wrong_type_exits_2(self, tmp_path, descriptor, field):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps(descriptor))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert f"descriptor field {field}" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestEvalGridCommand:
     def test_table_dump_matches_library(self, tmp_path, rng):

@@ -1,5 +1,9 @@
 """End-to-end driver, metrics, random forms, and the benchmark harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +24,7 @@ from blaschke.pipeline import (
     BUILTIN_FORMS,
     BUILTIN_FUNCTIONS,
     RunConfig,
+    _assignment,
     builtin_signal,
     builtin_truth,
     cafd_cgd,
@@ -64,11 +69,30 @@ class TestTupleDistance:
             tuple_distance(PoleTuple([0.1]), PoleTuple([0.1, 0.2]))
 
     def test_matches_brute_force(self, rng):
-        for n in (2, 3, 4, 5, 6):
+        for n in range(1, 8):
             u = 0.6 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
             v = 0.6 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
             got = tuple_distance(PoleTuple(u), PoleTuple(v))
             assert got == pytest.approx(brute_tuple_distance(u, v), abs=1e-12)
+
+    def test_lattice_ties_match_brute_force(self, rng):
+        # poles on a coarse lattice, so that many pairings cost the same
+        lattice = 0.1 * np.array([k + 1j * m for k in range(-3, 4) for m in range(-3, 4)])
+        for n in range(2, 7):
+            u = rng.choice(lattice, n, replace=False)
+            v = rng.choice(lattice, n, replace=False)
+            got = tuple_distance(PoleTuple(u), PoleTuple(v))
+            assert got == pytest.approx(brute_tuple_distance(u, v), abs=1e-12)
+
+    def test_shuffled_copy_is_exactly_zero(self, rng):
+        u, _ = random_blaschke_form(30, seed=3)
+        v = PoleTuple(u.poles[rng.permutation(30)])
+        assert tuple_distance(u, v) == 0.0
+
+    def test_assignment_is_a_permutation(self, rng):
+        for n in (1, 2, 5, 12, 30):
+            cols = _assignment(rng.uniform(0.0, 1.0, (n, n)))
+            assert sorted(cols) == list(range(n))
 
     def test_pseudometric_axioms(self, rng):
         tuples = [
@@ -84,6 +108,18 @@ class TestTupleDistance:
                     assert dab <= (
                         tuple_distance(a, c) + tuple_distance(c, b) + 1e-12
                     )
+
+
+def test_import_loads_no_scipy():
+    # scipy took most of a fresh `import blaschke`; the runtime needs only
+    # numpy and click
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, blaschke, blaschke.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestL2RelativeError:
