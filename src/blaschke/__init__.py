@@ -6,7 +6,7 @@ energy, which refines the pole tuple off the grid.
 """
 
 from .cgd import CgdConfig, CgdReport, CgdStatus, cgd_refine
-from .feval import PolarGrid, build_polar_grid, eval_interior, feval_table
+from .feval import PolarGrid, build_polar_grid, eval_interior, feval_table, ring_bounds
 from .hardy import (
     BlaschkeModel,
     PoleTuple,

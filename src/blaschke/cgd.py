@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hardy import PoleTuple, norm_sq, separated
+from .hardy import PoleTuple, norm_sq
 from .reduction import energy_gradient, error_energy
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
@@ -88,8 +88,18 @@ def _max_inward_step(poles, direction):
     return float(np.min(roots))
 
 
-def _feasible(poles):
-    return np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN) and separated(poles)
+def _candidate(poles):
+    """The PoleTuple of a trial point, or None if it leaves the margin or merges poles.
+
+    The margin is tested here and separation by `PoleTuple` alone, each
+    once per candidate.
+    """
+    if not np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN):
+        return None
+    try:
+        return PoleTuple(poles)
+    except ValueError:
+        return None
 
 
 def _real(z):
@@ -128,9 +138,8 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         s2 = cfg.neighbor_radius / np.max(np.abs(p))
         s = min(s1, s2, 1.0)
         for _ in range(cfg.max_backtracks):
-            poles = tup.poles + s * p
-            if _feasible(poles):
-                cand = PoleTuple(poles)
+            cand = _candidate(tup.poles + s * p)
+            if cand is not None:
                 err_cand = error_energy(f, cand)
                 # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
                 if err_cand <= err_curr - 0.5 * s * slope:

@@ -1,4 +1,4 @@
-"""Polar grid and fast evaluation of <f, e_z> over all grid nodes.
+"""Polar grid and fast evaluation of <f, e_z> over the grid's nodes.
 
 For z = r e^{it}, <f, e_z> = sqrt(1-r^2) * sum_k r^k f_hat(k) e^{ikt}.  On
 a ring of A angles the series folds modulo A before one inverse FFT of
@@ -13,7 +13,22 @@ that no subnormal operand reaches the per-call path.  A call is one real
 matrix product of V with the spectrum viewed as a Q x 2A real array, a
 multiplication by R, and one inverse FFT of length A per ring: O(M*N)
 multiply-adds plus M FFTs over an (M-1) x A grid.  The result is a plain
-(M-1) x A read-only complex array laid out like `PolarGrid.nodes()`.
+read-only complex array laid out like `PolarGrid.nodes()`.
+
+The same tables bound a ring without transforming it: by the triangle
+inequality every |<f, e_z>| on ring m is at most
+
+    UB_m = sqrt(1-r_m^2) * sum_k r_m^k |f_hat(k)|,
+
+which `ring_bounds` takes as the row sums of R o (V @ |F|), |F| being
+|f_hat| viewed as Q x A: one small real matrix product, no FFT.
+`feval_table` also accepts a band of consecutive rings (`grid.band(lo, hi)`)
+and returns only its rows.  The product and the multiplication by R still
+run over whole blocks of 16 rings aligned as for the full grid, and only
+the band's rows are transformed, so a band's rows equal the full table's
+bit for bit (a product over the band's rows alone may split its sums
+differently and differ in the last bit).  The full grid is the band of all
+rings.
 
 `eval_interior` sums the series directly and is the tests' reference; the
 solver evaluates single points by Parseval (`reduction.series_value`).
@@ -31,6 +46,7 @@ __all__ = [
     "build_polar_grid",
     "eval_interior",
     "feval_table",
+    "ring_bounds",
 ]
 
 
@@ -63,6 +79,37 @@ class PolarGrid:
         """(M-1) x N node matrix, entry (m-1, n-1) = m*eps * exp(2*pi*i*n/N)."""
         angles = np.exp(2j * np.pi * np.arange(1, self.angular + 1) / self.angular)
         return self.radii[:, None] * angles[None, :]
+
+    def band(self, lo, hi):
+        """The rings lo .. hi-1, rows lo .. hi-1 of `nodes()`."""
+        return RingBand(self, lo, hi)
+
+
+@dataclass(frozen=True)
+class RingBand:
+    """Consecutive rings lo .. hi-1 of a polar grid, counted from 0."""
+
+    grid: PolarGrid
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not 0 <= self.lo < self.hi < self.grid.radial:
+            raise ValueError(
+                f"band [{self.lo}, {self.hi}) is not inside rings [0, {self.grid.radial - 1})"
+            )
+
+    @property
+    def radial(self):
+        return self.grid.radial
+
+    @property
+    def angular(self):
+        return self.grid.angular
+
+    def nodes(self):
+        """The band's rows of the grid's node matrix."""
+        return self.grid.nodes()[self.lo:self.hi]
 
 
 def build_polar_grid(radial, angular):
@@ -103,39 +150,61 @@ def _ring_tables(grid, n):
     return v_tab, r_tab
 
 
-def feval_table(f, grid):
-    """<f, e_z> at every polar-grid node from the cached ring tables.
-
-    Returns a read-only (radial-1) x angular complex array whose entry
-    (m-1, n-1) belongs to node (m-1, n-1) of `grid.nodes()`.  `f` is a
-    Signal or a Spectrum, and its sample count must be a multiple of the
-    grid's angular count; the spectrum is folded modulo the angular count,
-    which evaluates the same truncated series at the subsampled angles.
-    """
+def _coeffs(f, grid):
+    """f's spectrum, checked against the grid's angular count."""
     if isinstance(f, Signal):
         coeffs = spectrum(f).coeffs
     elif isinstance(f, Spectrum):
         coeffs = f.coeffs
     else:
         raise TypeError(f"expected Signal or Spectrum, got {type(f).__name__}")
-    n_sig = coeffs.size
-    n_ang = grid.angular
-    if n_sig % n_ang:
+    if coeffs.size % grid.angular:
         raise ValueError(
-            f"signal length {n_sig} is not a multiple of angular count {n_ang}"
+            f"signal length {coeffs.size} is not a multiple of angular count {grid.angular}"
         )
-    v_tab, r_tab = _ring_tables(grid, n_sig)
+    return coeffs
+
+
+def ring_bounds(f, grid):
+    """UB_m >= |<f, e_z>| at every node z of ring m, for each of the grid's rings.
+
+    UB_m = sqrt(1-r_m^2) * sum_k r_m^k |f_hat(k)|, computed from the cached
+    ring tables as the row sums of R o (V @ |F|); `f` as in `feval_table`.
+    """
+    coeffs = _coeffs(f, grid)
+    v_tab, r_tab = _ring_tables(grid, coeffs.size)
+    sums = v_tab @ np.abs(coeffs).reshape(-1, grid.angular)
+    sums *= r_tab
+    return sums.sum(axis=1)
+
+
+def feval_table(f, grid):
+    """<f, e_z> at the nodes of a polar grid, or of a band of its rings.
+
+    Returns a read-only rings x angular complex array whose entry (i, n-1)
+    belongs to node (i, n-1) of `grid.nodes()`; for a band, row i is row
+    lo + i of the full grid's table, bit for bit.  `f` is a Signal or a
+    Spectrum, and its sample count must be a multiple of the grid's angular
+    count; the spectrum is folded modulo the angular count, which evaluates
+    the same truncated series at the subsampled angles.
+    """
+    band = grid if isinstance(grid, RingBand) else grid.band(0, grid.radial - 1)
+    coeffs = _coeffs(f, grid)
+    n_ang = grid.angular
+    v_tab, r_tab = _ring_tables(band.grid, coeffs.size)
     # row q holds f_hat(qA .. qA+A-1) as interleaved real and imaginary parts
-    spec = coeffs.view(np.float64).reshape(n_sig // n_ang, 2 * n_ang)
-    rows = np.empty((grid.radial - 1, n_ang), dtype=complex)
-    for lo in range(0, rows.shape[0], _BLOCK):
-        hi = lo + _BLOCK
-        folded = (v_tab[lo:hi] @ spec).view(complex)
-        folded *= r_tab[lo:hi]
-        # the unscaled sum over j of folded[j] * e^{2 pi i jk/A}
-        out = np.fft.ifft(folded, axis=1, norm="forward")
+    spec = coeffs.view(np.float64).reshape(-1, 2 * n_ang)
+    rows = np.empty((band.hi - band.lo, n_ang), dtype=complex)
+    # whole blocks on the full grid's block boundaries, so that every product
+    # row is summed as in the full table
+    for start in range(band.lo - band.lo % _BLOCK, band.hi, _BLOCK):
+        folded = (v_tab[start:start + _BLOCK] @ spec).view(complex)
+        folded *= r_tab[start:start + _BLOCK]
+        lo, hi = max(band.lo, start), min(band.hi, start + _BLOCK)
+        # the unscaled sum over j of folded[j] * e^{2 pi i jk/A}, band rows only
+        out = np.fft.ifft(folded[lo - start:hi - start], axis=1, norm="forward")
         # column n-1 holds angle 2*pi*n/A (grid angles are 1-based)
-        rows[lo:hi, :-1] = out[:, 1:]
-        rows[lo:hi, -1] = out[:, 0]
+        rows[lo - band.lo:hi - band.lo, :-1] = out[:, 1:]
+        rows[lo - band.lo:hi - band.lo, -1] = out[:, 0]
     rows.setflags(write=False)
     return rows

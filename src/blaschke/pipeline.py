@@ -289,13 +289,14 @@ def run_benchmark(descriptor):
     """Run a benchmark descriptor and return result rows.
 
     The descriptor is a dict: `targets` is a list of {name, degree} picking
-    builtin targets or {name: "random", degree, count} batches; `algorithms`
-    selects "cafd_cgd" and/or "rect_cafd"; optional `n_samples`, `seed`,
-    `angular` override the defaults.  Rows are dicts keyed by
-    BENCHMARK_COLUMNS, with the refinement's `status` (a `CgdStatus` value) and
-    `iterations`; `rect_cafd` runs no refinement, so its rows leave those
-    two blank, as do the mean/max/std stat rows that follow a batch's rows.
-    A field of the wrong type raises a `ValueError` that names it.
+    builtin targets or {name: "random", degree, count} batches (count >= 1,
+    default 20); `algorithms` selects "cafd_cgd" and/or "rect_cafd";
+    optional `n_samples`, `seed`, `angular` override the defaults.  Rows
+    are dicts keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
+    `CgdStatus` value) and `iterations`; `rect_cafd` runs no refinement, so
+    its rows leave those two blank, as do the mean/max/std stat rows that
+    follow a batch's rows.  A field of the wrong type, or a count below 1,
+    raises a `ValueError` that names it.
     """
     _check_descriptor(descriptor)
     n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
@@ -335,13 +336,18 @@ def _check_descriptor(descriptor):
             value = fields.get(key, 0)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"descriptor field {key!r} must be an integer")
+    # a batch of no forms has no mean or max to report
+    if any(t.get("count", 1) < 1 for t in targets):
+        raise ValueError("descriptor field 'count' must be at least 1")
 
 
 def _cases(entry, n_samples, seed):
     """An entry's degree and its (name, signal, truth, search seed) cases."""
     name = entry["name"]
+    degree = entry.get("degree", BUILTIN_DEGREES.get(name))
+    if degree is None:
+        raise KeyError(f"no degree given for target {name!r}")
     if name == "random":
-        degree = entry["degree"]
         # drawn once, then run under every algorithm
         cases = []
         for i in range(entry.get("count", 20)):
@@ -350,9 +356,6 @@ def _cases(entry, n_samples, seed):
             # a search seeded like its form would start at scaled true poles
             cases.append((f"random_n{degree}_{i}", f, truth, seed + i + 2**32))
         return degree, cases
-    degree = entry.get("degree", BUILTIN_DEGREES.get(name))
-    if degree is None:
-        raise KeyError(f"no degree given for target {name!r}")
     return degree, [(name, builtin_signal(name, n_samples), builtin_truth(name), seed)]
 
 

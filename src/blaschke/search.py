@@ -22,9 +22,19 @@ reduction steps, T(1) = 0 and T(k) = k + T(floor(k/2)) + T(ceil(k/2)), which
 is O(n log n): 34 at n = 10 and 148 at n = 30, against n(n-1) for
 rebuilding each remainder from f.
 
-The polar search scans the whole grid with `feval_table`: one small matrix
-product against cached ring tables and one inverse FFT per radius ring;
-the rectangular baseline evaluates every node directly.  Remainders are
+The polar search bounds each ring before it transforms it.  On the ring of
+radius r, |<f_n, e_z>| <= UB = sqrt(1-r^2) * sum_k r^k |f_hat_n(k)|
+(`ring_bounds`, one small real matrix product on the cached ring tables).
+A step passes the current pole's amplitude v = |<f_n, e_a>| as the scan's
+floor, and the scan evaluates with `feval_table` only the band of rings
+from the first to the last whose bound, times 1 + BOUND_SLACK, reaches v;
+the band always holds the ring of the largest bound, so each scan is one
+table call.  This is exact: a node outside the band has a computed value
+below v, so it can neither win a move (v_t^2 > v^2 + eta) nor tie with a
+node that does, and the band's rows are the full table's rows bit for bit
+(`feval_table` keeps its 16-ring block products aligned).  The tuple is the
+one the whole-grid scan, floor 0, returns.  The rectangular baseline
+evaluates every node directly and ignores the floor.  Remainders are
 reduced on raw sample arrays and wrapped in a `Signal` once per scan, for
 the grid table.
 """
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feval import build_polar_grid, eval_interior, feval_table
+from .feval import build_polar_grid, eval_interior, feval_table, ring_bounds
 from .hardy import PoleTuple, Signal, norm_sq, separated
 from .reduction import reduce_chain, series_value
 
@@ -45,6 +55,11 @@ __all__ = [
     "rect_cafd_search",
     "rect_grid_nodes",
 ]
+
+# a ring's bound sums |terms| and its table entries sum signed terms, each
+# with a relative round-off of order N * 1e-16; the slack covers both
+BOUND_SLACK = 1e-9
+
 
 class SearchNonConvergence(RuntimeError):
     """Sweep cap reached; carries the best tuple found so far."""
@@ -147,7 +162,8 @@ def _coordinate_step(g, poles, c, scan, eta):
     """Scan for pole c against the remainder g through the others; 1 if it moved."""
     f_n = Signal(g)
     v = _partial_energy_amp(f_n, poles[c])
-    mags, nodes = scan(f_n)
+    # no node below v can win the move, so the scan may skip it
+    mags, nodes = scan(f_n, v)
     v_t, a_t = _masked_argmax(mags, nodes, np.delete(poles, c))
     # v and v_t are amplitudes; eta is an energy gain
     if v_t**2 > v**2 + eta:
@@ -178,10 +194,12 @@ def _sweep(g, poles, lo, hi, scan, eta):
 def _cyclic_search(f, n, cfg, scan, start_radius):
     """Shared cyclic coordinate-ascent driver.
 
-    `scan(f_n)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>| over
-    the grid; `cfg` gives the seed, eta_rel and max_sweeps.  Each sweep is
-    one `_sweep` over all n positions, T(n) reduction steps and n scans;
-    the search stops after the first sweep that accepts no move.
+    `scan(f_n, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|
+    over the grid, or over a part of it that holds every node whose value
+    reaches the floor (floor 0, the default, is the whole grid); `cfg`
+    gives the seed, eta_rel and max_sweeps.  Each sweep is one `_sweep`
+    over all n positions, T(n) reduction steps and n scans; the search
+    stops after the first sweep that accepts no move.
     """
     if n < 1:
         raise ValueError("approximation degree must be at least 1")
@@ -195,13 +213,27 @@ def _cyclic_search(f, n, cfg, scan, start_radius):
     )
 
 
+def _ring_band(bounds, floor):
+    """First and one past the last ring whose bound reaches the floor.
+
+    The ring of the largest bound is always inside, so the band is never
+    empty.
+    """
+    inside = bounds * (1.0 + BOUND_SLACK) >= floor
+    inside[np.argmax(bounds)] = True
+    rings = np.flatnonzero(inside)
+    return int(rings[0]), int(rings[-1]) + 1
+
+
 def its_search(f, n, cfg=SearchConfig()):
     """Initial tuple selection over the polar grid using the fast table."""
     grid = build_polar_grid(cfg.radial, cfg.angular)
     nodes = grid.nodes().ravel()
 
-    def scan(f_n):
-        return np.abs(feval_table(f_n, grid)).ravel(), nodes
+    def scan(f_n, floor=0.0):
+        lo, hi = _ring_band(ring_bounds(f_n, grid), floor)
+        table = feval_table(f_n, grid.band(lo, hi))
+        return np.abs(table).ravel(), nodes[lo * grid.angular:hi * grid.angular]
 
     return _cyclic_search(f, n, cfg, scan, 1.0 - grid.eps)
 
@@ -211,7 +243,7 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
     nodes = rect_grid_nodes(cfg.gap)
     weight = np.sqrt(1.0 - np.abs(nodes) ** 2)
 
-    def scan(f_n):
+    def scan(f_n, floor=0.0):
         return weight * np.abs(eval_interior(f_n, nodes)), nodes
 
     return _cyclic_search(f, n, cfg, scan, 1.0 - cfg.gap)

@@ -7,7 +7,7 @@ from blaschke import BlaschkeModel, PoleTuple, synthesize, szego_signal, tuple_d
 from blaschke.cgd import (
     CgdConfig,
     CgdStatus,
-    _feasible,
+    _candidate,
     _max_inward_step,
     cgd_refine,
 )
@@ -40,9 +40,9 @@ def paper_step(f, poles, cfg):
     s = min(_max_inward_step(poles, g), s2, 1.0)
     while True:
         cand = poles + s * g
-        if _feasible(cand):
-            if error_energy(f, PoleTuple(cand)) <= err - 0.5 * s * gnorm_sq:
-                return cand
+        tup = _candidate(cand)
+        if tup is not None and error_energy(f, tup) <= err - 0.5 * s * gnorm_sq:
+            return cand
         s *= cfg.beta
 
 

@@ -252,6 +252,27 @@ class TestBenchmarkCommand:
         assert f"descriptor field {field}" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_random_batch_of_no_forms_exits_2(self, tmp_path, count):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps(
+            {"targets": [{"name": "random", "degree": 2, "count": count}]}))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "descriptor field 'count' must be at least 1" in res.stderr
+        assert "Mean of empty slice" not in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_random_batch_without_degree_exits_2(self, tmp_path):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps({"targets": [{"name": "random", "count": 1}]}))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "no degree given for target 'random'" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestEvalGridCommand:
     def test_table_dump_matches_library(self, tmp_path, rng):

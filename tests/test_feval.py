@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blaschke import (
     Signal,
@@ -12,8 +14,9 @@ from blaschke import (
     feval_table,
     spectrum,
 )
-from blaschke.feval import _ring_tables
+from blaschke.feval import _ring_tables, ring_bounds
 from blaschke.pipeline import builtin_signal
+from blaschke.search import BOUND_SLACK
 
 from conftest import kernel_reference, quadrature_kernel_inner, random_smooth_signal
 
@@ -44,6 +47,17 @@ class TestPolarGrid:
     def test_non_power_of_two_angular_rejected(self):
         with pytest.raises(ValueError):
             build_polar_grid(10, 12)
+
+    def test_band_nodes_are_grid_rows(self):
+        grid = build_polar_grid(10, 8)
+        band = grid.band(3, 7)
+        assert (band.radial, band.angular) == (10, 8)
+        np.testing.assert_array_equal(band.nodes(), grid.nodes()[3:7])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (4, 2), (0, 10)])
+    def test_band_outside_grid_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            build_polar_grid(10, 8).band(lo, hi)
 
 
 class TestEvalInterior:
@@ -159,3 +173,59 @@ class TestFevalTable:
         for ring_table in _ring_tables(build_polar_grid(100, 128), 1024):
             with pytest.raises(ValueError):
                 ring_table[0, 0] = 0.0
+
+
+class TestRingBounds:
+    @given(
+        shape=st.sampled_from([(10, 8, 64), (37, 32, 256), (100, 128, 1024),
+                               (100, 256, 1024), (20, 64, 64)]),
+        decay=st.floats(0.3, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_holds_on_every_node_of_its_ring(self, shape, decay, seed):
+        # the search skips a ring whose bound, with its slack, is below the
+        # current pole's value; no entry of the ring may exceed it
+        radial, angular, n_samples = shape
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+        f = Spectrum(coeffs * decay ** np.arange(n_samples))
+        grid = build_polar_grid(radial, angular)
+        bounds = ring_bounds(f, grid)
+        assert bounds.shape == (radial - 1,)
+        assert np.all(np.abs(feval_table(f, grid)) <= bounds[:, None] * (1.0 + BOUND_SLACK))
+
+    def test_bound_is_attained_by_a_single_harmonic(self):
+        # for f = z^k every node of a ring has the same modulus, the bound
+        grid = build_polar_grid(8, 16)
+        f = Spectrum(np.eye(16)[3])
+        r = grid.radii
+        np.testing.assert_allclose(ring_bounds(f, grid), np.sqrt(1 - r**2) * r**3, rtol=1e-14)
+
+    def test_incompatible_angular_count_rejected(self, rng):
+        with pytest.raises(ValueError):
+            ring_bounds(random_smooth_signal(rng, 64), build_polar_grid(6, 128))
+
+
+class TestBandTable:
+    @pytest.mark.parametrize("radial, lo, hi", [
+        (100, 0, 1), (100, 0, 16), (100, 16, 32), (100, 3, 5), (100, 15, 17),
+        (100, 17, 31), (100, 5, 60), (100, 90, 99), (100, 98, 99),
+        (37, 30, 36), (37, 35, 36), (37, 0, 36),
+    ])
+    def test_band_rows_equal_full_table_rows(self, radial, lo, hi):
+        # bands that start or end inside a 16-ring block, span several
+        # blocks, or end at the grid's last, partial block
+        f = builtin_signal("ex5_3", 1024)
+        grid = build_polar_grid(radial, 128)
+        band = feval_table(f, grid.band(lo, hi))
+        assert band.shape == (hi - lo, 128)
+        np.testing.assert_array_equal(band, feval_table(f, grid)[lo:hi])
+        with pytest.raises(ValueError):
+            band[0, 0] = 0.0
+
+    def test_band_of_all_rings_is_the_grid(self, rng):
+        f = random_smooth_signal(rng, 256)
+        grid = build_polar_grid(40, 64)
+        np.testing.assert_array_equal(
+            feval_table(f, grid.band(0, 39)), feval_table(f, grid)
+        )

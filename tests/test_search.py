@@ -24,6 +24,7 @@ from blaschke.search import (
     _masked_argmax,
     _partial_energy_amp,
     _random_start,
+    _ring_band,
     its_search,
     rect_cafd_search,
     rect_grid_nodes,
@@ -65,7 +66,11 @@ def sweep_steps(n):
 
 
 class TestSweepEquivalence:
-    """The divide-and-conquer sweep against the roll-based reference loop."""
+    """The bounded divide-and-conquer sweep against the roll-based reference.
+
+    The reference calls `scan(f_n)`, whose default floor 0 evaluates every
+    ring, so it is also the whole-table oracle for the bounded scan.
+    """
 
     @staticmethod
     def both(monkeypatch, search, f, n, cfg):
@@ -104,23 +109,32 @@ class TestSweepCost:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
     def test_steps_per_sweep(self, monkeypatch, n):
-        counts = {"steps": 0, "scans": 0}
-        step, table = blaschke.reduction.reduce_step, blaschke.search.feval_table
+        counts = {"steps": 0, "scans": 0, "tables": 0}
+        step = blaschke.reduction.reduce_step
+        coordinate_step = blaschke.search._coordinate_step
+        table = blaschke.search.feval_table
 
         def counted_step(*args):
             counts["steps"] += 1
             return step(*args)
 
-        def counted_table(*args):
+        def counted_scan(*args):
             counts["scans"] += 1
+            return coordinate_step(*args)
+
+        def counted_table(*args):
+            counts["tables"] += 1
             return table(*args)
 
         monkeypatch.setattr(blaschke.reduction, "reduce_step", counted_step)
+        monkeypatch.setattr(blaschke.search, "_coordinate_step", counted_scan)
         monkeypatch.setattr(blaschke.search, "feval_table", counted_table)
         f = builtin_signal("ex5_2_f3", 256)
         its_search(f, n, SearchConfig(radial=10, angular=32))
         sweeps, rem = divmod(counts["scans"], n)
         assert sweeps >= 1 and rem == 0
+        # one table call per scan, however few rings the bound leaves
+        assert counts["tables"] == counts["scans"]
         assert counts["steps"] == sweeps * sweep_steps(n)
 
 
@@ -171,6 +185,20 @@ class TestMaskedArgmax:
         assert _masked_argmax(mags, nodes, fixed) == (0.7, -0.3)
         np.testing.assert_array_equal(mags, [0.5, 0.9, 0.7, 0.8])
         assert _masked_argmax(mags, nodes, fixed[:0]) == (0.9, 0.2j)
+
+
+class TestRingBand:
+    def test_floor_zero_keeps_every_ring(self):
+        assert _ring_band(np.array([0.0, 0.3, 0.1, 0.0]), 0.0) == (0, 4)
+
+    def test_band_spans_first_to_last_ring_reaching_floor(self):
+        bounds = np.array([0.1, 0.5, 0.2, 0.6, 0.1])
+        assert _ring_band(bounds, 0.4) == (1, 4)
+        # the slack admits a bound that round-off puts just below the floor
+        assert _ring_band(bounds, 0.6 * (1.0 + 1e-12)) == (3, 4)
+
+    def test_largest_bound_kept_above_every_bound(self):
+        assert _ring_band(np.array([0.1, 0.5, 0.2]), 2.0) == (1, 2)
 
 
 class TestItsSearch:
