@@ -14,13 +14,10 @@ from .hardy import (
     Spectrum,
     circle_points,
     inner_product,
-    inverse_spectrum,
     norm_sq,
     project,
     spectrum,
     synthesize,
-    szego_kernel,
-    szego_signal,
     tm_basis,
 )
 from .pipeline import (

@@ -39,6 +39,9 @@ __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 # the boundary
 BOUNDARY_MARGIN = 1e-9
 
+# step halvings a line search tries before it reports a stall
+MAX_BACKTRACKS = 60
+
 
 class CgdStatus(Enum):
     CONVERGED = "converged"
@@ -52,7 +55,6 @@ class CgdConfig:
     neighbor_radius: float = 0.05
     tol: float = 1e-18
     max_iters: int = 500
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -137,7 +139,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         s1 = _max_inward_step(tup.poles, p)
         s2 = cfg.neighbor_radius / np.max(np.abs(p))
         s = min(s1, s2, 1.0)
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = _candidate(tup.poles + s * p)
             if cand is not None:
                 err_cand = error_energy(f, cand)

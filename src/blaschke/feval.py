@@ -107,10 +107,6 @@ class RingBand:
     def angular(self):
         return self.grid.angular
 
-    def nodes(self):
-        """The band's rows of the grid's node matrix."""
-        return self.grid.nodes()[self.lo:self.hi]
-
 
 def build_polar_grid(radial, angular):
     """Polar grid with radial step 1/radial and a power-of-two angular count."""

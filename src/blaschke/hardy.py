@@ -22,11 +22,8 @@ __all__ = [
     "BlaschkeModel",
     "circle_points",
     "spectrum",
-    "inverse_spectrum",
     "inner_product",
     "norm_sq",
-    "szego_kernel",
-    "szego_signal",
     "tm_basis",
     "project",
     "synthesize",
@@ -93,10 +90,6 @@ class Spectrum:
             )
         coeffs.setflags(write=False)
 
-    @property
-    def n_coeffs(self):
-        return self.coeffs.size
-
 
 @dataclass(frozen=True)
 class PoleTuple:
@@ -123,9 +116,6 @@ class PoleTuple:
     def degree(self):
         return self.poles.size
 
-    def __len__(self):
-        return self.poles.size
-
 
 @dataclass(frozen=True)
 class BlaschkeModel:
@@ -140,7 +130,8 @@ class BlaschkeModel:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.size != self.tuple.degree:
             raise ValueError("coefficient count must equal the tuple degree")
-        if self.residual_error < 0.0:
+        # NaN is not >= 0, so this rejects it too
+        if not self.residual_error >= 0.0:
             raise ValueError("residual_error must be nonnegative")
         coeffs.setflags(write=False)
 
@@ -150,15 +141,11 @@ class BlaschkeModel:
 
 
 @lru_cache(maxsize=32)
-def _circle_points_cached(n):
+def circle_points(n):
+    """The n equidistant points exp(2*pi*i*j/n), j = 0..n-1 (cached, read-only)."""
     pts = np.exp(2j * np.pi * np.arange(n) / n)
     pts.setflags(write=False)
     return pts
-
-
-def circle_points(n):
-    """The n equidistant points exp(2*pi*i*j/n), j = 0..n-1 (cached, read-only)."""
-    return _circle_points_cached(int(n))
 
 
 def spectrum(f):
@@ -173,11 +160,6 @@ def spectrum(f):
     return cached
 
 
-def inverse_spectrum(s):
-    """Signal whose samples are sum_k coeffs[k] * tau^k at the circle points."""
-    return Signal(np.fft.ifft(s.coeffs) * s.n_coeffs)
-
-
 def inner_product(f, g):
     """Discrete H^2 inner product sum_k f_hat(k) * conj(g_hat(k))."""
     if f.n_samples != g.n_samples:
@@ -190,18 +172,6 @@ def inner_product(f, g):
 def norm_sq(f):
     """Squared discrete H^2 norm of a Signal."""
     return float(np.sum(np.abs(f.samples) ** 2) / f.n_samples)
-
-
-def szego_kernel(a, points):
-    """Normalized Szego kernel e_a(z) = sqrt(1-|a|^2) / (1 - conj(a) z)."""
-    a = complex(disk_points(a, "kernel parameter"))
-    z = np.asarray(points, dtype=complex)
-    return np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
-
-
-def szego_signal(a, n_samples):
-    """Szego kernel e_a sampled at the n equidistant circle points."""
-    return Signal(szego_kernel(a, circle_points(n_samples)))
 
 
 def _tm_columns(poles, z):

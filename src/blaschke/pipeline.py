@@ -43,6 +43,9 @@ __all__ = [
 # circle samples of a builtin target unless the caller asks for another count
 DEFAULT_SAMPLES = 1024
 
+# the algorithms a benchmark descriptor may name
+ALGORITHMS = ("cafd_cgd", "rect_cafd")
+
 # the columns of a benchmark row, in the order of the CLI's CSV table
 BENCHMARK_COLUMNS = ("target", "algorithm", "degree", "l2_rel_error", "tuple_distance",
                      "wall_time_s", "status", "iterations", "stat")
@@ -229,7 +232,7 @@ def random_blaschke_form(n, seed, max_tries=10000):
         if count == n:
             break
     else:
-        raise RuntimeError(f"could not draw {n} separated poles in {max_tries} tries")
+        raise ValueError(f"could not draw {n} separated poles in {max_tries} tries")
     coeffs = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
     return PoleTuple(poles), coeffs
 
@@ -295,8 +298,10 @@ def run_benchmark(descriptor):
     are dicts keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
     `CgdStatus` value) and `iterations`; `rect_cafd` runs no refinement, so
     its rows leave those two blank, as do the mean/max/std stat rows that
-    follow a batch's rows.  A field of the wrong type, or a count below 1,
-    raises a `ValueError` that names it.
+    follow a batch's rows.  A field of the wrong type, or a count or degree
+    below 1, raises a `ValueError` that names it, and an unknown target or
+    algorithm, or a random batch without a degree, raises a `KeyError`; all
+    before any case runs.
     """
     _check_descriptor(descriptor)
     n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
@@ -339,14 +344,23 @@ def _check_descriptor(descriptor):
     # a batch of no forms has no mean or max to report
     if any(t.get("count", 1) < 1 for t in targets):
         raise ValueError("descriptor field 'count' must be at least 1")
+    if any(t.get("degree", 1) < 1 for t in targets):
+        raise ValueError("descriptor field 'degree' must be at least 1")
+    for t in targets:
+        name = t["name"]
+        if name != "random" and name not in BUILTIN_DEGREES:
+            raise KeyError(f"unknown builtin target {name!r}")
+        if "degree" not in t and name not in BUILTIN_DEGREES:
+            raise KeyError(f"no degree given for target {name!r}")
+    for algo in algorithms:
+        if algo not in ALGORITHMS:
+            raise KeyError(f"unknown algorithm {algo!r}")
 
 
 def _cases(entry, n_samples, seed):
     """An entry's degree and its (name, signal, truth, search seed) cases."""
     name = entry["name"]
     degree = entry.get("degree", BUILTIN_DEGREES.get(name))
-    if degree is None:
-        raise KeyError(f"no degree given for target {name!r}")
     if name == "random":
         # drawn once, then run under every algorithm
         cases = []
@@ -366,9 +380,7 @@ def _run_algorithm(algo, f, degree, angular, seed, truth):
             search=SearchConfig(angular=angular, seed=seed),
         )
         return cafd_cgd_result(f, cfg, truth=truth)
-    if algo == "rect_cafd":
-        return rect_cafd(f, degree, RectGridConfig(seed=seed), truth=truth)
-    raise KeyError(f"unknown algorithm {algo!r}")
+    return rect_cafd(f, degree, RectGridConfig(seed=seed), truth=truth)
 
 
 def _row(*values):

@@ -60,6 +60,9 @@ __all__ = [
 # with a relative round-off of order N * 1e-16; the slack covers both
 BOUND_SLACK = 1e-9
 
+# sweeps either search runs before it gives up with SearchNonConvergence
+MAX_SWEEPS = 100
+
 
 class SearchNonConvergence(RuntimeError):
     """Sweep cap reached; carries the best tuple found so far."""
@@ -69,12 +72,10 @@ class SearchNonConvergence(RuntimeError):
         self.best_tuple = best_tuple
 
 
-# the checks of the fields `_cyclic_search` reads from either config
-def _check_sweep_fields(cfg):
+# the check of the field `_cyclic_search` reads from either config
+def _check_eta_rel(cfg):
     if cfg.eta_rel <= 0.0:
         raise ValueError("eta_rel must be positive")
-    if cfg.max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,10 @@ class SearchConfig:
     radial: int = 100
     angular: int = 256
     eta_rel: float = 1e-12
-    max_sweeps: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        _check_sweep_fields(self)
+        _check_eta_rel(self)
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,12 @@ class RectGridConfig:
 
     gap: float = 0.01
     eta_rel: float = 1e-12
-    max_sweeps: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.gap < 1.0:
             raise ValueError("gap must lie in (0, 1)")
-        _check_sweep_fields(self)
+        _check_eta_rel(self)
 
 
 def rect_grid_nodes(gap):
@@ -197,19 +196,19 @@ def _cyclic_search(f, n, cfg, scan, start_radius):
     `scan(f_n, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|
     over the grid, or over a part of it that holds every node whose value
     reaches the floor (floor 0, the default, is the whole grid); `cfg`
-    gives the seed, eta_rel and max_sweeps.  Each sweep is one `_sweep`
-    over all n positions, T(n) reduction steps and n scans; the search
-    stops after the first sweep that accepts no move.
+    gives the seed and eta_rel.  Each sweep is one `_sweep` over all n
+    positions, T(n) reduction steps and n scans; the search stops after the
+    first sweep that accepts no move, or raises after MAX_SWEEPS sweeps.
     """
     if n < 1:
         raise ValueError("approximation degree must be at least 1")
     eta = cfg.eta_rel * norm_sq(f)
     poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
-    for _ in range(cfg.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
-        f"no coordinate maximum within {cfg.max_sweeps} sweeps", PoleTuple(poles)
+        f"no coordinate maximum within {MAX_SWEEPS} sweeps", PoleTuple(poles)
     )
 
 

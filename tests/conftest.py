@@ -12,13 +12,32 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blaschke import Signal, Spectrum, eval_interior, inverse_spectrum
+from blaschke import Signal, Spectrum, circle_points, eval_interior
+from blaschke.feval import RingBand
+from blaschke.hardy import disk_points
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci): a slow shared runner must
 # not trip the per-example deadline, and a fixed example sequence makes a
 # failure reproducible from the log
 settings.register_profile("ci", deadline=None, derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def inverse_spectrum(s):
+    """Signal whose samples are sum_k s.coeffs[k] * tau^k at the circle points."""
+    return Signal(np.fft.ifft(s.coeffs) * s.coeffs.size)
+
+
+def szego_kernel(a, points):
+    """Normalized Szego kernel e_a(z) = sqrt(1-|a|^2) / (1 - conj(a) z)."""
+    a = complex(disk_points(a, "kernel parameter"))
+    z = np.asarray(points, dtype=complex)
+    return np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+
+
+def szego_signal(a, n_samples):
+    """Szego kernel e_a sampled at the n equidistant circle points."""
+    return Signal(szego_kernel(a, circle_points(n_samples)))
 
 
 def random_smooth_signal(rng, n_samples=64, decay=0.5):
@@ -54,8 +73,9 @@ def quadrature_kernel_inner_many(coeffs, zs, oversample=4096):
 
 
 def kernel_reference(f, grid):
-    """sqrt(1-|z|^2) * f(z) at every polar-grid node, the series summed directly."""
-    nodes = grid.nodes()
+    """sqrt(1-|z|^2) * f(z) at the nodes of a grid or band, the series summed directly."""
+    band = grid if isinstance(grid, RingBand) else grid.band(0, grid.radial - 1)
+    nodes = band.grid.nodes()[band.lo:band.hi]
     return np.sqrt(1.0 - np.abs(nodes) ** 2) * eval_interior(f, nodes)
 
 

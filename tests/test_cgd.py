@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeModel, PoleTuple, synthesize, szego_signal, tuple_distance
+import blaschke.cgd
+from blaschke import BlaschkeModel, PoleTuple, synthesize, tuple_distance
 from blaschke.cgd import (
     CgdConfig,
     CgdStatus,
@@ -13,7 +14,7 @@ from blaschke.cgd import (
 )
 from blaschke.reduction import energy_gradient, error_energy
 
-from conftest import monomial_signal
+from conftest import monomial_signal, szego_signal
 
 
 def well_separated_form(n, seed, radius=0.85, gap=0.15):
@@ -172,9 +173,9 @@ class TestCgdRefine:
         assert report.iterations == 0 and len(report.energy_trace) == 1
         assert report.final_gradient_norm_sq > 0.0
 
-    def test_line_search_stall_status(self):
-        cfg = CgdConfig(max_backtracks=0)
-        report = cgd_refine(monomial_signal(1, 256), PoleTuple([0.2]), cfg)
+    def test_line_search_stall_status(self, monkeypatch):
+        monkeypatch.setattr(blaschke.cgd, "MAX_BACKTRACKS", 0)
+        report = cgd_refine(monomial_signal(1, 256), PoleTuple([0.2]))
         assert report.status is CgdStatus.LINE_SEARCH_STALL
         np.testing.assert_array_equal(report.tuple.poles, [0.2])
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import blaschke.cgd
+import blaschke.search
 from blaschke import cli
 from blaschke import (
     BlaschkeModel,
@@ -33,6 +35,14 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def run_cli_in_process(monkeypatch, *args):
+    """The exit code of `cli.run` on these arguments, in this interpreter."""
+    monkeypatch.setattr(sys, "argv", ["blaschke", *args])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    return exit_info.value.code
 
 
 @pytest.fixture
@@ -112,6 +122,32 @@ class TestSynthesizeAndRecover:
         assert res.returncode == 5, res.stderr
         assert "status: iteration-cap" in res.stdout
         assert read_model_json(out).degree == 6
+
+    def test_search_non_convergence_exits_3_without_model(
+            self, tmp_path, monkeypatch, capsys):
+        # a degree-5 target cannot settle in a single sweep
+        monkeypatch.setattr(blaschke.search, "MAX_SWEEPS", 1)
+        out = tmp_path / "out.json"
+        code = run_cli_in_process(
+            monkeypatch, "approximate", "--builtin", "ex5_3", "--degree", "5",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert "no coordinate maximum within 1 sweeps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_line_search_stall_exits_4_and_writes_model(
+            self, tmp_path, monkeypatch, capsys):
+        # with no step allowed, the first line search stalls at the search tuple
+        monkeypatch.setattr(blaschke.cgd, "MAX_BACKTRACKS", 0)
+        out = tmp_path / "out.json"
+        code = run_cli_in_process(
+            monkeypatch, "approximate", "--builtin", "ex5_5", "--degree", "4",
+            "--out", str(out),
+        )
+        assert code == 4
+        assert "status: line-search-stall" in capsys.readouterr().out
+        assert read_model_json(out).degree == 4
 
     def test_no_tuning_flags_give_library_defaults(self, tmp_path, monkeypatch):
         seen = []
@@ -262,6 +298,17 @@ class TestBenchmarkCommand:
         assert res.returncode == 2
         assert "descriptor field 'count' must be at least 1" in res.stderr
         assert "Mean of empty slice" not in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_random_batch_that_cannot_be_drawn_exits_2(self, tmp_path):
+        # 2000 poles 0.05 apart do not fit in the disk of radius 0.9
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps(
+            {"targets": [{"name": "random", "degree": 2000, "count": 1}]}))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "could not draw 2000 separated poles" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_random_batch_without_degree_exits_2(self, tmp_path):

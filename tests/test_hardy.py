@@ -11,13 +11,10 @@ from blaschke import (
     Signal,
     circle_points,
     inner_product,
-    inverse_spectrum,
     norm_sq,
     project,
     spectrum,
     synthesize,
-    szego_kernel,
-    szego_signal,
     tm_basis,
 )
 from blaschke.pipeline import (
@@ -27,7 +24,14 @@ from blaschke.pipeline import (
     random_blaschke_form,
 )
 
-from conftest import monomial_signal, quadrature_inner, random_smooth_signal
+from conftest import (
+    inverse_spectrum,
+    monomial_signal,
+    quadrature_inner,
+    random_smooth_signal,
+    szego_kernel,
+    szego_signal,
+)
 
 
 class TestSignalConstruction:
@@ -112,6 +116,8 @@ class TestInnerProduct:
 
 
 class TestSzegoKernel:
+    """The kernel oracle the other tests build their signals from."""
+
     def test_center_pole_is_constant_one(self):
         z = np.array([0.3, -0.5j, 0.1 + 0.1j])
         np.testing.assert_allclose(szego_kernel(0.0, z), np.ones(3))
@@ -280,6 +286,10 @@ class TestSynthesize:
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError):
             BlaschkeModel(PoleTuple([0.1]), [1.0], residual_error=-1.0)
+
+    def test_nan_residual_rejected(self):
+        with pytest.raises(ValueError):
+            BlaschkeModel(PoleTuple([0.1]), [1.0], residual_error=float("nan"))
 
 
 class TestOrthonormalitySample:

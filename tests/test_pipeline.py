@@ -372,3 +372,20 @@ class TestRunBenchmark:
     def test_unknown_target(self):
         with pytest.raises(KeyError):
             run_benchmark({"targets": [{"name": "mystery", "degree": 2}]})
+
+    @pytest.mark.parametrize("descriptor, error", [
+        ({"targets": [{"name": "ex5_3"}, {"name": "ex5_2_f3"}, {"name": "typo"}]},
+         KeyError),
+        ({"targets": [{"name": "ex5_3"}], "algorithms": ["cafd_cgd", "typo"]}, KeyError),
+        ({"targets": [{"name": "ex5_3"}, {"name": "random", "count": 1}]}, KeyError),
+        ({"targets": [{"name": "ex5_3"}, {"name": "ex5_5", "degree": 0}]}, ValueError),
+    ])
+    def test_bad_entry_fails_before_any_case(self, monkeypatch, descriptor, error):
+        import blaschke.pipeline as pipeline
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a case ran before the descriptor was checked")
+
+        monkeypatch.setattr(pipeline, "cafd_cgd_result", fail)
+        with pytest.raises(error):
+            run_benchmark(descriptor)

@@ -16,7 +16,6 @@ from blaschke import (
     project,
     spectrum,
     synthesize,
-    szego_signal,
 )
 from blaschke import hardy, reduction
 from blaschke.pipeline import BUILTIN_FORMS
@@ -30,7 +29,7 @@ from blaschke.reduction import (
     series_value,
 )
 
-from conftest import monomial_signal, random_smooth_signal
+from conftest import monomial_signal, random_smooth_signal, szego_signal
 
 
 def random_tuple(rng, n, radius=0.8, gap=0.05):

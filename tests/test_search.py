@@ -13,7 +13,6 @@ from blaschke import (
     feval_table,
     norm_sq,
     synthesize,
-    szego_signal,
 )
 from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
 from blaschke.reduction import energy, reduce_chain
@@ -30,7 +29,7 @@ from blaschke.search import (
     rect_grid_nodes,
 )
 
-from conftest import kernel_reference, monomial_signal
+from conftest import kernel_reference, monomial_signal, szego_signal
 
 
 def roll_cyclic_search(f, n, cfg, scan, start_radius):
@@ -42,7 +41,7 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     """
     eta = cfg.eta_rel * norm_sq(f)
     poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
-    for _ in range(cfg.max_sweeps):
+    for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
         for _ in range(n):
             f_n = Signal(reduce_chain(f.samples, poles[:-1]).rest) if n > 1 else f
@@ -165,10 +164,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RectGridConfig(gap=1.5)
 
-    def test_bad_sweep_cap(self):
-        with pytest.raises(ValueError):
-            SearchConfig(max_sweeps=0)
-
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             its_search(monomial_signal(1, 64), 0)
@@ -278,14 +273,15 @@ class TestItsSearch:
                 direct = its_search(f, n, cfg)
             np.testing.assert_array_equal(direct.poles, fast.poles)
 
-    def test_sweep_cap_raises_with_best_tuple(self):
+    def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
         # a degree-5 target cannot settle in a single sweep from a cold start
         from blaschke.pipeline import BUILTIN_FORMS
 
         poles, coeffs = BUILTIN_FORMS["ex5_3"]
         f = synthesize(BlaschkeModel(PoleTuple(poles), coeffs), 256)
+        monkeypatch.setattr(blaschke.search, "MAX_SWEEPS", 1)
         with pytest.raises(SearchNonConvergence) as err:
-            its_search(f, 5, SearchConfig(radial=20, angular=64, max_sweeps=1))
+            its_search(f, 5, SearchConfig(radial=20, angular=64))
         assert isinstance(err.value.best_tuple, PoleTuple)
         assert err.value.best_tuple.degree == 5
 
