@@ -112,12 +112,12 @@ def _run_options(fn):
 
 def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
                  trust, tol, eta_rel, seed, out_path, truth_path=None):
-    f = _load_input(input_path, builtin, samples)
     cfg = RunConfig(
         degree=degree,
         search=SearchConfig(radial=radial, angular=angular, eta_rel=eta_rel, seed=seed),
         cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
     )
+    f = _load_input(input_path, builtin, samples)
     truth = read_tuple_json(truth_path) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)
     write_model_json(out_path, result.model)

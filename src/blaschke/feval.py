@@ -63,13 +63,16 @@ class PolarGrid:
         if self.angular & (self.angular - 1):
             raise ValueError("angular division count must be a power of two")
 
+    def check_samples(self, n_samples):
+        """Reject a sample count the table cannot fold: not a multiple of angular."""
+        if n_samples % self.angular:
+            raise ValueError(
+                f"signal length {n_samples} is not a multiple of angular count {self.angular}"
+            )
+
     @property
     def eps(self):
         return 1.0 / self.radial
-
-    @property
-    def node_count(self):
-        return (self.radial - 1) * self.angular
 
     @property
     def radii(self):
@@ -154,10 +157,7 @@ def _coeffs(f, grid):
         coeffs = f.coeffs
     else:
         raise TypeError(f"expected Signal or Spectrum, got {type(f).__name__}")
-    if coeffs.size % grid.angular:
-        raise ValueError(
-            f"signal length {coeffs.size} is not a multiple of angular count {grid.angular}"
-        )
+    grid.check_samples(coeffs.size)
     return coeffs
 
 
@@ -185,7 +185,7 @@ def feval_table(f, grid):
     the same truncated series at the subsampled angles.
     """
     band = grid if isinstance(grid, RingBand) else grid.band(0, grid.radial - 1)
-    coeffs = _coeffs(f, grid)
+    coeffs = _coeffs(f, band.grid)
     n_ang = grid.angular
     v_tab, r_tab = _ring_tables(band.grid, coeffs.size)
     # row q holds f_hat(qA .. qA+A-1) as interleaved real and imaginary parts

@@ -53,6 +53,31 @@ def separated(poles):
     return np.count_nonzero(close) == poles.size
 
 
+def check_degree(n):
+    """The one test of a degree: a tuple, a run or a draw has at least one pole."""
+    if n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
+
+
+def draw_separated(rng, n, radius, gap, max_tries):
+    """n points uniform in |w| < radius, every two gap or more apart, by rejection.
+
+    Each try draws Re w, then Im w; a ValueError follows max_tries tries.
+    """
+    check_degree(n)
+    points = np.empty(n, dtype=complex)
+    count = 0
+    for _ in range(max_tries):
+        w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
+        if abs(w) >= radius or (count and np.min(np.abs(points[:count] - w)) < gap):
+            continue
+        points[count] = w
+        count += 1
+        if count == n:
+            return points
+    raise ValueError(f"could not draw {n} separated poles in {max_tries} tries")
+
+
 @dataclass(frozen=True)
 class Signal:
     """N equidistant complex samples on the unit circle, sample j at angle 2*pi*j/N."""
@@ -105,8 +130,7 @@ class PoleTuple:
     def __post_init__(self):
         poles = np.atleast_1d(np.array(self.poles, dtype=complex))
         object.__setattr__(self, "poles", poles)
-        if poles.size < 1:
-            raise ValueError("pole tuple must be non-empty")
+        check_degree(poles.size)
         disk_points(poles, "poles")
         if not separated(poles):
             raise ValueError(f"poles must lie at least {MIN_SEPARATION} apart")
@@ -130,9 +154,11 @@ class BlaschkeModel:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.size != self.tuple.degree:
             raise ValueError("coefficient count must equal the tuple degree")
-        # NaN is not >= 0, so this rejects it too
-        if not self.residual_error >= 0.0:
-            raise ValueError("residual_error must be nonnegative")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        # NaN fails both comparisons
+        if not 0.0 <= self.residual_error < np.inf:
+            raise ValueError("residual_error must be finite and nonnegative")
         coeffs.setflags(write=False)
 
     @property

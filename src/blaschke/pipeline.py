@@ -8,6 +8,7 @@ algorithm; the pipeline and the rectangular baseline share one result assembly.
 import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +17,9 @@ from .hardy import (
     BlaschkeModel,
     PoleTuple,
     Signal,
+    check_degree,
     circle_points,
+    draw_separated,
     norm_sq,
     project,
     synthesize,
@@ -106,8 +109,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
+        check_degree(self.degree)
 
 
 @dataclass(frozen=True)
@@ -212,33 +214,20 @@ def l2_relative_error(f, approx):
 
 
 def random_blaschke_form(n, seed, max_tries=10000):
-    """Random pole tuple (|a| <= 0.9, pairwise gap >= 0.05) and coefficients.
+    """Random pole tuple (|a| < 0.9, pairwise gap >= 0.05) and coefficients.
 
     Coefficients have real and imaginary parts uniform in [-1, 1].
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     rng = np.random.default_rng(seed)
-    poles = np.empty(n, dtype=complex)
-    count = 0
-    for _ in range(max_tries):
-        w = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.9, 0.9)
-        if abs(w) > 0.9:
-            continue
-        if count and np.min(np.abs(poles[:count] - w)) < 0.05:
-            continue
-        poles[count] = w
-        count += 1
-        if count == n:
-            break
-    else:
-        raise ValueError(f"could not draw {n} separated poles in {max_tries} tries")
+    poles = draw_separated(rng, n, 0.9, 0.05, max_tries)
     coeffs = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
     return PoleTuple(poles), coeffs
 
 
 def _checked_norm_sq(f, truth=None, degree=None):
-    """||f||^2 for a relative error, rejecting a zero f or a truth of another degree."""
+    """||f||^2 of a case; rejects a zero f, a degree below 1 or one unlike the truth's."""
+    if degree is not None:
+        check_degree(degree)
     if truth is not None and truth.degree != degree:
         raise ValueError(f"truth tuple has degree {truth.degree}, not {degree}")
     total = norm_sq(f)
@@ -298,32 +287,22 @@ def run_benchmark(descriptor):
     are dicts keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
     `CgdStatus` value) and `iterations`; `rect_cafd` runs no refinement, so
     its rows leave those two blank, as do the mean/max/std stat rows that
-    follow a batch's rows.  A field of the wrong type, or a count or degree
-    below 1, raises a `ValueError` that names it, and an unknown target or
-    algorithm, or a random batch without a degree, raises a `KeyError`; all
-    before any case runs.
+    follow a batch's rows.  Every case is built before any runs, so each
+    bad input raises a `ValueError` or `KeyError` first: the descriptor's
+    JSON shape here, and the target, degree, sample count, grid shape, fold
+    (N a multiple of angular) and random draw where each rule is kept.
     """
-    _check_descriptor(descriptor)
-    n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
-    seed = descriptor.get("seed", 0)
-    algorithms = descriptor.get("algorithms", ["cafd_cgd"])
     rows = []
-    for entry in descriptor.get("targets", []):
-        degree, cases = _cases(entry, n_samples, seed)
-        for algo in algorithms:
-            results = []
-            for name, f, truth, search_seed in cases:
-                angular = descriptor.get("angular", 128 if truth is not None else 256)
-                res = _run_algorithm(algo, f, degree, angular, search_seed, truth)
-                rows.append(_result_row(name, algo, degree, res))
-                results.append(res)
-            if entry["name"] == "random":
-                rows.extend(_stat_rows(f"random_n{degree}", algo, degree, results))
+    for stat_target, algo, degree, runs in _plan(descriptor):
+        results = [run() for _, run in runs]
+        rows += [_result_row(t, algo, degree, res) for (t, _), res in zip(runs, results)]
+        if stat_target:
+            rows.extend(_stat_rows(stat_target, algo, degree, results))
     return rows
 
 
 def _check_descriptor(descriptor):
-    """Reject a descriptor, or one of its fields, of the wrong type, naming the field."""
+    """Reject a descriptor whose JSON shape is wrong, naming the field."""
     if not isinstance(descriptor, dict):
         raise ValueError("the descriptor must be a JSON object")
     targets = descriptor.get("targets", [])
@@ -344,43 +323,48 @@ def _check_descriptor(descriptor):
     # a batch of no forms has no mean or max to report
     if any(t.get("count", 1) < 1 for t in targets):
         raise ValueError("descriptor field 'count' must be at least 1")
-    if any(t.get("degree", 1) < 1 for t in targets):
-        raise ValueError("descriptor field 'degree' must be at least 1")
-    for t in targets:
-        name = t["name"]
-        if name != "random" and name not in BUILTIN_DEGREES:
-            raise KeyError(f"unknown builtin target {name!r}")
-        if "degree" not in t and name not in BUILTIN_DEGREES:
-            raise KeyError(f"no degree given for target {name!r}")
+    if any(t["name"] == "random" and "degree" not in t for t in targets):
+        raise KeyError("no degree given for target 'random'")
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise KeyError(f"unknown algorithm {algo!r}")
 
 
-def _cases(entry, n_samples, seed):
-    """An entry's degree and its (name, signal, truth, search seed) cases."""
-    name = entry["name"]
-    degree = entry.get("degree", BUILTIN_DEGREES.get(name))
-    if name == "random":
-        # drawn once, then run under every algorithm
-        cases = []
-        for i in range(entry.get("count", 20)):
-            truth, coeffs = random_blaschke_form(degree, seed + i)
-            f = synthesize(BlaschkeModel(truth, coeffs), n_samples)
-            # a search seeded like its form would start at scaled true poles
-            cases.append((f"random_n{degree}_{i}", f, truth, seed + i + 2**32))
-        return degree, cases
-    return degree, [(name, builtin_signal(name, n_samples), builtin_truth(name), seed)]
-
-
-def _run_algorithm(algo, f, degree, angular, seed, truth):
-    if algo == "cafd_cgd":
-        cfg = RunConfig(
-            degree=degree,
-            search=SearchConfig(angular=angular, seed=seed),
-        )
-        return cafd_cgd_result(f, cfg, truth=truth)
-    return rect_cafd(f, degree, RectGridConfig(seed=seed), truth=truth)
+def _plan(descriptor):
+    """Every case, built and checked: per entry and algorithm, in row order,
+    (stat-row target or False, algorithm, degree, [(row target, run)])."""
+    _check_descriptor(descriptor)
+    n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
+    seed = descriptor.get("seed", 0)
+    plan = []
+    for entry in descriptor.get("targets", []):
+        name = entry["name"]
+        degree = entry.get("degree", BUILTIN_DEGREES.get(name))
+        if name == "random":
+            # drawn once, then run under every algorithm; a search seeded like
+            # its form would start at scaled true poles
+            forms = [random_blaschke_form(degree, seed + i)
+                     for i in range(entry.get("count", 20))]
+            cases = [(f"random_n{degree}_{i}", synthesize(BlaschkeModel(*form), n_samples),
+                      form[0], seed + i + 2**32) for i, form in enumerate(forms)]
+        else:
+            cases = [(name, builtin_signal(name, n_samples), builtin_truth(name), seed)]
+        for _, f, truth, _ in cases:
+            _checked_norm_sq(f, truth, degree)
+        for algo in descriptor.get("algorithms", ["cafd_cgd"]):
+            runs = []
+            for target, f, truth, search_seed in cases:
+                if algo == "cafd_cgd":
+                    angular = descriptor.get("angular", 128 if truth is not None else 256)
+                    cfg = RunConfig(degree, SearchConfig(angular=angular, seed=search_seed))
+                    cfg.search.grid.check_samples(f.n_samples)
+                    run = partial(cafd_cgd_result, f, cfg, truth=truth)
+                else:
+                    run = partial(rect_cafd, f, degree, RectGridConfig(seed=search_seed),
+                                  truth=truth)
+                runs.append((target, run))
+            plan.append((name == "random" and f"random_n{degree}", algo, degree, runs))
+    return plan
 
 
 def _row(*values):

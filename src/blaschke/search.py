@@ -1,8 +1,8 @@
 """Cyclic coordinate search for an initial pole tuple.
 
 Both searches run one cyclic coordinate-ascent driver, `_cyclic_search`,
-which checks the degree, seeds the start, sets the threshold and caps the
-sweeps; each search only builds its grid scan.  A sweep visits
+which draws the start (the draw checks the degree), sets the threshold and
+caps the sweeps; each search only builds its grid scan.  A sweep visits
 the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
 poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feval import build_polar_grid, eval_interior, feval_table, ring_bounds
-from .hardy import PoleTuple, Signal, norm_sq, separated
+from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
+from .hardy import MIN_SEPARATION, PoleTuple, Signal, draw_separated, norm_sq, separated
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -80,7 +80,10 @@ def _check_eta_rel(cfg):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Polar-grid search parameters; a move must gain more than eta_rel * ||f||^2."""
+    """Polar-grid search parameters; a move must gain more than eta_rel * ||f||^2.
+
+    `grid` is the `PolarGrid` the search scans; building it checks the shape.
+    """
 
     radial: int = 100
     angular: int = 256
@@ -88,6 +91,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", PolarGrid(self.radial, self.angular))
         _check_eta_rel(self)
 
 
@@ -118,21 +122,6 @@ def rect_grid_nodes(gap):
     z = np.round(x, 12) + 1j * np.round(y, 12)
     r = np.abs(z)
     return z[(r > 0.0) & (r < 1.0 - gap)]
-
-
-def _random_start(rng, n, radius):
-    """n points uniform in the disk of the given radius, pairwise `separated`."""
-    poles = np.empty(n, dtype=complex)
-    count = 0
-    while count < n:
-        w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(w) >= radius:
-            continue
-        if not separated(np.append(poles[:count], w)):
-            continue
-        poles[count] = w
-        count += 1
-    return poles
 
 
 def _partial_energy_amp(f_n, a):
@@ -200,10 +189,10 @@ def _cyclic_search(f, n, cfg, scan, start_radius):
     positions, T(n) reduction steps and n scans; the search stops after the
     first sweep that accepts no move, or raises after MAX_SWEEPS sweeps.
     """
-    if n < 1:
-        raise ValueError("approximation degree must be at least 1")
     eta = cfg.eta_rel * norm_sq(f)
-    poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
+    rng = np.random.default_rng(cfg.seed)
+    # about one try in five falls outside the disk; 100 per pole leave ample room
+    poles = draw_separated(rng, n, start_radius, MIN_SEPARATION, 100 * n)
     for _ in range(MAX_SWEEPS):
         if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
             return PoleTuple(poles)
@@ -226,7 +215,7 @@ def _ring_band(bounds, floor):
 
 def its_search(f, n, cfg=SearchConfig()):
     """Initial tuple selection over the polar grid using the fast table."""
-    grid = build_polar_grid(cfg.radial, cfg.angular)
+    grid = cfg.grid
     nodes = grid.nodes().ravel()
 
     def scan(f_n, floor=0.0):

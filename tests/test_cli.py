@@ -222,6 +222,26 @@ class TestValidationExitCodes:
         )
         assert res.returncode == 2
 
+    def test_bad_angular_count(self, tmp_path):
+        res = run_cli(
+            "approximate", "--builtin", "ex5_5", "--degree", "4", "--angular", "3",
+            "--out", str(tmp_path / "o.json"),
+        )
+        assert res.returncode == 2
+        assert "power of two" in res.stderr
+        assert not (tmp_path / "o.json").exists()
+
+    def test_model_with_infinite_residual_exits_2(self, tmp_path, model_file):
+        payload = json.loads(model_file.read_text())
+        payload["residual_error"] = float("inf")
+        model_file.write_text(json.dumps(payload))
+        assert "Infinity" in model_file.read_text()
+        res = run_cli("synthesize", "--model", str(model_file),
+                      "--out", str(tmp_path / "sig.csv"))
+        assert res.returncode == 2
+        assert "residual_error must be finite" in res.stderr
+        assert not (tmp_path / "sig.csv").exists()
+
 
 class TestBenchmarkCommand:
     def test_descriptor_file(self, tmp_path):

@@ -23,7 +23,7 @@ from conftest import kernel_reference, quadrature_kernel_inner, random_smooth_si
 
 class TestPolarGrid:
     def test_reference_node_count(self):
-        assert build_polar_grid(100, 256).node_count == 25344
+        assert build_polar_grid(100, 256).nodes().size == 25344
 
     def test_small_grid_nodes(self):
         grid = build_polar_grid(2, 4)

@@ -291,6 +291,15 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             BlaschkeModel(PoleTuple([0.1]), [1.0], residual_error=float("nan"))
 
+    @pytest.mark.parametrize("coeffs, residual", [
+        ([1.0], float("inf")),
+        ([complex("nan+1j")], 0.0),
+        ([complex(1.0, float("inf"))], 0.0),
+    ])
+    def test_non_finite_values_rejected(self, coeffs, residual):
+        with pytest.raises(ValueError, match="finite"):
+            BlaschkeModel(PoleTuple([0.1]), coeffs, residual_error=residual)
+
 
 class TestOrthonormalitySample:
     def test_random_tuples(self, rng):

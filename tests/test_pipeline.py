@@ -353,15 +353,15 @@ class TestRunBenchmark:
             form_seeds.append(seed)
             return draw(n, seed)
 
-        def record_run(algo, f, degree, angular, seed, truth):
-            search_seeds.append(seed)
+        def record_run(f, cfg, truth=None):
+            search_seeds.append(cfg.search.seed)
             return SimpleNamespace(
                 l2_relative_error=0.0, tuple_distance=0.0, wall_time_seconds=0.0,
                 cgd_report=SimpleNamespace(status=CgdStatus.CONVERGED, iterations=0),
             )
 
         monkeypatch.setattr(pipeline, "random_blaschke_form", record_form)
-        monkeypatch.setattr(pipeline, "_run_algorithm", record_run)
+        monkeypatch.setattr(pipeline, "cafd_cgd_result", record_run)
         run_benchmark(
             {"targets": [{"name": "random", "degree": 2, "count": 4}], "seed": 7}
         )
@@ -379,6 +379,10 @@ class TestRunBenchmark:
         ({"targets": [{"name": "ex5_3"}], "algorithms": ["cafd_cgd", "typo"]}, KeyError),
         ({"targets": [{"name": "ex5_3"}, {"name": "random", "count": 1}]}, KeyError),
         ({"targets": [{"name": "ex5_3"}, {"name": "ex5_5", "degree": 0}]}, ValueError),
+        ({"targets": [{"name": "ex5_1_f1", "degree": 2}, {"name": "ex5_3", "degree": 3}]},
+         ValueError),
+        ({"targets": [{"name": "ex5_5"}], "angular": 3}, ValueError),
+        ({"targets": [{"name": "ex5_5"}], "n_samples": 64, "angular": 128}, ValueError),
     ])
     def test_bad_entry_fails_before_any_case(self, monkeypatch, descriptor, error):
         import blaschke.pipeline as pipeline
@@ -387,5 +391,6 @@ class TestRunBenchmark:
             raise AssertionError("a case ran before the descriptor was checked")
 
         monkeypatch.setattr(pipeline, "cafd_cgd_result", fail)
+        monkeypatch.setattr(pipeline, "rect_cafd", fail)
         with pytest.raises(error):
-            run_benchmark(descriptor)
+            run_benchmark({"algorithms": ["rect_cafd", "cafd_cgd"], **descriptor})

@@ -14,6 +14,7 @@ from blaschke import (
     norm_sq,
     synthesize,
 )
+from blaschke.hardy import MIN_SEPARATION, draw_separated
 from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
 from blaschke.reduction import energy, reduce_chain
 from blaschke.search import (
@@ -22,7 +23,6 @@ from blaschke.search import (
     SearchNonConvergence,
     _masked_argmax,
     _partial_energy_amp,
-    _random_start,
     _ring_band,
     its_search,
     rect_cafd_search,
@@ -40,7 +40,9 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     sweep; after n rolls the tuple is back in array order.
     """
     eta = cfg.eta_rel * norm_sq(f)
-    poles = _random_start(np.random.default_rng(cfg.seed), n, start_radius)
+    poles = draw_separated(
+        np.random.default_rng(cfg.seed), n, start_radius, MIN_SEPARATION, 100 * n
+    )
     for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
         for _ in range(n):
@@ -163,6 +165,12 @@ class TestConfigValidation:
     def test_bad_gap(self):
         with pytest.raises(ValueError):
             RectGridConfig(gap=1.5)
+
+    @pytest.mark.parametrize("kwargs", [{"radial": 1}, {"angular": 3}])
+    def test_bad_grid(self, kwargs):
+        # the polar grid's shape is checked when the config is built
+        with pytest.raises(ValueError):
+            SearchConfig(**kwargs)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):
