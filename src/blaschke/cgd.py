@@ -12,10 +12,11 @@ start or after a reset, first scales it to (s_k . y_k / y_k . y_k) I
 (N&W eq. 6.20).
 
 The trial step s is the largest step keeping the tuple in the closed
-polydisk, capped by the per-coordinate trust region neighbor_radius/max|p|
-and by 1.  Backtracking shrinks s by beta while the sufficient-increase
-test E(a + s*p) >= E(a) + (s/2)*Re<g, p> fails, or while the step would
-leave the disk or merge two poles.  The gradient at the accepted point is
+polydisk, capped by the per-coordinate trust region TRUST_RADIUS/max|p| and
+by 1.  Backtracking shrinks s by BACKTRACK_FACTOR while the
+sufficient-increase test E(a + s*p) >= E(a) + (s/2)*Re<g, p> fails, or
+while the step would leave the disk or merge two poles.  The refinement
+stops once |g|^2 <= GRAD_TOL.  The gradient at the accepted point is
 computed once and serves both the update and the next direction.
 
 The sufficient-increase test is evaluated on the squared error
@@ -42,6 +43,15 @@ BOUNDARY_MARGIN = 1e-9
 # step halvings a line search tries before it reports a stall
 MAX_BACKTRACKS = 60
 
+# the factor each backtrack shrinks the trial step by
+BACKTRACK_FACTOR = 0.5
+
+# the farthest any one pole moves in a step
+TRUST_RADIUS = 0.05
+
+# |grad E|^2 at which the refinement has converged; absolute, not relative to ||f||^2
+GRAD_TOL = 1e-18
+
 
 class CgdStatus(Enum):
     CONVERGED = "converged"
@@ -51,18 +61,9 @@ class CgdStatus(Enum):
 
 @dataclass(frozen=True)
 class CgdConfig:
-    beta: float = 0.5
-    neighbor_radius: float = 0.05
-    tol: float = 1e-18
     max_iters: int = 500
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.neighbor_radius <= 0.0:
-            raise ValueError("neighbor_radius must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -122,7 +123,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
     h = None
     for iterations in range(cfg.max_iters + 1):
         gnorm_sq = float(np.sum(np.abs(g) ** 2))
-        if gnorm_sq <= cfg.tol:
+        if gnorm_sq <= GRAD_TOL:
             status = CgdStatus.CONVERGED
             break
         if iterations == cfg.max_iters:
@@ -136,9 +137,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
                 h = None
         if h is None:
             p, slope = g, gnorm_sq
-        s1 = _max_inward_step(tup.poles, p)
-        s2 = cfg.neighbor_radius / np.max(np.abs(p))
-        s = min(s1, s2, 1.0)
+        s = min(_max_inward_step(tup.poles, p), TRUST_RADIUS / np.max(np.abs(p)), 1.0)
         for _ in range(MAX_BACKTRACKS):
             cand = _candidate(tup.poles + s * p)
             if cand is not None:
@@ -146,7 +145,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
                 # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
                 if err_cand <= err_curr - 0.5 * s * slope:
                     break
-            s *= cfg.beta
+            s *= BACKTRACK_FACTOR
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break

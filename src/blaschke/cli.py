@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .cgd import CgdConfig, CgdStatus
+from .cgd import CgdStatus
 from .feval import build_polar_grid, feval_table
 from .hardy import BlaschkeModel, PoleTuple, Signal, synthesize
 from .pipeline import (
@@ -34,12 +34,16 @@ EXIT_ITERATION_CAP = 5
 
 def read_signal_csv(path):
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = sorted(reader, key=lambda r: int(r["index"]))
-    if [int(r["index"]) for r in rows] != list(range(len(rows))):
+        rows = list(csv.DictReader(fh))
+    try:
+        # a short row leaves None in its missing fields
+        samples = sorted(((int(r["index"]), float(r["re"]) + 1j * float(r["im"]))
+                          for r in rows), key=lambda s: s[0])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: each row needs an integer index and numbers re, im") from exc
+    if [j for j, _ in samples] != list(range(len(samples))):
         raise ValueError(f"{path}: sample indices must be exactly 0..N-1")
-    values = [float(r["re"]) + 1j * float(r["im"]) for r in rows]
-    return Signal(values)
+    return Signal([v for _, v in samples])
 
 
 def write_signal_csv(path, signal):
@@ -66,21 +70,32 @@ def write_model_json(path, model):
         fh.write("\n")
 
 
+def _complex_field(path, entries, field):
+    """The numbers in a JSON list of {"re": x, "im": y}; else a ValueError naming the file."""
+    try:
+        return [c["re"] + 1j * c["im"] for c in entries]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f'{path}: {field} must be a list of {{"re": x, "im": y}}') from exc
+
+
 def read_model_json(path):
     with open(path) as fh:
         payload = json.load(fh)
-    poles = [c["re"] + 1j * c["im"] for c in payload["poles"]]
-    coeffs = [c["re"] + 1j * c["im"] for c in payload["coeffs"]]
-    return BlaschkeModel(
-        PoleTuple(poles), coeffs, payload.get("residual_error", 0.0)
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model must be a JSON object")
+    residual = payload.get("residual_error", 0.0)
+    if type(residual) not in (int, float):  # not isinstance: JSON true is an int too
+        raise ValueError(f"{path}: residual_error must be a number")
+    poles = _complex_field(path, payload.get("poles"), "poles")
+    coeffs = _complex_field(path, payload.get("coeffs"), "coeffs")
+    return BlaschkeModel(PoleTuple(poles), coeffs, residual)
 
 
 def read_tuple_json(path):
     with open(path) as fh:
         payload = json.load(fh)
-    entries = payload["poles"] if isinstance(payload, dict) else payload
-    return PoleTuple([c["re"] + 1j * c["im"] for c in entries])
+    entries = payload.get("poles") if isinstance(payload, dict) else payload
+    return PoleTuple(_complex_field(path, entries, "poles"))
 
 
 def _load_input(input_path, builtin, samples):
@@ -99,10 +114,6 @@ def _run_options(fn):
         click.option("--samples", default=DEFAULT_SAMPLES, show_default=True),
         click.option("--radial", default=SearchConfig.radial, show_default=True),
         click.option("--angular", default=SearchConfig.angular, show_default=True),
-        click.option("--beta", default=CgdConfig.beta, show_default=True),
-        click.option("--trust", default=CgdConfig.neighbor_radius, show_default=True),
-        click.option("--tol", default=CgdConfig.tol, show_default=True),
-        click.option("--eta-rel", default=SearchConfig.eta_rel, show_default=True),
         click.option("--seed", default=SearchConfig.seed, show_default=True),
         click.option("--out", "out_path", type=click.Path(), required=True),
     ]):
@@ -110,13 +121,9 @@ def _run_options(fn):
     return fn
 
 
-def _approximate(input_path, builtin, degree, samples, radial, angular, beta,
-                 trust, tol, eta_rel, seed, out_path, truth_path=None):
-    cfg = RunConfig(
-        degree=degree,
-        search=SearchConfig(radial=radial, angular=angular, eta_rel=eta_rel, seed=seed),
-        cgd=CgdConfig(beta=beta, neighbor_radius=trust, tol=tol),
-    )
+def _approximate(input_path, builtin, degree, samples, radial, angular, seed,
+                 out_path, truth_path=None):
+    cfg = RunConfig(degree, SearchConfig(radial=radial, angular=angular, seed=seed))
     f = _load_input(input_path, builtin, samples)
     truth = read_tuple_json(truth_path) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)

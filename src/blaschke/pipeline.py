@@ -213,13 +213,13 @@ def l2_relative_error(f, approx):
     return float(np.sqrt(norm_sq(Signal(f.samples - approx.samples)) / total))
 
 
-def random_blaschke_form(n, seed, max_tries=10000):
+def random_blaschke_form(n, seed):
     """Random pole tuple (|a| < 0.9, pairwise gap >= 0.05) and coefficients.
 
     Coefficients have real and imaginary parts uniform in [-1, 1].
     """
     rng = np.random.default_rng(seed)
-    poles = draw_separated(rng, n, 0.9, 0.05, max_tries)
+    poles = draw_separated(rng, n, 0.9, 0.05, 10000)
     coeffs = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
     return PoleTuple(poles), coeffs
 

@@ -7,7 +7,7 @@ the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
 poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
 there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds
-eta = eta_rel * ||f||^2 (so the search is invariant under f -> lambda f).
+eta = ETA_REL * ||f||^2 (so the search is invariant under f -> lambda f).
 A node is a candidate only when the tuple it would make is `separated`,
 the rule a PoleTuple enforces.
 
@@ -63,6 +63,9 @@ BOUND_SLACK = 1e-9
 # sweeps either search runs before it gives up with SearchNonConvergence
 MAX_SWEEPS = 100
 
+# a move must gain more than ETA_REL * ||f||^2 of energy
+ETA_REL = 1e-12
+
 
 class SearchNonConvergence(RuntimeError):
     """Sweep cap reached; carries the best tuple found so far."""
@@ -72,41 +75,31 @@ class SearchNonConvergence(RuntimeError):
         self.best_tuple = best_tuple
 
 
-# the check of the field `_cyclic_search` reads from either config
-def _check_eta_rel(cfg):
-    if cfg.eta_rel <= 0.0:
-        raise ValueError("eta_rel must be positive")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Polar-grid search parameters; a move must gain more than eta_rel * ||f||^2.
+    """Polar-grid search parameters: the grid shape and the start's seed.
 
     `grid` is the `PolarGrid` the search scans; building it checks the shape.
     """
 
     radial: int = 100
     angular: int = 256
-    eta_rel: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "grid", PolarGrid(self.radial, self.angular))
-        _check_eta_rel(self)
 
 
 @dataclass(frozen=True)
 class RectGridConfig:
-    """Rectangular-grid baseline parameters; eta_rel as in SearchConfig."""
+    """Rectangular-grid baseline parameters: the lattice gap and the start's seed."""
 
     gap: float = 0.01
-    eta_rel: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.gap < 1.0:
             raise ValueError("gap must lie in (0, 1)")
-        _check_eta_rel(self)
 
 
 def rect_grid_nodes(gap):
@@ -185,11 +178,11 @@ def _cyclic_search(f, n, cfg, scan, start_radius):
     `scan(f_n, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|
     over the grid, or over a part of it that holds every node whose value
     reaches the floor (floor 0, the default, is the whole grid); `cfg`
-    gives the seed and eta_rel.  Each sweep is one `_sweep` over all n
-    positions, T(n) reduction steps and n scans; the search stops after the
-    first sweep that accepts no move, or raises after MAX_SWEEPS sweeps.
+    gives the seed.  Each sweep is one `_sweep` over all n positions, T(n)
+    reduction steps and n scans; the search stops after the first sweep
+    that accepts no move, or raises after MAX_SWEEPS sweeps.
     """
-    eta = cfg.eta_rel * norm_sq(f)
+    eta = ETA_REL * norm_sq(f)
     rng = np.random.default_rng(cfg.seed)
     # about one try in five falls outside the disk; 100 per pole leave ample room
     poles = draw_separated(rng, n, start_radius, MIN_SEPARATION, 100 * n)

@@ -113,7 +113,7 @@ class TestSynthesizeAndRecover:
 
     def test_iteration_cap_exits_5_and_writes_model(self, tmp_path):
         # under the default settings this target stops at the 500-iteration
-        # cap: its gradient norm stays above the absolute tol
+        # cap: its gradient norm stays above the absolute cgd.GRAD_TOL
         out = tmp_path / "out.json"
         res = run_cli(
             "approximate", "--builtin", "ex5_1_f3", "--degree", "6",
@@ -241,6 +241,35 @@ class TestValidationExitCodes:
         assert res.returncode == 2
         assert "residual_error must be finite" in res.stderr
         assert not (tmp_path / "sig.csv").exists()
+
+    @pytest.mark.parametrize("command, name, content", [
+        ("approximate --degree 1 --input", "sig.csv", "index,re,im\n0,1.0\n1,2.0,0\n"),
+        ("synthesize --model", "model.json", '{"poles": [1, 2], "coeffs": [1, 2]}'),
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 0.5, "im": 0.0}], "coeffs": [{"re": 1.0, "im": 0.0}],
+            "residual_error": "x"})),
+        ("recover --builtin ex5_5 --degree 4 --truth", "truth.json", "[1]"),
+    ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object"])
+    def test_malformed_file_exits_2(self, tmp_path, command, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        res = run_cli(*command.split(), str(path), "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert str(path) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "0.5"), ("--trust", "0.05"), ("--tol", "1e-18"), ("--eta-rel", "1e-12"),
+    ])
+    def test_fixed_solver_constant_is_no_option(self, tmp_path, monkeypatch, capsys,
+                                                flag, value):
+        code = run_cli_in_process(
+            monkeypatch, "approximate", "--builtin", "ex5_5", "--degree", "4",
+            flag, value, "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert "No such option" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

@@ -39,7 +39,7 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     reduces f through the first n - 1 poles, n(n-1) reduction steps per
     sweep; after n rolls the tuple is back in array order.
     """
-    eta = cfg.eta_rel * norm_sq(f)
+    eta = blaschke.search.ETA_REL * norm_sq(f)
     poles = draw_separated(
         np.random.default_rng(cfg.seed), n, start_radius, MIN_SEPARATION, 100 * n
     )
@@ -156,12 +156,6 @@ class TestRectGridNodes:
 
 
 class TestConfigValidation:
-    def test_bad_eta(self):
-        with pytest.raises(ValueError):
-            SearchConfig(eta_rel=-1.0)
-        with pytest.raises(ValueError):
-            RectGridConfig(eta_rel=0.0)
-
     def test_bad_gap(self):
         with pytest.raises(ValueError):
             RectGridConfig(gap=1.5)
