@@ -78,9 +78,17 @@ def _complex_field(path, entries, field):
         raise ValueError(f'{path}: {field} must be a list of {{"re": x, "im": y}}') from exc
 
 
-def read_model_json(path):
+def _read_json(path):
+    """The JSON value in the file at `path`; else a ValueError naming the file."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not a JSON file ({exc})") from exc
+
+
+def read_model_json(path):
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model must be a JSON object")
     residual = payload.get("residual_error", 0.0)
@@ -88,12 +96,14 @@ def read_model_json(path):
         raise ValueError(f"{path}: residual_error must be a number")
     poles = _complex_field(path, payload.get("poles"), "poles")
     coeffs = _complex_field(path, payload.get("coeffs"), "coeffs")
+    degree = payload.get("degree", len(poles))
+    if type(degree) is not int or degree != len(poles):
+        raise ValueError(f"{path}: degree must equal the number of poles, {len(poles)}")
     return BlaschkeModel(PoleTuple(poles), coeffs, residual)
 
 
 def read_tuple_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     entries = payload.get("poles") if isinstance(payload, dict) else payload
     return PoleTuple(_complex_field(path, entries, "poles"))
 
@@ -197,8 +207,7 @@ def _load_suite(suite):
     if suite in BUILTIN_SUITES:
         return BUILTIN_SUITES[suite]
     try:
-        with open(suite) as fh:
-            return json.load(fh)
+        return _read_json(suite)
     except OSError as exc:
         raise click.BadParameter(
             f"{suite!r} is neither a builtin suite nor a readable file ({exc.strerror})",
@@ -242,7 +251,7 @@ def run():
     except SearchNonConvergence as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 

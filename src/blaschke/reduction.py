@@ -2,46 +2,42 @@
 
 Each reduction step extracts the e_a component from the current remainder
 and divides out the Moebius factor (z - a)/(1 - conj(a) z); on the circle
-this factor is unimodular, so the discrete norm telescopes exactly.  The
-energy of a pole tuple is E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2.  The
-remainder does not depend on the order of the poles, so its Wirtinger
-derivative has the closed form d(-E)/da_l = -conj(g_l) f_n(a_l), with f_n
-the final remainder of one chain and g_l = mean(f conj(B) z/(1 - conj(a_l) z))
+this factor is unimodular, so the discrete norm telescopes exactly:
+||f||^2 = E(a) + A, with E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 the energy of
+the pole tuple and A = ||f_n||^2 the norm of the final remainder f_n.  The
+remainder does not depend on the order of the poles, so d(-E)/da_l has the
+closed form -conj(g_l) f_n(a_l), with g_l = mean(f conj(B) z/(1 - conj(a_l) z))
 over the circle, B being the tuple's Blaschke product.  `energy_gradient`
 returns the ascent direction gradE_l = -conj(d(-E)/da_l) = g_l conj(f_n(a_l))
-as a plain complex array, one entry per pole, the step direction of the
-refinement a <- a + s gradE.
+as a plain complex array, the step direction of the refinement a <- a + s gradE.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
 `energy_gradient` take a `Signal` and a `PoleTuple`, whose poles they do not
 test again.  The raw-array entry points `reduce_chain` and `series_value`
 (when it builds its own row) test theirs with `hardy.disk_points`.  There is
-one reduction loop, `_chain`, and one result, an `Evaluation`: the reciprocal rows
-w = 1/(z - a), one per pole, the stage values f_j(a_j) and the final
-remainder f_n.  A stage makes no division: the value
-f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval mean
-with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`) are
-products with the pole's row.  `reduce_chain` returns the evaluation with
-N-point rows.  For a `PoleTuple` the rows are taken at the 2N circle points,
-ordered as the N sample points and then the N midpoints (the even samples of
-the 2N points are the N points bit for bit).  The chain reads the first half
-of each row, and the gradient's means over all 2N points read the whole row,
-since on the circle 1/(1 - conj(a) z) = conj(z w) and the Moebius factor is
-(1 - conj(a) z) w: no further division.  That evaluation is memoized on the
-immutable `Signal` in a single entry keyed on the pole bytes, so
-`energy_gradient` at a tuple that `error_energy` just evaluated, as the
-refinement's accepted line-search point, runs no second chain.
+one reduction loop, `_chain`, and its one result is the final remainder.  A
+stage makes no division: the value f_j(a_j) = (1 - a^N) mean(f_j z w)
+(`series_value`, an O(N) Parseval mean with no FFT) and the step
+(f_j (1 - conj(a) z) - c) w (`reduce_step`) are products with the pole's row
+w = 1/(z - a), and the step consumes the value.  `reduce_chain` builds the
+rows at the N sample points.  For a `PoleTuple` they are taken at the 2N
+circle points, the N sample points and then the N midpoints (the even
+samples of the 2N points are the N points bit for bit): the chain reads the
+first half of each row, and the gradient's means over all 2N points the
+whole row, since there 1/(1 - conj(a) z) = conj(z w).  The rows and the
+remainder are memoized on the immutable `Signal` in one entry keyed on the
+pole bytes, so `energy_gradient` at a tuple that `error_energy` just
+evaluated runs no second chain.  E has one definition, ||f||^2 - A, which
+`energy` returns and the refinement's energy trace records.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .hardy import circle_points, disk_points
+from .hardy import circle_points, disk_points, norm_sq
 
 __all__ = [
-    "Evaluation",
     "series_value",
     "reduce_step",
     "reduce_chain",
@@ -49,18 +45,6 @@ __all__ = [
     "error_energy",
     "energy_gradient",
 ]
-
-class Evaluation(NamedTuple):
-    """One chain: the rows 1/(z - a), the stage values f_j(a_j), the final remainder.
-
-    The rows are at the N sample points (`reduce_chain`) or at the 2N
-    `_doubled_points` (`_evaluate`); values[j] is the remainder after the
-    first j poles, taken at pole j + 1.
-    """
-
-    rows: np.ndarray
-    values: np.ndarray
-    rest: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -114,7 +98,7 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
 
 
 def reduce_chain(f, order):
-    """Reduce f through the poles of `order`: the `Evaluation` on its N points."""
+    """The remainder of f reduced through the poles of `order`, on its N points."""
     order = np.atleast_1d(disk_points(order, "poles"))
     return _chain(f, order, 1.0 / (circle_points(f.size) - order[:, None]))
 
@@ -122,28 +106,26 @@ def reduce_chain(f, order):
 def _chain(f, order, rows):
     """The reduction loop; each row starts with its pole's 1/(z - a) at the points of f."""
     n = f.size
-    values = []
     for a, w in zip(order, rows):
-        values.append(series_value(f, a, w[:n]))
-        f = reduce_step(f, a, values[-1], w[:n])
-    return Evaluation(rows, np.array(values, dtype=complex), f)
+        f = reduce_step(f, a, series_value(f, a, w[:n]), w[:n])
+    return f
 
 
 def _evaluate(f, poles):
-    """The evaluation of a tuple on a Signal, memoized in one entry.
+    """The 2N-point rows and the final remainder of a tuple on a Signal, memoized.
 
-    The entry is keyed on the pole bytes and kept on the (immutable) Signal,
-    so a second call at the same tuple reuses the chain and a call at
-    another tuple replaces it.  Its arrays are read-only.
+    The one entry is keyed on the pole bytes and kept on the (immutable)
+    Signal, so a second call at the same tuple reuses the chain and a call
+    at another tuple replaces it.  Both arrays are read-only.
     """
     key = poles.tobytes()
     cached = getattr(f, "_evaluation_cache", None)
     if cached is None or cached[0] != key:
         rows = 1.0 / (_doubled_points(f.n_samples) - poles[:, None])
-        evaluation = _chain(f.samples, poles, rows)
-        for array in evaluation:
-            array.setflags(write=False)
-        cached = (key, evaluation)
+        rest = _chain(f.samples, poles, rows)
+        rows.setflags(write=False)
+        rest.setflags(write=False)
+        cached = (key, (rows, rest))
         object.__setattr__(f, "_evaluation_cache", cached)
     return cached[1]
 
@@ -163,11 +145,6 @@ def _fine_times_z(f):
     return cached
 
 
-def _stage_energy(poles, values):
-    """sum_j (1-|a_j|^2) |f_j(a_j)|^2 over stage values in tuple order."""
-    return sum((1.0 - abs(a) ** 2) * abs(v) ** 2 for a, v in zip(poles, values))
-
-
 def _finite(value, name):
     """The result, checked at the boundary instead of every stage."""
     if not np.all(np.isfinite(value)):
@@ -176,21 +153,23 @@ def _finite(value, name):
 
 
 def energy(f, tup):
-    """Energy E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 via one reduction pass."""
-    values = _evaluate(f, tup.poles).values
-    return _finite(_stage_energy(tup.poles, values), "energy")
+    """Energy E(a) = sum_j (1-|a_j|^2) |f_j(a_j)|^2 = ||f||^2 - A by telescoping.
+
+    This is the value `cgd_refine` records in its energy trace, bit for bit.
+    Its precision is absolute, about eps ||f||^2, not relative to E.
+    """
+    return _finite(norm_sq(f) - error_energy(f, tup), "energy")
 
 
 def error_energy(f, tup):
     """Squared approximation error A = ||f||^2 - E(a) as a remainder norm.
 
     The Moebius factor is unimodular on the circle, so the discrete norm of
-    the final remainder equals the unextracted energy exactly.  Near an
-    exact recovery this is far better conditioned than ||f||^2 - energy():
-    A is computed from the small remainder itself instead of as the
-    difference of two order-one quantities.
+    the final remainder equals the unextracted energy exactly.  Computed from
+    the small remainder itself, A keeps its relative precision near an exact
+    recovery, where E = ||f||^2 - A keeps only an absolute one.
     """
-    rest = _evaluate(f, tup.poles).rest
+    rest = _evaluate(f, tup.poles)[1]
     return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
@@ -198,30 +177,29 @@ def energy_gradient(f, tup):
     """gradE_l = -conj(d(-E)/da_l) = conj(conj(g_l) f_n(a_l)) per pole, as an array.
 
     The result is a complex array with one entry per pole, in tuple order;
-    ArithmeticError is raised when an entry is not finite.  The energy is
-    not summed here: `energy` reads it off the same memoized evaluation.
-    The poles are not tested for separation here: a PoleTuple is separated.
+    ArithmeticError is raised when an entry is not finite.  The poles are
+    not tested for separation here: a PoleTuple is separated.
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
     reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
     f with the kernel times B/M_l.  The means for g_l run on 2N points, where
     conj(B) = prod (1 - conj(a_j) z) w_j aliases at max|a|^(2N), not
-    max|a|^N.  Everything is read off the tuple's memoized evaluation, the
-    one `error_energy` also uses: with w_l = 1/(z - a_l) at the 2N points,
-    1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means g_l are one
-    matrix-vector product with the rows, and the n values f_n(a_l) are
-    another with the rows' N-point halves.  Per call that is the Moebius
-    product conj(B) over the n rows and the two products, with no division
-    and, at a tuple already evaluated, no second chain.
+    max|a|^N.  Everything is read off the tuple's memoized rows and
+    remainder, the ones `error_energy` also uses: with w_l = 1/(z - a_l) at
+    the 2N points, 1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means
+    g_l are one matrix-vector product with the rows, and the n values
+    f_n(a_l) are another with the rows' N-point halves.  Per call that is
+    the Moebius product conj(B) over the n rows and the two products, with
+    no division and, at a tuple already evaluated, no second chain.
     """
     poles = tup.poles
-    ev = _evaluate(f, poles)
+    rows, rest = _evaluate(f, poles)
     n = f.n_samples
     z2 = _doubled_points(n)
-    conj_b = np.prod((1.0 - np.conj(poles)[:, None] * z2) * ev.rows, axis=0)
+    conj_b = np.prod((1.0 - np.conj(poles)[:, None] * z2) * rows, axis=0)
     weight = _fine_times_z(f) * conj_b
     # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
-    conj_g = ev.rows @ (np.conj(weight) * z2) / (2 * n)
-    rest_at = (1.0 - poles**n) * (ev.rows[:, :n] @ (ev.rest * circle_points(n))) / n
+    conj_g = rows @ (np.conj(weight) * z2) / (2 * n)
+    rest_at = (1.0 - poles**n) * (rows[:, :n] @ (rest * circle_points(n))) / n
     return _finite(np.conj(conj_g * rest_at), "gradient")

@@ -9,7 +9,7 @@ remainder f_n of f reduced through those poles, and replaces the pole a
 there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds
 eta = ETA_REL * ||f||^2 (so the search is invariant under f -> lambda f).
 A node is a candidate only when the tuple it would make is `separated`,
-the rule a PoleTuple enforces.
+the rule a PoleTuple enforces; a scan with no candidate makes no move.
 
 The remainder does not depend on the order of the poles it is reduced
 through (up to the O(max|a|^N) aliasing of the sampled kernel), so a sweep
@@ -126,17 +126,17 @@ def _masked_argmax(mags, nodes, fixed):
     """Best node by magnitude, skipping nodes not `separated` from the fixed poles.
 
     Only each winner is tested; a coinciding one is masked and skipped in a
-    copy, made only when the first winner coincides.
+    copy, made only when the first winner coincides.  None when none is free.
     """
     masked = mags
     for _ in range(fixed.size + 1):
         idx = int(np.argmax(masked))
         if separated(np.append(fixed, nodes[idx])):
-            break
+            return masked[idx], nodes[idx]
         if masked is mags:
             masked = mags.copy()
         masked[idx] = -np.inf
-    return masked[idx], nodes[idx]
+    return None
 
 
 def _coordinate_step(g, poles, c, scan, eta):
@@ -145,10 +145,10 @@ def _coordinate_step(g, poles, c, scan, eta):
     v = _partial_energy_amp(f_n, poles[c])
     # no node below v can win the move, so the scan may skip it
     mags, nodes = scan(f_n, v)
-    v_t, a_t = _masked_argmax(mags, nodes, np.delete(poles, c))
-    # v and v_t are amplitudes; eta is an energy gain
-    if v_t**2 > v**2 + eta:
-        poles[c] = a_t
+    best = _masked_argmax(mags, nodes, np.delete(poles, c))
+    # best[0] and v are amplitudes; eta is an energy gain
+    if best is not None and best[0] ** 2 > v**2 + eta:
+        poles[c] = best[1]
         return 1
     return 0
 
@@ -167,9 +167,8 @@ def _sweep(g, poles, lo, hi, scan, eta):
     if hi - lo == 1:
         return _coordinate_step(g, poles, lo, scan, eta)
     mid = (lo + hi) // 2
-    accepted = _sweep(reduce_chain(g, poles[lo:mid]).rest, poles, mid, hi, scan, eta)
-    rest = reduce_chain(g, poles[mid:hi]).rest
-    return accepted + _sweep(rest, poles, lo, mid, scan, eta)
+    accepted = _sweep(reduce_chain(g, poles[lo:mid]), poles, mid, hi, scan, eta)
+    return accepted + _sweep(reduce_chain(g, poles[mid:hi]), poles, lo, mid, scan, eta)
 
 
 def _cyclic_search(f, n, cfg, scan, start_radius):

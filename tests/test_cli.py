@@ -249,7 +249,14 @@ class TestValidationExitCodes:
             "poles": [{"re": 0.5, "im": 0.0}], "coeffs": [{"re": 1.0, "im": 0.0}],
             "residual_error": "x"})),
         ("recover --builtin ex5_5 --degree 4 --truth", "truth.json", "[1]"),
-    ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object"])
+        ("synthesize --model", "model.json", "not json"),
+        ("recover --builtin ex5_5 --degree 4 --truth", "truth.json", "not json"),
+        ("benchmark --suite", "suite.json", "not json"),
+        ("synthesize --model", "model.json", json.dumps({
+            "degree": 3, "poles": [{"re": 0.5, "im": 0.0}],
+            "coeffs": [{"re": 1.0, "im": 0.0}]})),
+    ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object",
+            "model-not-json", "truth-not-json", "suite-not-json", "degree-not-pole-count"])
     def test_malformed_file_exits_2(self, tmp_path, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -258,6 +265,17 @@ class TestValidationExitCodes:
         assert str(path) in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        "synthesize --model {model} --out {tmp}/missing/s.csv",
+        "approximate --input {tmp} --degree 2 --out {tmp}/o.json",
+    ], ids=["out-dir-missing", "input-is-directory"])
+    def test_file_system_error_exits_2(self, tmp_path, model_file, args):
+        # the OSError's own message names the path
+        res = run_cli(*args.format(model=model_file, tmp=tmp_path).split())
+        assert res.returncode == 2
+        assert str(tmp_path) in res.stderr
+        assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "0.5"), ("--trust", "0.05"), ("--tol", "1e-18"), ("--eta-rel", "1e-12"),

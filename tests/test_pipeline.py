@@ -14,6 +14,7 @@ from blaschke import (
     PoleTuple,
     Signal,
     circle_points,
+    energy,
     norm_sq,
     project,
     synthesize,
@@ -258,6 +259,14 @@ class TestPipeline:
         cfg = RunConfig(degree=4, search=SearchConfig(radial=100, angular=128))
         res = cafd_cgd_result(Signal(1e-2 * f.samples), cfg, truth=truth)
         assert res.tuple_distance <= 5e-3
+
+    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
+    def test_energy_is_the_recorded_trace_value(self, name):
+        # E has one definition, ||f||^2 - A, in energy() and in the trace
+        f = builtin_signal(name, 1024)
+        cfg = RunConfig(degree=builtin_truth(name).degree, search=SearchConfig(angular=128))
+        report = cafd_cgd_result(f, cfg).cgd_report
+        assert energy(f, report.tuple) == report.energy_trace[-1]
 
     def test_truth_degree_checked_before_search(self, monkeypatch):
         import blaschke.pipeline as pipeline

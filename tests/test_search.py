@@ -46,12 +46,12 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
         for _ in range(n):
-            f_n = Signal(reduce_chain(f.samples, poles[:-1]).rest) if n > 1 else f
+            f_n = Signal(reduce_chain(f.samples, poles[:-1])) if n > 1 else f
             v = _partial_energy_amp(f_n, poles[-1])
             mags, nodes = scan(f_n)
-            v_t, a_t = _masked_argmax(mags, nodes, poles[:-1])
-            if v_t**2 > v**2 + eta:
-                poles[-1] = a_t
+            best = _masked_argmax(mags, nodes, poles[:-1])
+            if best is not None and best[0] ** 2 > v**2 + eta:
+                poles[-1] = best[1]
                 accepted += 1
             poles = np.roll(poles, 1)
         if accepted == 0:
@@ -183,6 +183,10 @@ class TestMaskedArgmax:
         np.testing.assert_array_equal(mags, [0.5, 0.9, 0.7, 0.8])
         assert _masked_argmax(mags, nodes, fixed[:0]) == (0.9, 0.2j)
 
+    def test_no_free_node(self):
+        nodes = np.array([0.1, 0.2j])
+        assert _masked_argmax(np.array([0.5, 0.9]), nodes, np.array([0.2j, 0.1, 0.3])) is None
+
 
 class TestRingBand:
     def test_floor_zero_keeps_every_ring(self):
@@ -274,6 +278,13 @@ class TestItsSearch:
                 patch.setattr(blaschke.search, "feval_table", direct_table)
                 direct = its_search(f, n, cfg)
             np.testing.assert_array_equal(direct.poles, fast.poles)
+
+    def test_scan_without_free_node_makes_no_move(self):
+        # the grid has two nodes and three fixed poles can cover both; such a
+        # step keeps its pole instead of moving it onto a taken node
+        f = builtin_signal("ex5_5", 64)
+        tup = its_search(f, 4, SearchConfig(radial=2, angular=2, seed=2))
+        assert isinstance(tup, PoleTuple) and tup.degree == 4
 
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
         # a degree-5 target cannot settle in a single sweep from a cold start
