@@ -87,6 +87,20 @@ def _read_json(path):
             raise ValueError(f"{path}: not a JSON file ({exc})") from exc
 
 
+def _pole_tuple(path, payload):
+    """The poles of a model or truth file as a PoleTuple.
+
+    A truth file may be a bare list of poles.  A `degree`, when present,
+    must be the number of poles; else a ValueError naming the file.
+    """
+    fields = payload if isinstance(payload, dict) else {"poles": payload}
+    poles = _complex_field(path, fields.get("poles"), "poles")
+    degree = fields.get("degree", len(poles))
+    if type(degree) is not int or degree != len(poles):
+        raise ValueError(f"{path}: degree must equal the number of poles, {len(poles)}")
+    return PoleTuple(poles)
+
+
 def read_model_json(path):
     payload = _read_json(path)
     if not isinstance(payload, dict):
@@ -94,18 +108,12 @@ def read_model_json(path):
     residual = payload.get("residual_error", 0.0)
     if type(residual) not in (int, float):  # not isinstance: JSON true is an int too
         raise ValueError(f"{path}: residual_error must be a number")
-    poles = _complex_field(path, payload.get("poles"), "poles")
     coeffs = _complex_field(path, payload.get("coeffs"), "coeffs")
-    degree = payload.get("degree", len(poles))
-    if type(degree) is not int or degree != len(poles):
-        raise ValueError(f"{path}: degree must equal the number of poles, {len(poles)}")
-    return BlaschkeModel(PoleTuple(poles), coeffs, residual)
+    return BlaschkeModel(_pole_tuple(path, payload), coeffs, residual)
 
 
 def read_tuple_json(path):
-    payload = _read_json(path)
-    entries = payload.get("poles") if isinstance(payload, dict) else payload
-    return PoleTuple(_complex_field(path, entries, "poles"))
+    return _pole_tuple(path, _read_json(path))
 
 
 def _load_input(input_path, builtin, samples):
@@ -141,6 +149,7 @@ def _approximate(input_path, builtin, degree, samples, radial, angular, seed,
     click.echo(f"l2_relative_error: {result.l2_relative_error:.6e}")
     if result.tuple_distance is not None:
         click.echo(f"tuple_distance: {result.tuple_distance:.6e}")
+    click.echo(f"working_samples: {result.working_samples}")
     click.echo(f"status: {result.cgd_report.status.value}")
     if result.cgd_report.status is CgdStatus.LINE_SEARCH_STALL:
         sys.exit(EXIT_STALL)

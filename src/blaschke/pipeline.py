@@ -1,5 +1,11 @@
 """End-to-end driver: search, refine, project, and the evaluation metrics.
 
+The search runs on the signal's N samples.  The refinement runs at a
+working resolution N' <= N, the fewest samples at which f and the search
+tuple's Takenaka-Malmquist system are held to round-off (`_working_samples`),
+and a second refinement call confirms its tuple at the full N.  The model
+and its error always come from the full N.
+
 Also houses the builtin target registry (the closed-form functions and the
 fixed Blaschke forms) and the benchmark harness, one row per case and
 algorithm; the pipeline and the rectangular baseline share one result assembly.
@@ -22,6 +28,7 @@ from .hardy import (
     draw_separated,
     norm_sq,
     project,
+    spectrum,
     synthesize,
 )
 from .search import RectGridConfig, SearchConfig, its_search, rect_cafd_search
@@ -45,6 +52,11 @@ __all__ = [
 
 # circle samples of a builtin target unless the caller asks for another count
 DEFAULT_SAMPLES = 1024
+
+# the refinement may run on N' < N samples when f's relative spectral tail
+# beyond N' and max|a|^(N' - n) over the search tuple are both at most this;
+# it sits just above the round-off plateau of the builtin targets' tails
+WORKING_TOL = 1e-14
 
 # the algorithms a benchmark descriptor may name
 ALGORITHMS = ("cafd_cgd", "rect_cafd")
@@ -120,6 +132,9 @@ class RecoveryResult:
     its_tuple: PoleTuple
     cgd_report: CgdReport | None  # None for rect_cafd, which runs no refinement
     tuple_distance: float = None
+    # the sample count N' the refinement ran at (N when no smaller count
+    # passed); None for rect_cafd
+    working_samples: int | None = None
 
 
 def builtin_signal(name, n_samples=DEFAULT_SAMPLES):
@@ -236,28 +251,77 @@ def _checked_norm_sq(f, truth=None, degree=None):
     return total
 
 
-def _result(f, total, start_time, search_tuple, report, truth):
+def _result(f, total, start_time, search_tuple, report, truth, working=None):
     """Project the last tuple, stop the clock and measure; rect_cafd has no report."""
     final = search_tuple if report is None else report.tuple
     model = project(f, final)
     wall = time.perf_counter() - start_time
     err = float(np.sqrt(model.residual_error / total))
     dist = None if truth is None else tuple_distance(final, truth)
-    return RecoveryResult(model, err, wall, search_tuple, report, dist)
+    return RecoveryResult(model, err, wall, search_tuple, report, dist, working)
+
+
+def _working_samples(f, tup):
+    """The fewest samples N' on which to refine from `tup`; f.n_samples if none passes.
+
+    N' is the smallest power of two below N that is at least 2n and meets
+    both bounds against WORKING_TOL: f's relative spectral tail
+    sqrt(sum_{k >= N'} |f_hat(k)|^2) / ||f|| (where a Chebyshev series is
+    chopped: Aurentz and Trefethen, ACM TOMS 43, 2017), and max|a|^(N' - n)
+    over the tuple, the size of the aliasing of its sampled TM system.
+    Every sample j*N/N' of f is exact, so at N' the refinement sees f and
+    its own energy as at N, up to round-off.
+    """
+    n_samples, degree = f.n_samples, tup.degree
+    # tail[k] = sum_{j >= k} |f_hat(j)|^2, summed from the small end
+    tail = np.cumsum(np.abs(spectrum(f).coeffs[::-1]) ** 2)[::-1]
+    radius = float(np.max(np.abs(tup.poles)))
+    m = 2
+    while m < n_samples:
+        if (m >= 2 * degree and np.sqrt(tail[m] / tail[0]) <= WORKING_TOL
+                and radius ** (m - degree) <= WORKING_TOL):
+            return m
+        m *= 2
+    return n_samples
+
+
+def _refine(f, start, cfg):
+    """cgd_refine at the working resolution, confirmed at the full N.
+
+    Returns (report, N').  Below N the two calls merge into one report:
+    the confirm stage's tuple, status and final |grad E|^2, the iterations
+    of both, and the working stage's energy trace with its last entry
+    replaced by the confirm stage's trace.  Each stage's trace is monotone;
+    the entry at the seam and every later one is a full-N energy.
+    """
+    n_work = _working_samples(f, start)
+    if n_work == f.n_samples:
+        return cgd_refine(f, start, cfg), n_work
+    work = cgd_refine(Signal(f.samples[::f.n_samples // n_work]), start, cfg)
+    confirm = cgd_refine(f, work.tuple, CgdConfig(max_iters=cfg.max_iters - work.iterations))
+    report = CgdReport(confirm.tuple, work.iterations + confirm.iterations,
+                       confirm.final_gradient_norm_sq,
+                       work.energy_trace[:-1] + confirm.energy_trace, confirm.status)
+    return report, n_work
 
 
 def cafd_cgd_result(f, cfg, truth=None):
     """Full pipeline with timing and metrics: search, refine, project.
 
-    A line-search stall in the refinement stage is not an error: the
-    reported tuple (at worst the search tuple itself) is projected and
-    returned.
+    The search runs at the signal's N samples.  The refinement runs at the
+    working resolution N' of `_working_samples` on the samples f[::N/N'],
+    then confirms the tuple at N from where it stopped, with what is left
+    of `cfg.cgd.max_iters`, so the reported status, final gradient norm and
+    last energy are full-N values (see `_refine`).  When N' = N it is one
+    call at N.  A line-search stall in the refinement stage is not an
+    error: the reported tuple (at worst the search tuple itself) is
+    projected and returned.
     """
     total = _checked_norm_sq(f, truth, cfg.degree)
     start_time = time.perf_counter()
     its_tuple = its_search(f, cfg.degree, cfg.search)
-    report = cgd_refine(f, its_tuple, cfg.cgd)
-    return _result(f, total, start_time, its_tuple, report, truth)
+    report, n_work = _refine(f, its_tuple, cfg.cgd)
+    return _result(f, total, start_time, its_tuple, report, truth, n_work)
 
 
 def cafd_cgd(f, n, cfg=None):

@@ -26,7 +26,8 @@ from blaschke.cli import (
     write_model_json,
     write_signal_csv,
 )
-from blaschke.pipeline import RunConfig
+from blaschke.pipeline import DEFAULT_SAMPLES, RunConfig, builtin_signal, cafd_cgd_result
+from blaschke.search import SearchConfig
 
 
 def run_cli(*args):
@@ -110,6 +111,18 @@ class TestSynthesizeAndRecover:
         assert res.returncode == 0, res.stderr
         assert "l2_relative_error" in res.stdout
         assert out.exists()
+
+    def test_reports_working_samples(self, tmp_path):
+        # the refinement's sample count, as the library reports it for the same run
+        res = CliRunner().invoke(cli.main, [
+            "recover", "--builtin", "ex5_6", "--degree", "4", "--angular", "128",
+            "--out", str(tmp_path / "o.json"),
+        ])
+        assert res.exit_code == 0, res.output
+        lines = dict(line.split(": ") for line in res.output.splitlines())
+        want = cafd_cgd_result(builtin_signal("ex5_6"), RunConfig(
+            degree=4, search=SearchConfig(angular=128))).working_samples
+        assert int(lines["working_samples"]) == want < DEFAULT_SAMPLES
 
     def test_iteration_cap_exits_5_and_writes_model(self, tmp_path):
         # under the default settings this target stops at the 500-iteration
@@ -255,8 +268,12 @@ class TestValidationExitCodes:
         ("synthesize --model", "model.json", json.dumps({
             "degree": 3, "poles": [{"re": 0.5, "im": 0.0}],
             "coeffs": [{"re": 1.0, "im": 0.0}]})),
+        # a one-pole truth fits this degree-1 run, so only the degree check stops it
+        ("recover --builtin ex5_5 --degree 1 --samples 256 --angular 64 --radial 20 --truth",
+         "truth.json", json.dumps({"degree": 3, "poles": [{"re": 0.5, "im": 0.0}]})),
     ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object",
-            "model-not-json", "truth-not-json", "suite-not-json", "degree-not-pole-count"])
+            "model-not-json", "truth-not-json", "suite-not-json", "degree-not-pole-count",
+            "truth-degree-not-pole-count"])
     def test_malformed_file_exits_2(self, tmp_path, command, name, content):
         path = tmp_path / name
         path.write_text(content)

@@ -15,6 +15,7 @@ from blaschke import (
     Signal,
     circle_points,
     energy,
+    energy_gradient,
     norm_sq,
     project,
     synthesize,
@@ -296,6 +297,101 @@ class TestPipeline:
             cafd_cgd_result(f, SMALL_RUN)
         with pytest.raises(ValueError, match="zero norm"):
             rect_cafd(f, 1, RectGridConfig(gap=0.05))
+
+
+def _form_run(name):
+    """The signal, truth and the run_benchmark config of a builtin form."""
+    truth = builtin_truth(name)
+    return builtin_signal(name, 1024), truth, RunConfig(truth.degree, SearchConfig(angular=128))
+
+
+def _spy_refine(monkeypatch):
+    """Record (sample count, iterations) of every cgd_refine call the pipeline makes."""
+    import blaschke.pipeline as pipeline
+
+    calls = []
+    refine = pipeline.cgd_refine
+
+    def spy(f, start, cfg):
+        report = refine(f, start, cfg)
+        calls.append((f.n_samples, report.iterations))
+        return report
+
+    monkeypatch.setattr(pipeline, "cgd_refine", spy)
+    return calls
+
+
+class TestWorkingResolution:
+    @pytest.mark.parametrize("name", ["ex5_3", "ex5_4", "ex5_5", "ex5_6"])
+    def test_same_answer_as_refining_at_full_n(self, monkeypatch, name):
+        import blaschke.pipeline as pipeline
+
+        f, truth, cfg = _form_run(name)
+        working = cafd_cgd_result(f, cfg, truth=truth)
+        # no tail is exactly 0, so no N' < N passes
+        monkeypatch.setattr(pipeline, "WORKING_TOL", 0.0)
+        full = cafd_cgd_result(f, cfg, truth=truth)
+        assert full.working_samples == 1024
+        assert working.cgd_report.status is full.cgd_report.status
+        assert tuple_distance(working.model.tuple, full.model.tuple) <= 1e-9
+
+    def test_slow_tail_refines_at_full_n(self, monkeypatch):
+        # ex5_4's spectrum decays like 0.984^k: its tail is 8.3e-3 at k = 256
+        calls = _spy_refine(monkeypatch)
+        f, truth, cfg = _form_run("ex5_4")
+        res = cafd_cgd_result(f, cfg, truth=truth)
+        assert res.working_samples == 1024
+        assert [n for n, _ in calls] == [1024]
+
+    def test_pole_near_the_circle_refines_at_full_n(self, monkeypatch):
+        # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) > 1e-14
+        # for every N' <= 1024
+        import blaschke.pipeline as pipeline
+
+        f, _, cfg = _form_run("ex5_3")
+        poles = builtin_truth("ex5_3").poles.copy()
+        poles[0] = 0.99
+        monkeypatch.setattr(pipeline, "its_search", lambda *args: PoleTuple(poles))
+        calls = _spy_refine(monkeypatch)
+        cfg = RunConfig(cfg.degree, cfg.search, CgdConfig(max_iters=5))
+        res = cafd_cgd_result(f, cfg)
+        assert res.working_samples == 1024
+        assert [n for n, _ in calls] == [1024]
+
+    def test_budget_spent_in_the_working_stage(self, monkeypatch):
+        # the confirm stage gets no iteration left, so it only measures at N
+        calls = _spy_refine(monkeypatch)
+        f, truth, cfg = _form_run("ex5_3")
+        cfg = RunConfig(cfg.degree, cfg.search, CgdConfig(max_iters=3))
+        res = cafd_cgd_result(f, cfg, truth=truth)
+        report = res.cgd_report
+        assert calls == [(res.working_samples, 3), (1024, 0)]
+        assert report.iterations == 3
+        assert report.status is CgdStatus.ITERATION_CAP
+        grad = energy_gradient(f, report.tuple)
+        assert report.final_gradient_norm_sq == float(np.sum(np.abs(grad) ** 2))
+        assert report.energy_trace[-1] == energy(f, report.tuple)
+        assert len(report.energy_trace) == report.iterations + 1
+
+    def test_confirm_stage_that_iterates_still_recovers(self, monkeypatch):
+        # a loose tolerance picks an N' whose tail is not at round-off, so
+        # the tuple must move again at N
+        import blaschke.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "WORKING_TOL", 1e-3)
+        calls = _spy_refine(monkeypatch)
+        f, truth, cfg = _form_run("ex5_5")
+        res = cafd_cgd_result(f, cfg, truth=truth)
+        (n_work, _), (n_full, confirm_iters) = calls
+        assert n_work < n_full == 1024
+        assert confirm_iters > 0
+        assert res.cgd_report.iterations == sum(k for _, k in calls)
+        assert res.cgd_report.status is CgdStatus.CONVERGED
+        assert res.tuple_distance <= 5e-3
+
+    def test_rect_cafd_reports_no_working_resolution(self):
+        f = synthesize(BlaschkeModel(PoleTuple([0.45 - 0.3j]), [1.0]), 256)
+        assert rect_cafd(f, 1, RectGridConfig(gap=0.05)).working_samples is None
 
 
 class TestRunBenchmark:
