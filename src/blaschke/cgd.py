@@ -15,7 +15,8 @@ The trial step s is the largest step keeping the tuple in the closed
 polydisk, capped by the per-coordinate trust region TRUST_RADIUS/max|p| and
 by 1.  Backtracking shrinks s by BACKTRACK_FACTOR while the
 sufficient-increase test E(a + s*p) >= E(a) + (s/2)*Re<g, p> fails, or
-while the step would leave the disk or merge two poles.  The refinement
+while the step would leave the disk.  Poles may merge: a PoleTuple admits
+repeated poles, so a step inside the margin always makes one.  The refinement
 stops once |g|^2 <= GRAD_TOL.  The gradient at the accepted point is
 computed once and serves both the update and the next direction.
 
@@ -92,17 +93,13 @@ def _max_inward_step(poles, direction):
 
 
 def _candidate(poles):
-    """The PoleTuple of a trial point, or None if it leaves the margin or merges poles.
+    """The PoleTuple of a trial point, or None if it leaves the margin.
 
-    The margin is tested here and separation by `PoleTuple` alone, each
-    once per candidate.
+    Inside the margin `PoleTuple` cannot fail: it admits repeated poles.
     """
     if not np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN):
         return None
-    try:
-        return PoleTuple(poles)
-    except ValueError:
-        return None
+    return PoleTuple(poles)
 
 
 def _real(z):

@@ -132,7 +132,8 @@ def _run_options(fn):
         click.option("--samples", default=DEFAULT_SAMPLES, show_default=True),
         click.option("--radial", default=SearchConfig.radial, show_default=True),
         click.option("--angular", default=SearchConfig.angular, show_default=True),
-        click.option("--seed", default=SearchConfig.seed, show_default=True),
+        click.option("--seed", type=click.IntRange(min=0), default=SearchConfig.seed,
+                     show_default=True),
         click.option("--out", "out_path", type=click.Path(), required=True),
     ]):
         fn = deco(fn)

@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-# the least distance between two poles of an admissible tuple
-MIN_SEPARATION = 1e-12
-
-
 def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
 
@@ -44,13 +40,6 @@ def disk_points(points, name):
     if not np.all(np.abs(z) < 1.0):
         raise ValueError(f"{name} must satisfy |z| < 1, max |z| = {np.max(np.abs(z))}")
     return z
-
-
-def separated(poles):
-    """Whether every two of the finite poles lie at least MIN_SEPARATION apart."""
-    # only the n zero distances of the poles to themselves may fall below it
-    close = np.abs(poles[:, None] - poles) < MIN_SEPARATION
-    return np.count_nonzero(close) == poles.size
 
 
 def check_degree(n):
@@ -118,11 +107,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PoleTuple:
-    """Ordered tuple of poles |a| < 1, every two at least MIN_SEPARATION apart.
+    """Ordered, non-empty tuple of poles |a| < 1; a pole may repeat.
 
     The one place a tuple is validated: the energy and its gradient take a
-    PoleTuple and test nothing again, and the search and the refinement
-    screen their moves with the same `separated` before they build one.
+    PoleTuple and test nothing again.  Repeated poles are admitted, as in
+    the Takenaka-Malmquist system: no kernel divides by a pole difference.
     """
 
     poles: np.ndarray
@@ -132,8 +121,6 @@ class PoleTuple:
         object.__setattr__(self, "poles", poles)
         check_degree(poles.size)
         disk_points(poles, "poles")
-        if not separated(poles):
-            raise ValueError(f"poles must lie at least {MIN_SEPARATION} apart")
         poles.setflags(write=False)
 
     @property

@@ -387,6 +387,8 @@ def _check_descriptor(descriptor):
     # a batch of no forms has no mean or max to report
     if any(t.get("count", 1) < 1 for t in targets):
         raise ValueError("descriptor field 'count' must be at least 1")
+    if descriptor.get("seed", 0) < 0:
+        raise ValueError("descriptor field 'seed' must be nonnegative")
     if any(t["name"] == "random" and "degree" not in t for t in targets):
         raise KeyError("no degree given for target 'random'")
     for algo in algorithms:

@@ -177,8 +177,8 @@ def energy_gradient(f, tup):
     """gradE_l = -conj(d(-E)/da_l) = conj(conj(g_l) f_n(a_l)) per pole, as an array.
 
     The result is a complex array with one entry per pole, in tuple order;
-    ArithmeticError is raised when an entry is not finite.  The poles are
-    not tested for separation here: a PoleTuple is separated.
+    ArithmeticError is raised when an entry is not finite.  Poles may
+    repeat: no step divides by a pole difference.
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))

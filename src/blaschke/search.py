@@ -8,8 +8,12 @@ poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
 there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds
 eta = ETA_REL * ||f||^2 (so the search is invariant under f -> lambda f).
-A node is a candidate only when the tuple it would make is `separated`,
-the rule a PoleTuple enforces; a scan with no candidate makes no move.
+A node is a candidate only when no other pole sits on it; a scan with no
+candidate makes no move.  A PoleTuple admits repeated poles, but the search
+keeps this rule of its own: stacked poles get identical gradient entries,
+so the refinement's BFGS, started from the identity, moves them together
+and never splits them.  Every pole the search places is a node of its own
+grid and the random start lands on none, so exact equality is the test.
 
 The remainder does not depend on the order of the poles it is reduced
 through (up to the O(max|a|^N) aliasing of the sampled kernel), so a sweep
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
-from .hardy import MIN_SEPARATION, PoleTuple, Signal, draw_separated, norm_sq, separated
+from .hardy import PoleTuple, Signal, draw_separated, norm_sq
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -123,15 +127,15 @@ def _partial_energy_amp(f_n, a):
 
 
 def _masked_argmax(mags, nodes, fixed):
-    """Best node by magnitude, skipping nodes not `separated` from the fixed poles.
+    """Best node by magnitude, skipping nodes equal to a fixed pole.
 
-    Only each winner is tested; a coinciding one is masked and skipped in a
-    copy, made only when the first winner coincides.  None when none is free.
+    Only each winner is tested; a taken one is masked and skipped in a
+    copy, made only when the first winner is taken.  None when none is free.
     """
     masked = mags
     for _ in range(fixed.size + 1):
         idx = int(np.argmax(masked))
-        if separated(np.append(fixed, nodes[idx])):
+        if nodes[idx] not in fixed:
             return masked[idx], nodes[idx]
         if masked is mags:
             masked = mags.copy()
@@ -184,7 +188,7 @@ def _cyclic_search(f, n, cfg, scan, start_radius):
     eta = ETA_REL * norm_sq(f)
     rng = np.random.default_rng(cfg.seed)
     # about one try in five falls outside the disk; 100 per pole leave ample room
-    poles = draw_separated(rng, n, start_radius, MIN_SEPARATION, 100 * n)
+    poles = draw_separated(rng, n, start_radius, 0.0, 100 * n)
     for _ in range(MAX_SWEEPS):
         if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
             return PoleTuple(poles)

@@ -82,6 +82,15 @@ class TestFileFormats:
 
 
 class TestSynthesizeAndRecover:
+    def test_repeated_pole_model_synthesizes(self, tmp_path):
+        model = tmp_path / "model.json"
+        write_model_json(model, BlaschkeModel(PoleTuple([0.5, 0.5, 0.2j]), [1.0, 0.5j, -0.25]))
+        sig = tmp_path / "sig.csv"
+        res = run_cli("synthesize", "--model", str(model), "--samples", "64",
+                      "--out", str(sig))
+        assert res.returncode == 0, res.stderr
+        assert read_signal_csv(sig).n_samples == 64
+
     def test_end_to_end_round_trip(self, tmp_path, model_file, truth_file):
         sig = tmp_path / "sig.csv"
         out = tmp_path / "out.json"
@@ -235,6 +244,15 @@ class TestValidationExitCodes:
         )
         assert res.returncode == 2
 
+    def test_negative_seed(self, tmp_path):
+        res = run_cli(
+            "approximate", "--builtin", "ex5_5", "--degree", "4", "--seed", "-1",
+            "--out", str(tmp_path / "o.json"),
+        )
+        assert res.returncode == 2
+        assert "--seed" in res.stderr
+        assert not (tmp_path / "o.json").exists()
+
     def test_bad_angular_count(self, tmp_path):
         res = run_cli(
             "approximate", "--builtin", "ex5_5", "--degree", "4", "--angular", "3",
@@ -370,6 +388,15 @@ class TestBenchmarkCommand:
                       "--out", str(tmp_path / "table.csv"))
         assert res.returncode == 2
         assert f"descriptor field {field}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps({"targets": [{"name": "ex5_5"}], "seed": -1}))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert "descriptor field 'seed' must be nonnegative" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("count", [0, -3])

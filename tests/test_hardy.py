@@ -145,12 +145,13 @@ class TestTmBasis:
         np.testing.assert_allclose(tm_basis(tup, 1, circle_points(8)), np.ones(8))
 
     def test_orthogonality(self):
-        tup = PoleTuple([0.3, -0.4j])
         z = circle_points(1024)
-        b1 = Signal(tm_basis(tup, 1, z))
-        b2 = Signal(tm_basis(tup, 2, z))
-        assert abs(inner_product(b1, b2)) < 1e-10
-        assert inner_product(b2, b2) == pytest.approx(1.0, abs=1e-10)
+        # the second tuple repeats a pole, which the running product allows
+        for poles in ([0.3, -0.4j], [0.5, 0.5, 0.2j, 0.5]):
+            tup = PoleTuple(poles)
+            basis = [Signal(tm_basis(tup, k, z)) for k in range(1, tup.degree + 1)]
+            gram = np.array([[inner_product(b, c) for c in basis] for b in basis])
+            assert np.max(np.abs(gram - np.eye(tup.degree))) < 1e-10
 
     def test_index_out_of_range(self):
         tup = PoleTuple([0.3])
@@ -168,13 +169,10 @@ class TestPoleTupleValidation:
         with pytest.raises(ValueError):
             PoleTuple([0.5, np.nan])
 
-    def test_duplicate_poles_rejected(self):
-        with pytest.raises(ValueError):
-            PoleTuple([0.5, 0.5])
-        # distinct, but closer than MIN_SEPARATION = 1e-12
-        with pytest.raises(ValueError):
-            PoleTuple([0.5, 0.5 + 1e-14])
-        assert PoleTuple([0.5, 0.5 + 1e-11]).degree == 2
+    def test_repeated_poles_admitted(self):
+        # a Takenaka-Malmquist system is defined for repeated poles too
+        assert PoleTuple([0.5, 0.5]).degree == 2
+        assert PoleTuple([0.5, 0.5 + 1e-14]).degree == 2
 
     def test_degree(self):
         assert PoleTuple([0.1, 0.2, 0.3j]).degree == 3
@@ -257,10 +255,14 @@ class TestSynthesize:
         for tup, coeffs, n_samples in (
             (tup, coeffs, 1024),
             (*random_blaschke_form(30, 3), 4096),
+            # a repeated pole
+            (PoleTuple([0.5, 0.5, 0.2j, 0.5]), coeffs[[0, 1, 2, 0]], 1024),
         ):
             f = synthesize(BlaschkeModel(tup, coeffs), n_samples)
             model = project(f, tup)
             np.testing.assert_allclose(model.coeffs, coeffs, atol=1e-8)
+            gap = np.max(np.abs(model.coeffs - coeffs))
+            assert gap <= 1e-12 * np.linalg.norm(coeffs)
 
     @given(
         n=st.integers(1, 30),

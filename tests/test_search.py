@@ -14,8 +14,14 @@ from blaschke import (
     norm_sq,
     synthesize,
 )
-from blaschke.hardy import MIN_SEPARATION, draw_separated
-from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
+from blaschke.hardy import draw_separated
+from blaschke.pipeline import (
+    BUILTIN_DEGREES,
+    RunConfig,
+    builtin_signal,
+    builtin_truth,
+    cafd_cgd_result,
+)
 from blaschke.reduction import energy, reduce_chain
 from blaschke.search import (
     RectGridConfig,
@@ -40,9 +46,7 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     sweep; after n rolls the tuple is back in array order.
     """
     eta = blaschke.search.ETA_REL * norm_sq(f)
-    poles = draw_separated(
-        np.random.default_rng(cfg.seed), n, start_radius, MIN_SEPARATION, 100 * n
-    )
+    poles = draw_separated(np.random.default_rng(cfg.seed), n, start_radius, 0.0, 100 * n)
     for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
         for _ in range(n):
@@ -182,6 +186,8 @@ class TestMaskedArgmax:
         assert _masked_argmax(mags, nodes, fixed) == (0.7, -0.3)
         np.testing.assert_array_equal(mags, [0.5, 0.9, 0.7, 0.8])
         assert _masked_argmax(mags, nodes, fixed[:0]) == (0.9, 0.2j)
+        # only a node equal to a fixed pole is taken, however close one is
+        assert _masked_argmax(mags, nodes, np.array([0.2j + 1e-14])) == (0.9, 0.2j)
 
     def test_no_free_node(self):
         nodes = np.array([0.1, 0.2j])
@@ -284,7 +290,22 @@ class TestItsSearch:
         # step keeps its pole instead of moving it onto a taken node
         f = builtin_signal("ex5_5", 64)
         tup = its_search(f, 4, SearchConfig(radial=2, angular=2, seed=2))
-        assert isinstance(tup, PoleTuple) and tup.degree == 4
+        assert tup.degree == 4 and np.unique(tup.poles).size == 4
+
+    @pytest.mark.parametrize("name, radial, angular, seed", [
+        ("ex5_3", 3, 2, 1),
+        ("ex5_6", 2, 4, 2),
+    ])
+    def test_no_pole_stacked_on_a_taken_node(self, name, radial, angular, seed):
+        # on a coarse grid the best node is often one a fixed pole holds;
+        # stacked poles get identical gradient entries, so the refinement
+        # would move them together and never split them
+        f = builtin_signal(name, 256)
+        truth = builtin_truth(name)
+        cfg = RunConfig(truth.degree, SearchConfig(radial, angular, seed))
+        res = cafd_cgd_result(f, cfg, truth=truth)
+        assert np.unique(res.its_tuple.poles).size == truth.degree
+        assert res.tuple_distance <= 5e-3
 
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
         # a degree-5 target cannot settle in a single sweep from a cold start
