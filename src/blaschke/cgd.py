@@ -11,14 +11,15 @@ direction, Re<g, p> <= 0.  The first update from the identity, at the
 start or after a reset, first scales it to (s_k . y_k / y_k . y_k) I
 (N&W eq. 6.20).
 
-The trial step s is the largest step keeping the tuple in the closed
-polydisk, capped by the per-coordinate trust region TRUST_RADIUS/max|p| and
-by 1.  Backtracking shrinks s by BACKTRACK_FACTOR while the
-sufficient-increase test E(a + s*p) >= E(a) + (s/2)*Re<g, p> fails, or
-while the step would leave the disk.  Poles may merge: a PoleTuple admits
-repeated poles, so a step inside the margin always makes one.  The refinement
-stops once |g|^2 <= GRAD_TOL.  The gradient at the accepted point is
-computed once and serves both the update and the next direction.
+The trial step starts at s = min(TRUST_RADIUS/max|p|, 1), so no pole moves
+farther than the trust radius.  Backtracking shrinks s by BACKTRACK_FACTOR
+while the sufficient-increase test E(a + s*p) >= E(a) + (s/2)*Re<g, p>
+fails, or, without evaluating E, while a trial pole lies outside the disk
+|a| <= 1 - BOUNDARY_MARGIN: the one rule that keeps the iterates inside.
+Poles may merge: a PoleTuple admits repeated poles, so a step inside the
+margin always makes one.  The refinement stops once |g|^2 <= GRAD_TOL.  The
+gradient at the accepted point is computed once and serves both the update
+and the next direction.
 
 The sufficient-increase test is evaluated on the squared error
 A = ||f||^2 - E rather than on E itself: A telescopes to the norm of the
@@ -78,24 +79,12 @@ class CgdReport:
     status: CgdStatus
 
 
-def _max_inward_step(poles, direction):
-    """Largest s with ||poles + s*direction||_inf = 1 (inf if never reached).
-
-    Per pole, |a + s g| = 1 is gg s^2 + 2 Re(conj(a) g) s + |a|^2 - 1 = 0
-    with gg = |g|^2; the step is its positive root, over the poles that move.
-    """
-    gg = np.abs(direction) ** 2
-    b = np.real(np.conj(poles) * direction)
-    disc = b * b + gg * (1.0 - np.abs(poles) ** 2)
-    roots = np.full(gg.shape, np.inf)
-    np.divide(-b + np.sqrt(disc), gg, out=roots, where=gg != 0.0)
-    return float(np.min(roots))
-
-
 def _candidate(poles):
-    """The PoleTuple of a trial point, or None if it leaves the margin.
+    """The PoleTuple of a trial point, or None if a pole has |a| > 1 - BOUNDARY_MARGIN.
 
-    Inside the margin `PoleTuple` cannot fail: it admits repeated poles.
+    The line search's one boundary rule: the search halves a rejected trial
+    without evaluating the energy there.  Inside the margin `PoleTuple`
+    cannot fail: it admits repeated poles.
     """
     if not np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN):
         return None
@@ -134,7 +123,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
                 h = None
         if h is None:
             p, slope = g, gnorm_sq
-        s = min(_max_inward_step(tup.poles, p), TRUST_RADIUS / np.max(np.abs(p)), 1.0)
+        s = min(TRUST_RADIUS / np.max(np.abs(p)), 1.0)
         for _ in range(MAX_BACKTRACKS):
             cand = _candidate(tup.poles + s * p)
             if cand is not None:

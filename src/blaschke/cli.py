@@ -73,9 +73,13 @@ def write_model_json(path, model):
 def _complex_field(path, entries, field):
     """The numbers in a JSON list of {"re": x, "im": y}; else a ValueError naming the file."""
     try:
-        return [c["re"] + 1j * c["im"] for c in entries]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f'{path}: {field} must be a list of {{"re": x, "im": y}}') from exc
+        parts = [(c["re"], c["im"]) for c in entries]
+        # not isinstance: JSON true is an int too
+        if all(type(v) in (int, float) for pair in parts for v in pair):
+            return [re + 1j * im for re, im in parts]
+    except (TypeError, KeyError):
+        pass
+    raise ValueError(f'{path}: {field} must be a list of {{"re": x, "im": y}} with numbers x, y')
 
 
 def _read_json(path):

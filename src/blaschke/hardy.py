@@ -34,6 +34,12 @@ def _is_power_of_two(n):
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def check_sample_count(n):
+    """The one test of a sample count: a power of two, at least 2."""
+    if not _is_power_of_two(n):
+        raise ValueError(f"sample count must be a power of two >= 2, got {n}")
+
+
 def disk_points(points, name):
     """The points as a complex array; the one test of |z| < 1, which NaN fails."""
     z = np.asarray(points, dtype=complex)
@@ -76,10 +82,9 @@ class Signal:
     def __post_init__(self):
         samples = np.array(self.samples, dtype=complex)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or not _is_power_of_two(samples.size):
-            raise ValueError(
-                f"sample count must be a power of two >= 2, got {samples.size}"
-            )
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
+        check_sample_count(samples.size)
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         samples.setflags(write=False)
@@ -156,6 +161,7 @@ class BlaschkeModel:
 @lru_cache(maxsize=32)
 def circle_points(n):
     """The n equidistant points exp(2*pi*i*j/n), j = 0..n-1 (cached, read-only)."""
+    check_sample_count(n)
     pts = np.exp(2j * np.pi * np.arange(n) / n)
     pts.setflags(write=False)
     return pts

@@ -5,13 +5,8 @@ import pytest
 
 import blaschke.cgd
 from blaschke import BlaschkeModel, PoleTuple, synthesize, tuple_distance
-from blaschke.cgd import (
-    CgdConfig,
-    CgdStatus,
-    _candidate,
-    _max_inward_step,
-    cgd_refine,
-)
+from blaschke.cgd import CgdConfig, CgdStatus, _candidate, cgd_refine
+from blaschke.pipeline import RunConfig, builtin_signal, builtin_truth, cafd_cgd_result
 from blaschke.reduction import energy_gradient, error_energy
 
 from conftest import monomial_signal, szego_signal
@@ -37,52 +32,13 @@ def paper_step(f, poles):
     g = energy_gradient(f, PoleTuple(poles))
     gnorm_sq = float(np.sum(np.abs(g) ** 2))
     err = error_energy(f, PoleTuple(poles))
-    s2 = blaschke.cgd.TRUST_RADIUS / np.max(np.abs(g))
-    s = min(_max_inward_step(poles, g), s2, 1.0)
+    s = min(blaschke.cgd.TRUST_RADIUS / np.max(np.abs(g)), 1.0)
     while True:
         cand = poles + s * g
         tup = _candidate(cand)
         if tup is not None and error_energy(f, tup) <= err - 0.5 * s * gnorm_sq:
             return cand
         s *= blaschke.cgd.BACKTRACK_FACTOR
-
-
-def scalar_max_inward_step(poles, direction):
-    """Reference: the positive root of |a + s g| = 1, pole by pole."""
-    s1 = np.inf
-    for a, g in zip(poles, direction):
-        gg = abs(g) ** 2
-        if gg == 0.0:
-            continue
-        b = np.real(np.conj(a) * g)
-        disc = b * b + gg * (1.0 - abs(a) ** 2)
-        s1 = min(s1, (-b + np.sqrt(disc)) / gg)
-    return s1
-
-
-class TestMaxInwardStep:
-    def test_matches_scalar_reference(self):
-        # the vectorized |g| and conj(a) g may round differently in the last
-        # bit; -b + sqrt(disc) amplifies that by at most 4|a|^2/(1-|a|^2) < 40
-        # for |a| <= 0.95
-        rng = np.random.default_rng(5)
-        for trial in range(200):
-            n = 1 + trial % 6
-            poles = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-            direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direction[rng.random(n) < 0.3] = 0.0
-            want = scalar_max_inward_step(poles, direction)
-            assert _max_inward_step(poles, direction) == pytest.approx(want, rel=1e-13)
-
-    def test_no_moving_pole_gives_inf(self):
-        poles = np.array([0.3 + 0.1j, -0.5j])
-        assert _max_inward_step(poles, np.zeros(2, dtype=complex)) == np.inf
-
-    def test_step_reaches_the_unit_circle(self):
-        poles = np.array([0.3 + 0.1j, -0.5j, 0.2])
-        direction = np.array([0.0, 1.0 + 1.0j, -0.5j])
-        s = _max_inward_step(poles, direction)
-        assert np.max(np.abs(poles + s * direction)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestConfigValidation:
@@ -171,6 +127,33 @@ class TestCgdRefine:
         report = cgd_refine(monomial_signal(1, 256), PoleTuple([0.6]))
         if report.status is CgdStatus.CONVERGED:
             assert report.final_gradient_norm_sq <= 1e-18
+
+    def test_trial_outside_the_margin_is_rejected_unevaluated(self, monkeypatch):
+        # on ex5_4 (a pole at |a| = 0.984) one trial step of this run crosses
+        # the unit circle; the margin test must turn it down before the
+        # energy is evaluated there, and the halved step must still converge
+        limit = 1.0 - blaschke.cgd.BOUNDARY_MARGIN
+        energy, candidate = blaschke.cgd.error_energy, blaschke.cgd._candidate
+        evaluated, rejected = [], []
+
+        def spy_energy(f, tup):
+            evaluated.append(np.max(np.abs(tup.poles)))
+            return energy(f, tup)
+
+        def spy_candidate(poles):
+            cand = candidate(poles)
+            if cand is None:
+                rejected.append(np.max(np.abs(poles)))
+            return cand
+
+        monkeypatch.setattr(blaschke.cgd, "error_energy", spy_energy)
+        monkeypatch.setattr(blaschke.cgd, "_candidate", spy_candidate)
+        res = cafd_cgd_result(builtin_signal("ex5_4"), RunConfig(4),
+                              truth=builtin_truth("ex5_4"))
+        assert evaluated and max(evaluated) <= limit
+        assert rejected and min(rejected) > limit
+        assert res.cgd_report.status is CgdStatus.CONVERGED
+        assert res.tuple_distance <= 5e-3
 
     def test_determinism(self):
         f = monomial_signal(3, 256)

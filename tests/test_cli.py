@@ -289,15 +289,38 @@ class TestValidationExitCodes:
         # a one-pole truth fits this degree-1 run, so only the degree check stops it
         ("recover --builtin ex5_5 --degree 1 --samples 256 --angular 64 --radial 20 --truth",
          "truth.json", json.dumps({"degree": 3, "poles": [{"re": 0.5, "im": 0.0}]})),
+        # JSON true and false are no numbers, though Python's bool is an int
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 0.5, "im": False}], "coeffs": [{"re": 1.0, "im": 0.0}]})),
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 0.5, "im": 0.0}], "coeffs": [{"re": True, "im": 0.0}]})),
+        ("recover --builtin ex5_5 --degree 1 --samples 256 --angular 64 --radial 20 --truth",
+         "truth.json", json.dumps([{"re": False, "im": 0}])),
     ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object",
             "model-not-json", "truth-not-json", "suite-not-json", "degree-not-pole-count",
-            "truth-degree-not-pole-count"])
+            "truth-degree-not-pole-count", "pole-part-boolean", "coeff-part-boolean",
+            "truth-pole-boolean"])
     def test_malformed_file_exits_2(self, tmp_path, command, name, content):
         path = tmp_path / name
         path.write_text(content)
         res = run_cli(*command.split(), str(path), "--out", str(tmp_path / "out"))
         assert res.returncode == 2
         assert str(path) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        "synthesize --model {model} --samples -2 --out {tmp}/out",
+        "approximate --builtin ex5_1_f1 --degree 2 --samples -2 --out {tmp}/out",
+        "approximate --builtin ex5_3 --degree 2 --samples -2 --out {tmp}/out",
+        "benchmark --suite {suite} --out {tmp}/out",
+    ], ids=["synthesize", "builtin-function", "builtin-form", "descriptor"])
+    def test_negative_sample_count_is_named(self, tmp_path, model_file, args):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"targets": [{"name": "ex5_5"}], "n_samples": -2}))
+        res = run_cli(*args.format(model=model_file, suite=suite, tmp=tmp_path).split())
+        assert res.returncode == 2
+        assert "sample count must be a power of two >= 2, got -2" in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "out").exists()
 

@@ -489,6 +489,7 @@ class TestRunBenchmark:
         ({"targets": [{"name": "ex5_5"}], "angular": 3}, ValueError),
         ({"targets": [{"name": "ex5_5"}], "n_samples": 64, "angular": 128}, ValueError),
         ({"targets": [{"name": "ex5_5"}], "seed": -1}, ValueError),
+        ({"targets": [{"name": "ex5_1_f1"}, {"name": "ex5_5"}], "n_samples": -4}, ValueError),
     ])
     def test_bad_entry_fails_before_any_case(self, monkeypatch, descriptor, error):
         import blaschke.pipeline as pipeline
