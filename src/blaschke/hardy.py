@@ -5,15 +5,29 @@ equidistant circle points tau_j = exp(2*pi*i*j/N).  The discrete inner
 product is defined spectrally, so the discrete Parseval identity holds by
 construction and agrees with the trapezoid quadrature of the circle
 integral: <f, g> is also the sample mean of f * conj(g).  The TM functions
-B_1, ..., B_n come from one running Moebius product, so projection and
-synthesis cost O(nN).  Projection is modified Gram-Schmidt against the
-running residual, whose squared norm is the reported error.
+B_1, ..., B_n come from one running Moebius product.  Projection is
+modified Gram-Schmidt against the running residual, whose squared norm is
+the reported error.
+
+A tuple with max|a| well inside the disk has TM functions band-limited to
+round-off far below N, so projection and synthesis run the product at the
+tuple's band limit M <= N (`band_start`, then a spectral-tail test of the
+product itself) and move between M and N samples with one FFT: they cost
+O(nM + N log N).  At M = N they are the plain N-sample loop.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+
+# the transforms run at M < N samples only when the running Blaschke
+# product of n poles, of unit norm on the circle, keeps at most n times
+# this much of its norm in the top quarter of its M-point spectrum; the
+# product's own round-off puts about n*eps/2 there (3e-15 at n = 30, up to
+# 2.6e-14 at n = 200), so a share that did not grow with n would never
+# pass for large n
+BAND_TOL = 1e-15
 
 __all__ = [
     "Signal",
@@ -48,6 +62,23 @@ def disk_points(points, name):
     return z
 
 
+def band_start(tup, n_samples, tol):
+    """The a-priori band limit of a tuple's TM system on N = n_samples points.
+
+    The smallest power of two m with 2n <= m < N and max|a|^(m - n) <= tol
+    over the tuple, or N if there is none.  max|a|^(m - n) is the decay of
+    the TM functions' Fourier coefficients from the farthest pole, so it
+    sizes their spectral tail beyond m and their aliasing on m samples for
+    well-separated poles; for clustered poles it can be far too small, so
+    it is a first guess, not a bound.
+    """
+    radius = float(np.max(np.abs(tup.poles)))
+    m = 2
+    while m < n_samples and (m < 2 * tup.degree or radius ** (m - tup.degree) > tol):
+        m *= 2
+    return m
+
+
 def check_degree(n):
     """The one test of a degree: a tuple, a run or a draw has at least one pole."""
     if n < 1:
@@ -73,8 +104,27 @@ def draw_separated(rng, n, radius, gap, max_tries):
     raise ValueError(f"could not draw {n} separated poles in {max_tries} tries")
 
 
-@dataclass(frozen=True)
-class Signal:
+class _ArrayValue:
+    """Value equality for the frozen array types: every field equal, arrays
+    by np.array_equal.  Unhashable, like the arrays they hold."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for field in fields(self):
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Signal(_ArrayValue):
     """N equidistant complex samples on the unit circle, sample j at angle 2*pi*j/N."""
 
     samples: np.ndarray
@@ -94,8 +144,8 @@ class Signal:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class Spectrum:
+@dataclass(frozen=True, eq=False)
+class Spectrum(_ArrayValue):
     """Nonnegative-frequency Fourier coefficients; index k holds f_hat(k)."""
 
     coeffs: np.ndarray
@@ -110,8 +160,8 @@ class Spectrum:
         coeffs.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class PoleTuple:
+@dataclass(frozen=True, eq=False)
+class PoleTuple(_ArrayValue):
     """Ordered, non-empty tuple of poles |a| < 1; a pole may repeat.
 
     The one place a tuple is validated: the energy and its gradient take a
@@ -133,8 +183,8 @@ class PoleTuple:
         return self.poles.size
 
 
-@dataclass(frozen=True)
-class BlaschkeModel:
+@dataclass(frozen=True, eq=False)
+class BlaschkeModel(_ArrayValue):
     """A pole tuple with the coefficients of the n-Blaschke form sum c_k B_k."""
 
     tuple: PoleTuple
@@ -194,24 +244,41 @@ def norm_sq(f):
 
 
 def _tm_columns(poles, z):
-    """Yield B_1, ..., B_n at the points z from a running Moebius product.
+    """Yield (B_k, P_k) at the points z for k = 1..n from a running Moebius product.
 
-    B_k(z) = e_{a_k}(z) * prod_{j<k} (z - a_j) / (1 - conj(a_j) z).  Each
-    pole takes one division: with P_0 = 1, d_k = P_{k-1} / (1 - conj(a_k) z)
-    gives both B_k = sqrt(1 - |a_k|^2) * d_k and P_k = d_k * (z - a_k).
+    B_k(z) = e_{a_k}(z) * P_{k-1}(z) with the Blaschke product
+    P_k(z) = prod_{j<=k} (z - a_j) / (1 - conj(a_j) z).  Each pole takes one
+    division: with P_0 = 1, d_k = P_{k-1} / (1 - conj(a_k) z) gives both
+    B_k = sqrt(1 - |a_k|^2) * d_k and P_k = d_k * (z - a_k).
     """
     blaschke = np.ones_like(z)
     for a in poles:
         d = blaschke / (1.0 - np.conj(a) * z)
-        yield np.sqrt(1.0 - abs(a) ** 2) * d
         blaschke = d * (z - a)
+        yield np.sqrt(1.0 - abs(a) ** 2) * d, blaschke
+
+
+def _band_limited(product, tol):
+    """Whether the TM system whose product P_n is sampled here is band-limited.
+
+    P_n has unit norm on the circle, and its Fourier coefficients decay from
+    the poles like every TM function's: they rise to a peak, late for
+    clustered or repeated poles, and then fall.  So when its M-point
+    coefficients in [3M/4, M) hold at most tol of that norm, the peak lies
+    below them, and the coefficients beyond M, which alias onto the M
+    samples, are at round-off too.  P_n's tail can read a few times below
+    a column's (about sqrt(1 - |a|^2) at a pole a repeated n times), which
+    tol's margin over round-off covers.
+    """
+    m = product.size
+    return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= tol
 
 
 def tm_basis(tup, k, points):
     """Takenaka-Malmquist basis function B_k at the given points (k is 1-based)."""
     if not 1 <= k <= tup.degree:
         raise IndexError(f"basis index {k} out of range 1..{tup.degree}")
-    for out in _tm_columns(tup.poles[:k], np.asarray(points, dtype=complex)):
+    for out, _ in _tm_columns(tup.poles[:k], np.asarray(points, dtype=complex)):
         pass
     return out
 
@@ -221,25 +288,55 @@ def project(f, tup):
 
     Modified Gram-Schmidt (Bjorck, BIT 7, 1967): each coefficient
     c_k = <rest, B_k> is taken against the running residual, from which
-    c_k * B_k is then subtracted.  The reported residual is ||rest||^2, the
-    squared H^2 error of the returned model; it is a norm, so it is never
-    negative, and it equals `reduction.error_energy` at the same tuple to
-    round-off relative to ||f||^2.
+    c_k * B_k is then subtracted.  It runs at the tuple's band limit M: on
+    the M-point signal with spectrum f_hat(0..M-1), starting at
+    `band_start` and doubling M until the product passes the tail test of
+    `_band_limited`; at M = N it runs on f's own samples.  The TM functions
+    carry nothing beyond M, so f need not be band-limited: the reported
+    residual is sum_{k>=M} |f_hat(k)|^2 + ||rest||^2, the squared H^2 error
+    of the returned model.  It is a norm, so it is never negative, and it
+    equals `reduction.error_energy` at the same tuple to round-off relative
+    to ||f||^2.
     """
-    n = f.n_samples
-    rest = f.samples.copy()
-    coeffs = []
-    for b in _tm_columns(tup.poles, circle_points(n)):
-        c = np.vdot(b, rest) / n
-        rest -= c * b
-        coeffs.append(c)
-    return BlaschkeModel(tup, coeffs, float(np.vdot(rest, rest).real) / n)
+    n, tol = f.n_samples, BAND_TOL * tup.degree
+    m = band_start(tup, n, tol)
+    while True:
+        if m == n:
+            rest, tail = f.samples.copy(), 0.0
+        else:
+            spec = spectrum(f).coeffs
+            rest = np.fft.ifft(spec[:m]) * m
+            tail = float(np.sum(np.abs(spec[m:]) ** 2))
+        coeffs = []
+        for b, product in _tm_columns(tup.poles, circle_points(m)):
+            c = np.vdot(b, rest) / m
+            rest -= c * b
+            coeffs.append(c)
+        if m == n or _band_limited(product, tol):
+            return BlaschkeModel(tup, coeffs, tail + float(np.vdot(rest, rest).real) / m)
+        m *= 2
 
 
 def synthesize(model, n_samples):
-    """Samples of the Blaschke form sum_k c_k B_k at n equidistant circle points."""
-    z = circle_points(n_samples)
-    out = np.zeros(n_samples, dtype=complex)
-    for c, b in zip(model.coeffs, _tm_columns(model.tuple.poles, z)):
-        out += c * b
-    return Signal(out)
+    """Samples of the Blaschke form sum_k c_k B_k at n equidistant circle points.
+
+    The sum is taken at the tuple's band limit M, chosen as in `project`;
+    below N its M-point spectrum is zero-padded to N and inverted by one
+    FFT, which is exact to round-off because the TM functions carry
+    nothing beyond M.
+    """
+    check_sample_count(n_samples)
+    tol = BAND_TOL * model.degree
+    m = band_start(model.tuple, n_samples, tol)
+    while True:
+        out = np.zeros(m, dtype=complex)
+        for c, (b, product) in zip(model.coeffs,
+                                   _tm_columns(model.tuple.poles, circle_points(m))):
+            out += c * b
+        if m == n_samples:
+            return Signal(out)
+        if _band_limited(product, tol):
+            padded = np.zeros(n_samples, dtype=complex)
+            padded[:m] = np.fft.fft(out)
+            return Signal(np.fft.ifft(padded) * (n_samples / m))
+        m *= 2

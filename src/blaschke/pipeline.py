@@ -23,6 +23,7 @@ from .hardy import (
     BlaschkeModel,
     PoleTuple,
     Signal,
+    band_start,
     check_degree,
     circle_points,
     draw_separated,
@@ -268,21 +269,19 @@ def _working_samples(f, tup):
     both bounds against WORKING_TOL: f's relative spectral tail
     sqrt(sum_{k >= N'} |f_hat(k)|^2) / ||f|| (where a Chebyshev series is
     chopped: Aurentz and Trefethen, ACM TOMS 43, 2017), and max|a|^(N' - n)
-    over the tuple, the size of the aliasing of its sampled TM system.
+    over the tuple, the a-priori size of the aliasing of its sampled TM
+    system (`hardy.band_start`).
     Every sample j*N/N' of f is exact, so at N' the refinement sees f and
     its own energy as at N, up to round-off.
     """
-    n_samples, degree = f.n_samples, tup.degree
+    n_samples = f.n_samples
     # tail[k] = sum_{j >= k} |f_hat(j)|^2, summed from the small end
     tail = np.cumsum(np.abs(spectrum(f).coeffs[::-1]) ** 2)[::-1]
-    radius = float(np.max(np.abs(tup.poles)))
-    m = 2
-    while m < n_samples:
-        if (m >= 2 * degree and np.sqrt(tail[m] / tail[0]) <= WORKING_TOL
-                and radius ** (m - degree) <= WORKING_TOL):
-            return m
+    # both tests hold at every larger m once they hold at m
+    m = band_start(tup, n_samples, WORKING_TOL)
+    while m < n_samples and np.sqrt(tail[m] / tail[0]) > WORKING_TOL:
         m *= 2
-    return n_samples
+    return m
 
 
 def _refine(f, start, cfg):

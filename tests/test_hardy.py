@@ -9,6 +9,7 @@ from blaschke import (
     BlaschkeModel,
     PoleTuple,
     Signal,
+    Spectrum,
     circle_points,
     inner_product,
     norm_sq,
@@ -17,6 +18,7 @@ from blaschke import (
     synthesize,
     tm_basis,
 )
+from blaschke import hardy
 from blaschke.pipeline import (
     BUILTIN_FORMS,
     builtin_signal,
@@ -161,6 +163,34 @@ class TestTmBasis:
             tm_basis(tup, 0, circle_points(8))
 
 
+class TestValueTypes:
+    def test_value_equality(self):
+        assert Signal([1, 2]) == Signal([1.0, 2.0])
+        assert Signal([1, 2]) != Signal([1, 3])
+        assert Spectrum([1, 2]) == Spectrum([1, 2])
+        # same entries, another type
+        assert Spectrum([1, 2]) != Signal([1, 2])
+        assert PoleTuple([0.1, 0.2]) == PoleTuple([0.1, 0.2])
+        assert PoleTuple([0.1, 0.2]) != PoleTuple([0.2, 0.1])
+        assert PoleTuple([0.1]) != PoleTuple([0.1, 0.2])
+        model = BlaschkeModel(PoleTuple([0.1]), [1.0], 0.5)
+        assert model == BlaschkeModel(PoleTuple([0.1]), [1.0], 0.5)
+        assert model != BlaschkeModel(PoleTuple([0.1]), [1.0], 0.25)
+        assert model != BlaschkeModel(PoleTuple([0.1]), [2.0], 0.5)
+        assert model != BlaschkeModel(PoleTuple([0.2]), [1.0], 0.5)
+
+    @pytest.mark.parametrize("value", [
+        Signal([1, 2]),
+        Spectrum([1, 2]),
+        PoleTuple([0.1]),
+        BlaschkeModel(PoleTuple([0.1]), [1.0]),
+    ], ids=["Signal", "Spectrum", "PoleTuple", "BlaschkeModel"])
+    def test_unhashable(self, value):
+        assert type(value).__hash__ is None
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
 class TestPoleTupleValidation:
     def test_pole_outside_disk_rejected(self):
         with pytest.raises(ValueError):
@@ -301,6 +331,137 @@ class TestSynthesize:
     def test_non_finite_values_rejected(self, coeffs, residual):
         with pytest.raises(ValueError, match="finite"):
             BlaschkeModel(PoleTuple([0.1]), coeffs, residual_error=residual)
+
+
+def loop_columns(poles, n_samples):
+    """B_1, ..., B_n at the N circle points by the running product, as a list."""
+    z = circle_points(n_samples)
+    product, columns = np.ones_like(z), []
+    for a in poles:
+        d = product / (1.0 - np.conj(a) * z)
+        columns.append(np.sqrt(1.0 - abs(a) ** 2) * d)
+        product = d * (z - a)
+    return columns
+
+
+def loop_project(f, tup):
+    """(coefficients, residual) of modified Gram-Schmidt at all N samples."""
+    n = f.n_samples
+    rest, coeffs = f.samples.copy(), []
+    for b in loop_columns(tup.poles, n):
+        c = np.vdot(b, rest) / n
+        rest -= c * b
+        coeffs.append(c)
+    return np.array(coeffs), float(np.vdot(rest, rest).real) / n
+
+
+def loop_synthesize(tup, coeffs, n_samples):
+    """The samples of sum_k c_k B_k, summed at all N samples."""
+    out = np.zeros(n_samples, dtype=complex)
+    for c, b in zip(coeffs, loop_columns(tup.poles, n_samples)):
+        out += c * b
+    return out
+
+
+# tuples whose TM functions are far wider in frequency than the a-priori
+# start max|a|^(M - n) predicts: a 30-fold pole at 0.9 (its columns'
+# spectral tail beyond 512 is 0.44 of their norm), and 30 poles at radius
+# 0.9, 0.01 rad apart (tail 1.6e-8 beyond 512)
+REPEATED = PoleTuple(np.full(30, 0.9))
+CLUSTER = PoleTuple(0.9 * np.exp(0.01j * np.arange(30)))
+
+
+@pytest.fixture
+def band_limits(monkeypatch):
+    """The sample count M of every band-limit test the transforms make."""
+    seen = []
+    real = hardy._band_limited
+
+    def spy(product, tol):
+        passed = real(product, tol)
+        seen.append((product.size, passed))
+        return passed
+
+    monkeypatch.setattr(hardy, "_band_limited", spy)
+    return seen
+
+
+def band_limit(seen, n_samples):
+    """The M a transform ran at: the first passed test, else N; clears `seen`."""
+    m = next((size for size, passed in seen if passed), n_samples)
+    seen.clear()
+    return m
+
+
+class TestBandLimit:
+    """project and synthesize at the band limit M against the N-point loop.
+
+    ex5_4 (a pole at |a| = 0.984) starts, and so stays, at M = N, where the
+    transforms are the loop bit for bit.  A zero model has no output to
+    err in; it rides here to show that it takes the tuple's M.
+    """
+
+    def test_synthesize_matches_loop(self, rng, band_limits):
+        n = 4096
+        coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        cases = [
+            (REPEATED, coeffs),
+            (CLUSTER, coeffs),
+            (CLUSTER, 1e-4 * coeffs),
+            (CLUSTER, 1e4 * coeffs),
+            (CLUSTER, 0.0 * coeffs),
+        ]
+        ms = []
+        for tup, c in cases:
+            got = synthesize(BlaschkeModel(tup, c), n).samples
+            # in the H^2 norm, which is ||c|| for the form itself: at the
+            # 30-fold pole the two sums differ pointwise by up to
+            # 1.5e-12 * ||c||, each 6e-13 from an extended-precision sum
+            gap = np.sqrt(np.mean(np.abs(got - loop_synthesize(tup, c, n)) ** 2))
+            assert gap <= 1e-12 * np.linalg.norm(c)
+            ms.append(band_limit(band_limits, n))
+        # amplitude and a zero model leave M, a property of the tuple, alone
+        assert ms[1] < n and ms[1:] == [ms[1]] * 4
+        poles, c = BUILTIN_FORMS["ex5_4"]
+        got = synthesize(BlaschkeModel(PoleTuple(poles), c), 1024).samples
+        np.testing.assert_array_equal(got, loop_synthesize(PoleTuple(poles), c, 1024))
+        assert band_limits == []
+
+    def test_project_matches_loop(self, rng, band_limits):
+        n = 4096
+        coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        form = loop_synthesize(CLUSTER, coeffs, n)
+        # white noise: f is not band-limited, and its tail beyond M is
+        # most of the residual
+        noise = 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        cases = [
+            (REPEATED, loop_synthesize(REPEATED, coeffs, n)),
+            (CLUSTER, form),
+            (CLUSTER, form + noise),
+            (CLUSTER, 1e-4 * form),
+            (CLUSTER, 1e4 * form),
+            (CLUSTER, np.zeros(n)),
+        ]
+        ms = []
+        for tup, samples in cases:
+            f = Signal(samples)
+            model = project(f, tup)
+            want_coeffs, want_residual = loop_project(f, tup)
+            total = norm_sq(f)
+            gap = np.max(np.abs(model.coeffs - want_coeffs))
+            assert gap <= 1e-12 * np.sqrt(total)
+            # the residual as the relative H^2 error it reports
+            err = abs(np.sqrt(model.residual_error) - np.sqrt(want_residual))
+            assert err <= 1e-12 * np.sqrt(total)
+            ms.append(band_limit(band_limits, n))
+        # amplitude and a zero signal leave M, a property of the tuple, alone
+        assert ms[1] < n and ms[1:] == [ms[1]] * 5
+        f = builtin_signal("ex5_4", 1024)
+        model = project(f, builtin_truth("ex5_4"))
+        want_coeffs, want_residual = loop_project(f, builtin_truth("ex5_4"))
+        np.testing.assert_array_equal(model.coeffs, want_coeffs)
+        assert model.residual_error == want_residual
+        assert band_limits == []
 
 
 class TestOrthonormalitySample:
