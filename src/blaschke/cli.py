@@ -11,6 +11,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from .cgd import CgdStatus
 from .feval import build_polar_grid, feval_table
@@ -43,7 +44,7 @@ def read_signal_csv(path):
         raise ValueError(f"{path}: each row needs an integer index and numbers re, im") from exc
     if [j for j, _ in samples] != list(range(len(samples))):
         raise ValueError(f"{path}: sample indices must be exactly 0..N-1")
-    return Signal([v for _, v in samples])
+    return _from_file(path, Signal, [v for _, v in samples])
 
 
 def write_signal_csv(path, signal):
@@ -82,6 +83,14 @@ def _complex_field(path, entries, field):
     raise ValueError(f'{path}: {field} must be a list of {{"re": x, "im": y}} with numbers x, y')
 
 
+def _from_file(path, kind, *args):
+    """kind(*args), the value type read from a file; its ValueError names the file."""
+    try:
+        return kind(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_json(path):
     """The JSON value in the file at `path`; else a ValueError naming the file."""
     with open(path) as fh:
@@ -102,7 +111,7 @@ def _pole_tuple(path, payload):
     degree = fields.get("degree", len(poles))
     if type(degree) is not int or degree != len(poles):
         raise ValueError(f"{path}: degree must equal the number of poles, {len(poles)}")
-    return PoleTuple(poles)
+    return _from_file(path, PoleTuple, poles)
 
 
 def read_model_json(path):
@@ -113,7 +122,7 @@ def read_model_json(path):
     if type(residual) not in (int, float):  # not isinstance: JSON true is an int too
         raise ValueError(f"{path}: residual_error must be a number")
     coeffs = _complex_field(path, payload.get("coeffs"), "coeffs")
-    return BlaschkeModel(_pole_tuple(path, payload), coeffs, residual)
+    return _from_file(path, BlaschkeModel, _pole_tuple(path, payload), coeffs, residual)
 
 
 def read_tuple_json(path):
@@ -242,15 +251,9 @@ def eval_grid(input_path, radial, angular, out_path):
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "n", "z_re", "z_im", "re", "im"])
-        for m in range(nodes.shape[0]):
-            for n in range(nodes.shape[1]):
-                z = nodes[m, n]
-                v = table[m, n]
-                writer.writerow([
-                    m + 1, n + 1,
-                    repr(float(z.real)), repr(float(z.imag)),
-                    repr(float(v.real)), repr(float(v.imag)),
-                ])
+        for (m, n), z in np.ndenumerate(nodes):
+            parts = (z.real, z.imag, table[m, n].real, table[m, n].imag)
+            writer.writerow([m + 1, n + 1, *(repr(float(x)) for x in parts)])
 
 
 def run():

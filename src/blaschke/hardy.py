@@ -21,12 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-# the transforms run at M < N samples only when the running Blaschke
-# product of n poles, of unit norm on the circle, keeps at most n times
-# this much of its norm in the top quarter of its M-point spectrum; the
-# product's own round-off puts about n*eps/2 there (3e-15 at n = 30, up to
-# 2.6e-14 at n = 200), so a share that did not grow with n would never
-# pass for large n
+# per pole, the share of a TM system's norm that may lie past its band
+# limit M (`_tail_tol`): `band_start` asks max|a|^(M - n) to be at most n
+# times this, and the transforms ask the same of the top quarter of the
+# M-point spectrum of the running Blaschke product; its own round-off puts
+# about n*eps/2 there (3e-15 at n = 30, up to 2.6e-14 at n = 200), so a
+# share that did not grow with n would never pass for large n
 BAND_TOL = 1e-15
 
 __all__ = [
@@ -62,21 +62,26 @@ def disk_points(points, name):
     return z
 
 
-def band_start(tup, n_samples, tol):
+def band_start(tup, n_samples):
     """The a-priori band limit of a tuple's TM system on N = n_samples points.
 
-    The smallest power of two m with 2n <= m < N and max|a|^(m - n) <= tol
-    over the tuple, or N if there is none.  max|a|^(m - n) is the decay of
-    the TM functions' Fourier coefficients from the farthest pole, so it
-    sizes their spectral tail beyond m and their aliasing on m samples for
-    well-separated poles; for clustered poles it can be far too small, so
-    it is a first guess, not a bound.
+    The smallest power of two m with 2n <= m < N and max|a|^(m - n) at
+    most `_tail_tol`(n) over the tuple, or N if there is none.
+    max|a|^(m - n) is the decay of the TM functions' Fourier coefficients
+    from the farthest pole, so it sizes their spectral tail beyond m and
+    their aliasing on m samples for well-separated poles; for clustered
+    poles it can be far too small, so it is a first guess, not a bound.
     """
-    radius = float(np.max(np.abs(tup.poles)))
+    radius, n = float(np.max(np.abs(tup.poles))), tup.degree
     m = 2
-    while m < n_samples and (m < 2 * tup.degree or radius ** (m - tup.degree) > tol):
+    while m < n_samples and (m < 2 * n or radius ** (m - n) > _tail_tol(n)):
         m *= 2
     return m
+
+
+def _tail_tol(degree):
+    """The share of its norm that a TM system of n = degree poles may keep past its band limit."""
+    return BAND_TOL * degree
 
 
 def check_degree(n):
@@ -258,20 +263,20 @@ def _tm_columns(poles, z):
         yield np.sqrt(1.0 - abs(a) ** 2) * d, blaschke
 
 
-def _band_limited(product, tol):
-    """Whether the TM system whose product P_n is sampled here is band-limited.
+def _band_limited(product, degree):
+    """Whether the TM system of n = degree poles, its product P_n sampled here, is band-limited.
 
     P_n has unit norm on the circle, and its Fourier coefficients decay from
     the poles like every TM function's: they rise to a peak, late for
     clustered or repeated poles, and then fall.  So when its M-point
-    coefficients in [3M/4, M) hold at most tol of that norm, the peak lies
-    below them, and the coefficients beyond M, which alias onto the M
-    samples, are at round-off too.  P_n's tail can read a few times below
-    a column's (about sqrt(1 - |a|^2) at a pole a repeated n times), which
-    tol's margin over round-off covers.
+    coefficients in [3M/4, M) hold at most `_tail_tol`(n) of that norm, the
+    peak lies below them, and the coefficients beyond M, which alias onto
+    the M samples, are at round-off too.  P_n's tail can read a few times
+    below a column's (about sqrt(1 - |a|^2) at a pole a repeated n times),
+    which the tolerance's margin over round-off covers.
     """
     m = product.size
-    return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= tol
+    return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= _tail_tol(degree)
 
 
 def tm_basis(tup, k, points):
@@ -298,10 +303,9 @@ def project(f, tup):
     equals `reduction.error_energy` at the same tuple to round-off relative
     to ||f||^2.
     """
-    n, tol = f.n_samples, BAND_TOL * tup.degree
-    m = band_start(tup, n, tol)
+    m = band_start(tup, f.n_samples)
     while True:
-        if m == n:
+        if m == f.n_samples:
             rest, tail = f.samples.copy(), 0.0
         else:
             spec = spectrum(f).coeffs
@@ -312,7 +316,7 @@ def project(f, tup):
             c = np.vdot(b, rest) / m
             rest -= c * b
             coeffs.append(c)
-        if m == n or _band_limited(product, tol):
+        if m == f.n_samples or _band_limited(product, tup.degree):
             return BlaschkeModel(tup, coeffs, tail + float(np.vdot(rest, rest).real) / m)
         m *= 2
 
@@ -326,8 +330,7 @@ def synthesize(model, n_samples):
     nothing beyond M.
     """
     check_sample_count(n_samples)
-    tol = BAND_TOL * model.degree
-    m = band_start(model.tuple, n_samples, tol)
+    m = band_start(model.tuple, n_samples)
     while True:
         out = np.zeros(m, dtype=complex)
         for c, (b, product) in zip(model.coeffs,
@@ -335,7 +338,7 @@ def synthesize(model, n_samples):
             out += c * b
         if m == n_samples:
             return Signal(out)
-        if _band_limited(product, tol):
+        if _band_limited(product, model.degree):
             padded = np.zeros(n_samples, dtype=complex)
             padded[:m] = np.fft.fft(out)
             return Signal(np.fft.ifft(padded) * (n_samples / m))

@@ -3,8 +3,8 @@
 The search runs on the signal's N samples.  The refinement runs at a
 working resolution N' <= N, the fewest samples at which f and the search
 tuple's Takenaka-Malmquist system are held to round-off (`_working_samples`),
-and a second refinement call confirms its tuple at the full N.  The model
-and its error always come from the full N.
+and a second refinement call continues from its tuple at the full N.  The
+model and its error always come from the full N.
 
 Also houses the builtin target registry (the closed-form functions and the
 fixed Blaschke forms) and the benchmark harness, one row per case and
@@ -54,9 +54,9 @@ __all__ = [
 # circle samples of a builtin target unless the caller asks for another count
 DEFAULT_SAMPLES = 1024
 
-# the refinement may run on N' < N samples when f's relative spectral tail
-# beyond N' and max|a|^(N' - n) over the search tuple are both at most this;
-# it sits just above the round-off plateau of the builtin targets' tails
+# the refinement may run on N' < N samples only when f's relative spectral
+# tail beyond N' is at most this, just above the round-off plateau of the
+# builtin targets' tails
 WORKING_TOL = 1e-14
 
 # the algorithms a benchmark descriptor may name
@@ -265,12 +265,10 @@ def _result(f, total, start_time, search_tuple, report, truth, working=None):
 def _working_samples(f, tup):
     """The fewest samples N' on which to refine from `tup`; f.n_samples if none passes.
 
-    N' is the smallest power of two below N that is at least 2n and meets
-    both bounds against WORKING_TOL: f's relative spectral tail
-    sqrt(sum_{k >= N'} |f_hat(k)|^2) / ||f|| (where a Chebyshev series is
-    chopped: Aurentz and Trefethen, ACM TOMS 43, 2017), and max|a|^(N' - n)
-    over the tuple, the a-priori size of the aliasing of its sampled TM
-    system (`hardy.band_start`).
+    N' is the smallest power of two below N, from the tuple's a-priori band
+    limit `hardy.band_start` on, at which f's relative spectral tail
+    sqrt(sum_{k >= N'} |f_hat(k)|^2) / ||f|| is at most WORKING_TOL (where a
+    Chebyshev series is chopped: Aurentz and Trefethen, ACM TOMS 43, 2017).
     Every sample j*N/N' of f is exact, so at N' the refinement sees f and
     its own energy as at N, up to round-off.
     """
@@ -278,25 +276,24 @@ def _working_samples(f, tup):
     # tail[k] = sum_{j >= k} |f_hat(j)|^2, summed from the small end
     tail = np.cumsum(np.abs(spectrum(f).coeffs[::-1]) ** 2)[::-1]
     # both tests hold at every larger m once they hold at m
-    m = band_start(tup, n_samples, WORKING_TOL)
+    m = band_start(tup, n_samples)
     while m < n_samples and np.sqrt(tail[m] / tail[0]) > WORKING_TOL:
         m *= 2
     return m
 
 
 def _refine(f, start, cfg):
-    """cgd_refine at the working resolution, confirmed at the full N.
+    """cgd_refine on f[::N/N'] (f itself when N' = N), continued at the full N.
 
-    Returns (report, N').  Below N the two calls merge into one report:
-    the confirm stage's tuple, status and final |grad E|^2, the iterations
-    of both, and the working stage's energy trace with its last entry
-    replaced by the confirm stage's trace.  Each stage's trace is monotone;
-    the entry at the seam and every later one is a full-N energy.
+    Returns (report, N').  The second call starts from the first's tuple
+    with what is left of `cfg.max_iters`; the report has that call's tuple,
+    status and final |grad E|^2, the iterations of both, and the first call's
+    energy trace with its last entry replaced by the second's trace.  Each
+    call's trace is monotone; from the seam on, every entry is a full-N energy.
     """
     n_work = _working_samples(f, start)
-    if n_work == f.n_samples:
-        return cgd_refine(f, start, cfg), n_work
-    work = cgd_refine(Signal(f.samples[::f.n_samples // n_work]), start, cfg)
+    coarse = f if n_work == f.n_samples else Signal(f.samples[::f.n_samples // n_work])
+    work = cgd_refine(coarse, start, cfg)
     confirm = cgd_refine(f, work.tuple, CgdConfig(max_iters=cfg.max_iters - work.iterations))
     report = CgdReport(confirm.tuple, work.iterations + confirm.iterations,
                        confirm.final_gradient_norm_sq,
@@ -307,14 +304,10 @@ def _refine(f, start, cfg):
 def cafd_cgd_result(f, cfg, truth=None):
     """Full pipeline with timing and metrics: search, refine, project.
 
-    The search runs at the signal's N samples.  The refinement runs at the
-    working resolution N' of `_working_samples` on the samples f[::N/N'],
-    then confirms the tuple at N from where it stopped, with what is left
-    of `cfg.cgd.max_iters`, so the reported status, final gradient norm and
-    last energy are full-N values (see `_refine`).  When N' = N it is one
-    call at N.  A line-search stall in the refinement stage is not an
-    error: the reported tuple (at worst the search tuple itself) is
-    projected and returned.
+    The search and the projection run at the signal's N samples, the
+    refinement at the working resolution and then at N (`_refine`).  A
+    line-search stall in the refinement is not an error: the reported tuple
+    (at worst the search tuple itself) is projected and returned.
     """
     total = _checked_norm_sq(f, truth, cfg.degree)
     start_time = time.perf_counter()

@@ -296,10 +296,24 @@ class TestValidationExitCodes:
             "poles": [{"re": 0.5, "im": 0.0}], "coeffs": [{"re": True, "im": 0.0}]})),
         ("recover --builtin ex5_5 --degree 1 --samples 256 --angular 64 --radial 20 --truth",
          "truth.json", json.dumps([{"re": False, "im": 0}])),
+        # the value types reject these; the readers name the file
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 0.5, "im": 0.0}],
+            "coeffs": [{"re": 1.0, "im": 0.0}, {"re": 2.0, "im": 0.0}]})),
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 1.5, "im": 0.0}], "coeffs": [{"re": 1.0, "im": 0.0}]})),
+        ("synthesize --model", "model.json", json.dumps({
+            "poles": [{"re": 0.5, "im": 0.0}], "coeffs": [{"re": 1.0, "im": 0.0}],
+            "residual_error": float("inf")})),
+        ("recover --builtin ex5_5 --degree 1 --samples 256 --angular 64 --radial 20 --truth",
+         "truth.json", '[{"re": NaN, "im": 0}]'),
+        ("approximate --degree 1 --input", "sig.csv", "index,re,im\n0,nan,0\n1,2.0,0\n"),
+        ("approximate --degree 1 --input", "sig.csv", "index,re,im\n0,1.0,0\n1,2.0,0\n2,3.0,0\n"),
     ], ids=["short-csv-row", "pole-not-object", "residual-not-number", "truth-not-object",
             "model-not-json", "truth-not-json", "suite-not-json", "degree-not-pole-count",
             "truth-degree-not-pole-count", "pole-part-boolean", "coeff-part-boolean",
-            "truth-pole-boolean"])
+            "truth-pole-boolean", "coeff-count-not-degree", "pole-outside-disk",
+            "residual-infinite", "truth-pole-nan", "csv-sample-nan", "csv-three-rows"])
     def test_malformed_file_exits_2(self, tmp_path, command, name, content):
         path = tmp_path / name
         path.write_text(content)

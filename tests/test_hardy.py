@@ -377,8 +377,8 @@ def band_limits(monkeypatch):
     seen = []
     real = hardy._band_limited
 
-    def spy(product, tol):
-        passed = real(product, tol)
+    def spy(product, degree):
+        passed = real(product, degree)
         seen.append((product.size, passed))
         return passed
 

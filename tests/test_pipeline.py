@@ -21,7 +21,7 @@ from blaschke import (
     synthesize,
     tm_basis,
 )
-from blaschke.cgd import CgdConfig, CgdStatus
+from blaschke.cgd import CgdConfig, CgdStatus, cgd_refine
 from blaschke.pipeline import (
     BUILTIN_FORMS,
     BUILTIN_FUNCTIONS,
@@ -336,16 +336,33 @@ class TestWorkingResolution:
         assert tuple_distance(working.model.tuple, full.model.tuple) <= 1e-9
 
     def test_slow_tail_refines_at_full_n(self, monkeypatch):
-        # ex5_4's spectrum decays like 0.984^k: its tail is 8.3e-3 at k = 256
+        # ex5_4's spectrum decays like 0.984^k: its tail is 8.3e-3 at k = 256;
+        # the continuation at N starts where the first call converged
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_4")
         res = cafd_cgd_result(f, cfg, truth=truth)
         assert res.working_samples == 1024
-        assert [n for n, _ in calls] == [1024]
+        assert [n for n, _ in calls] == [1024, 1024]
+        assert calls[1][1] == 0
+
+    def test_full_n_report_is_one_call_at_n(self):
+        # at N' = N the first call runs on f itself and the continuation
+        # starts at its tuple, so the merged report is a lone call's
+        f, truth, cfg = _form_run("ex5_4")
+        res = cafd_cgd_result(f, cfg, truth=truth)
+        assert res.working_samples == 1024
+        lone = cgd_refine(f, res.its_tuple, cfg.cgd)
+        report = res.cgd_report
+        assert report.tuple == lone.tuple
+        assert report.iterations == lone.iterations
+        assert report.status is lone.status
+        assert report.final_gradient_norm_sq == lone.final_gradient_norm_sq
+        assert report.energy_trace == lone.energy_trace
 
     def test_pole_near_the_circle_refines_at_full_n(self, monkeypatch):
-        # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) > 1e-14
-        # for every N' <= 1024
+        # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) exceeds
+        # n * BAND_TOL = 5e-15 for every N' <= 1024; with no budget left, the
+        # continuation at N takes no iteration
         import blaschke.pipeline as pipeline
 
         f, _, cfg = _form_run("ex5_3")
@@ -356,7 +373,8 @@ class TestWorkingResolution:
         cfg = RunConfig(cfg.degree, cfg.search, CgdConfig(max_iters=5))
         res = cafd_cgd_result(f, cfg)
         assert res.working_samples == 1024
-        assert [n for n, _ in calls] == [1024]
+        assert [n for n, _ in calls] == [1024, 1024]
+        assert calls[1][1] == 0
 
     def test_budget_spent_in_the_working_stage(self, monkeypatch):
         # the confirm stage gets no iteration left, so it only measures at N
@@ -374,11 +392,11 @@ class TestWorkingResolution:
         assert len(report.energy_trace) == report.iterations + 1
 
     def test_confirm_stage_that_iterates_still_recovers(self, monkeypatch):
-        # a loose tolerance picks an N' whose tail is not at round-off, so
-        # the tuple must move again at N
+        # at N' = 128, ex5_5's tail is not at round-off, so the tuple must
+        # move again at N
         import blaschke.pipeline as pipeline
 
-        monkeypatch.setattr(pipeline, "WORKING_TOL", 1e-3)
+        monkeypatch.setattr(pipeline, "_working_samples", lambda f, tup: 128)
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_5")
         res = cafd_cgd_result(f, cfg, truth=truth)
