@@ -130,11 +130,15 @@ def read_tuple_json(path):
 
 
 def _load_input(input_path, builtin, samples):
+    """The signal to approximate; --samples applies only to a --builtin target."""
     if (input_path is None) == (builtin is None):
         raise click.UsageError("exactly one of --input / --builtin is required")
-    if input_path is not None:
-        return read_signal_csv(input_path)
-    return builtin_signal(builtin, samples)
+    if input_path is None:
+        return builtin_signal(builtin, DEFAULT_SAMPLES if samples is None else samples)
+    if samples is not None:
+        raise click.UsageError("--samples applies only to --builtin; "
+                               "an --input file has as many samples as rows")
+    return read_signal_csv(input_path)
 
 
 def _run_options(fn):
@@ -142,7 +146,9 @@ def _run_options(fn):
         click.option("--input", "input_path", type=click.Path(exists=True)),
         click.option("--builtin", type=str, default=None),
         click.option("--degree", "-n", type=int, required=True),
-        click.option("--samples", default=DEFAULT_SAMPLES, show_default=True),
+        # None: not given, so an --input file keeps its own count
+        click.option("--samples", type=int, default=None,
+                     help=f"samples of a --builtin target  [default: {DEFAULT_SAMPLES}]"),
         click.option("--radial", default=SearchConfig.radial, show_default=True),
         click.option("--angular", default=SearchConfig.angular, show_default=True),
         click.option("--seed", type=click.IntRange(min=0), default=SearchConfig.seed,
@@ -268,7 +274,11 @@ def run():
     except SearchNonConvergence as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
-    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        click.echo(f"error: {exc.args[0]}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    except (ValueError, ArithmeticError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 

@@ -14,6 +14,10 @@ round-off far below N, so projection and synthesis run the product at the
 tuple's band limit M <= N (`band_start`, then a spectral-tail test of the
 product itself) and move between M and N samples with one FFT: they cost
 O(nM + N log N).  At M = N they are the plain N-sample loop.
+
+The value types hold read-only one-dimensional complex arrays under one
+rule (`_ArrayValue._store`).  `spectrum` stores nothing on a Signal: a
+caller that reads f's spectrum twice takes it once and passes it on.
 """
 
 from dataclasses import dataclass, fields
@@ -44,13 +48,9 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(n):
-    return n >= 2 and (n & (n - 1)) == 0
-
-
 def check_sample_count(n):
     """The one test of a sample count: a power of two, at least 2."""
-    if not _is_power_of_two(n):
+    if n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
 
 
@@ -115,6 +115,16 @@ class _ArrayValue:
 
     __hash__ = None
 
+    def _store(self, name):
+        """Store field `name` as a read-only 1-D complex copy and return it: the
+        value types' one array rule.  A scalar becomes one entry."""
+        value = np.atleast_1d(np.array(getattr(self, name), dtype=complex))
+        if value.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {value.shape}")
+        value.setflags(write=False)
+        object.__setattr__(self, name, value)
+        return value
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -135,14 +145,9 @@ class Signal(_ArrayValue):
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
-        check_sample_count(samples.size)
-        if not np.all(np.isfinite(samples)):
+        check_sample_count(self._store("samples").size)
+        if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-        samples.setflags(write=False)
 
     @property
     def n_samples(self):
@@ -156,13 +161,11 @@ class Spectrum(_ArrayValue):
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or not _is_power_of_two(coeffs.size):
-            raise ValueError(
-                f"coefficient count must be a power of two >= 2, got {coeffs.size}"
-            )
-        coeffs.setflags(write=False)
+        check_sample_count(self._store("coeffs").size)
+
+    @property
+    def n_samples(self):
+        return self.coeffs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +180,8 @@ class PoleTuple(_ArrayValue):
     poles: np.ndarray
 
     def __post_init__(self):
-        poles = np.atleast_1d(np.array(self.poles, dtype=complex))
-        object.__setattr__(self, "poles", poles)
-        check_degree(poles.size)
-        disk_points(poles, "poles")
-        poles.setflags(write=False)
+        check_degree(self._store("poles").size)
+        disk_points(self.poles, "poles")
 
     @property
     def degree(self):
@@ -197,16 +197,13 @@ class BlaschkeModel(_ArrayValue):
     residual_error: float = 0.0
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.array(self.coeffs, dtype=complex))
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.size != self.tuple.degree:
+        if self._store("coeffs").size != self.tuple.degree:
             raise ValueError("coefficient count must equal the tuple degree")
-        if not np.isfinite(coeffs).all():
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("coefficients must be finite")
         # NaN fails both comparisons
         if not 0.0 <= self.residual_error < np.inf:
             raise ValueError("residual_error must be finite and nonnegative")
-        coeffs.setflags(write=False)
 
     @property
     def degree(self):
@@ -225,13 +222,9 @@ def circle_points(n):
 def spectrum(f):
     """Fourier coefficients with the mean-value normalization (constant 1 -> (1,0,...)).
 
-    The result is memoized on the (immutable) Signal.
+    One FFT per call; nothing is stored on the Signal.
     """
-    cached = getattr(f, "_spectrum_cache", None)
-    if cached is None:
-        cached = Spectrum(np.fft.fft(f.samples) / f.n_samples)
-        object.__setattr__(f, "_spectrum_cache", cached)
-    return cached
+    return Spectrum(np.fft.fft(f.samples) / f.n_samples)
 
 
 def inner_product(f, g):
@@ -304,11 +297,11 @@ def project(f, tup):
     to ||f||^2.
     """
     m = band_start(tup, f.n_samples)
+    spec = spectrum(f).coeffs
     while True:
         if m == f.n_samples:
             rest, tail = f.samples.copy(), 0.0
         else:
-            spec = spectrum(f).coeffs
             rest = np.fft.ifft(spec[:m]) * m
             tail = float(np.sum(np.abs(spec[m:]) ** 2))
         coeffs = []

@@ -27,15 +27,17 @@ first half of each row, and the gradient's means over all 2N points the
 whole row, since there 1/(1 - conj(a) z) = conj(z w).  The rows and the
 remainder are memoized on the immutable `Signal` in one entry keyed on the
 pole bytes, so `energy_gradient` at a tuple that `error_energy` just
-evaluated runs no second chain.  E has one definition, ||f||^2 - A, which
-`energy` returns and the refinement's energy trace records.
+evaluated runs no second chain.  The gradient's f at the 2N points, taken
+from `hardy.spectrum`, is memoized there too; these two are the only state
+kept on a `Signal`.  E has one definition, ||f||^2 - A, which `energy`
+returns and the refinement's energy trace records.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .hardy import circle_points, disk_points, norm_sq
+from .hardy import circle_points, disk_points, norm_sq, spectrum
 
 __all__ = [
     "series_value",
@@ -131,14 +133,13 @@ def _evaluate(f, poles):
 
 
 def _fine_times_z(f):
-    """f resampled to 2N points (one FFT pair) times z, on `_doubled_points`.
-
-    Memoized on the (immutable) Signal, like `hardy.spectrum`.
-    """
+    """f resampled to 2N points (`hardy.spectrum`, zero-padded, one inverse FFT)
+    times z, on `_doubled_points`; memoized on the (immutable) Signal."""
     cached = getattr(f, "_fine_times_z_cache", None)
     if cached is None:
         n = f.n_samples
-        fine = np.fft.ifft(np.fft.fft(f.samples), 2 * n) * 2
+        # scaling by the power of two N is exact: ifft(fft(f), 2N) * 2, bit for bit
+        fine = np.fft.ifft(spectrum(f).coeffs, 2 * n) * (2 * n)
         cached = np.concatenate([fine[::2], fine[1::2]]) * _doubled_points(n)
         cached.setflags(write=False)
         object.__setattr__(f, "_fine_times_z_cache", cached)

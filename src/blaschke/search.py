@@ -39,8 +39,9 @@ node that does, and the band's rows are the full table's rows bit for bit
 (`feval_table` keeps its 16-ring block products aligned).  The tuple is the
 one the whole-grid scan, floor 0, returns.  The rectangular baseline
 evaluates every node directly and ignores the floor.  Remainders are
-reduced on raw sample arrays and wrapped in a `Signal` once per scan, for
-the grid table.
+reduced on raw sample arrays and wrapped in a `Signal` once per coordinate
+step; the polar scan transforms it once (`hardy.spectrum`) and passes that
+`Spectrum` to both `ring_bounds` and `feval_table`.
 """
 
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
-from .hardy import PoleTuple, Signal, draw_separated, norm_sq
+from .hardy import PoleTuple, Signal, draw_separated, norm_sq, spectrum
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -215,8 +216,9 @@ def its_search(f, n, cfg=SearchConfig()):
     nodes = grid.nodes().ravel()
 
     def scan(f_n, floor=0.0):
-        lo, hi = _ring_band(ring_bounds(f_n, grid), floor)
-        table = feval_table(f_n, grid.band(lo, hi))
+        spec = spectrum(f_n)
+        lo, hi = _ring_band(ring_bounds(spec, grid), floor)
+        table = feval_table(spec, grid.band(lo, hi))
         return np.abs(table).ravel(), nodes[lo * grid.angular:hi * grid.angular]
 
     return _cyclic_search(f, n, cfg, scan, 1.0 - grid.eps)

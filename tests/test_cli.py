@@ -236,6 +236,21 @@ class TestValidationExitCodes:
             "--out", str(tmp_path / "o.json"),
         )
         assert res.returncode == 2
+        # the library's KeyError message, not its repr
+        assert res.stderr == "error: unknown builtin target 'mystery'\n"
+
+    @pytest.mark.parametrize("command", ["approximate", "recover"])
+    def test_samples_with_input_exits_2(self, tmp_path, command):
+        # the file's rows set N; a --samples the run would ignore is an error
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, builtin_signal("ex5_5", 256))
+        res = run_cli(
+            command, "--input", str(sig), "--degree", "4", "--samples", "4096",
+            "--radial", "20", "--angular", "64", "--out", str(tmp_path / "o.json"),
+        )
+        assert res.returncode == 2
+        assert "--samples" in res.stderr
+        assert not (tmp_path / "o.json").exists()
 
     def test_bad_degree(self, tmp_path):
         res = run_cli(
@@ -465,8 +480,15 @@ class TestBenchmarkCommand:
         res = run_cli("benchmark", "--suite", str(desc),
                       "--out", str(tmp_path / "table.csv"))
         assert res.returncode == 2
-        assert "no degree given for target 'random'" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert res.stderr == "error: no degree given for target 'random'\n"
+
+    def test_unknown_algorithm_exits_2(self, tmp_path):
+        desc = tmp_path / "suite.json"
+        desc.write_text(json.dumps({"targets": [{"name": "ex5_5"}], "algorithms": ["typo"]}))
+        res = run_cli("benchmark", "--suite", str(desc),
+                      "--out", str(tmp_path / "table.csv"))
+        assert res.returncode == 2
+        assert res.stderr == "error: unknown algorithm 'typo'\n"
 
 
 class TestEvalGridCommand:

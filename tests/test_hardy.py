@@ -18,7 +18,7 @@ from blaschke import (
     synthesize,
     tm_basis,
 )
-from blaschke import hardy
+from blaschke import build_polar_grid, eval_interior, feval_table, hardy, ring_bounds
 from blaschke.pipeline import (
     BUILTIN_FORMS,
     builtin_signal,
@@ -189,6 +189,47 @@ class TestValueTypes:
         assert type(value).__hash__ is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
+
+    @pytest.mark.parametrize("make, field", [
+        (Signal, "samples"),
+        (Spectrum, "coeffs"),
+        (lambda a: PoleTuple(0.25 * a), "poles"),
+        (lambda a: BlaschkeModel(PoleTuple([0.1, 0.2, 0.3, 0.4]), a), "coeffs"),
+    ], ids=["Signal", "Spectrum", "PoleTuple", "BlaschkeModel"])
+    def test_two_dimensional_array_rejected(self, make, field):
+        # four entries, so only the shape is wrong
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be one-dimensional, got shape \(2, 2\)$"):
+            make(np.ones((2, 2)))
+
+    def test_scalar_is_one_entry(self):
+        model = BlaschkeModel(PoleTuple(0.5), 2.0)
+        assert model.tuple.poles.shape == model.coeffs.shape == (1,)
+        assert model.tuple == PoleTuple([0.5])
+        for array in (model.tuple.poles, model.coeffs):
+            assert array.dtype == complex and not array.flags.writeable
+
+    def test_spectrum_counts_its_samples(self):
+        coeffs = np.arange(8.0)
+        assert Spectrum(coeffs).n_samples == coeffs.size == spectrum(Signal(coeffs)).n_samples
+
+
+class TestNoStateOnSignal:
+    """Transforming or evaluating a Signal stores nothing on it."""
+
+    @pytest.mark.parametrize("call", [
+        spectrum,
+        lambda f: project(f, PoleTuple([0.3, -0.5j])),
+        lambda f: feval_table(f, build_polar_grid(4, 8)),
+        lambda f: ring_bounds(f, build_polar_grid(4, 8)),
+        lambda f: eval_interior(f, 0.5j),
+    ], ids=["spectrum", "project", "feval_table", "ring_bounds", "eval_interior"])
+    def test_signal_unchanged(self, rng, call):
+        # 256 samples: project runs below N, on f's spectrum
+        f = random_smooth_signal(rng, 256)
+        samples = f.samples
+        call(f)
+        assert vars(f) == {"samples": samples}
 
 
 class TestPoleTupleValidation:

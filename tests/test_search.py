@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blaschke.feval
 import blaschke.reduction
 import blaschke.search
 from blaschke import (
@@ -114,32 +115,32 @@ class TestSweepCost:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
     def test_steps_per_sweep(self, monkeypatch, n):
-        counts = {"steps": 0, "scans": 0, "tables": 0}
-        step = blaschke.reduction.reduce_step
-        coordinate_step = blaschke.search._coordinate_step
-        table = blaschke.search.feval_table
+        counts = {}
 
-        def counted_step(*args):
-            counts["steps"] += 1
-            return step(*args)
+        def count(module, name, key):
+            original = getattr(module, name)
+            counts[key] = 0
 
-        def counted_scan(*args):
-            counts["scans"] += 1
-            return coordinate_step(*args)
+            def counted(*args):
+                counts[key] += 1
+                return original(*args)
 
-        def counted_table(*args):
-            counts["tables"] += 1
-            return table(*args)
+            monkeypatch.setattr(module, name, counted)
 
-        monkeypatch.setattr(blaschke.reduction, "reduce_step", counted_step)
-        monkeypatch.setattr(blaschke.search, "_coordinate_step", counted_scan)
-        monkeypatch.setattr(blaschke.search, "feval_table", counted_table)
+        count(blaschke.reduction, "reduce_step", "steps")
+        count(blaschke.search, "_coordinate_step", "scans")
+        count(blaschke.search, "feval_table", "tables")
+        count(blaschke.search, "spectrum", "spectra")
+        count(blaschke.feval, "spectrum", "feval_spectra")
         f = builtin_signal("ex5_2_f3", 256)
         its_search(f, n, SearchConfig(radial=10, angular=32))
         sweeps, rem = divmod(counts["scans"], n)
         assert sweeps >= 1 and rem == 0
         # one table call per scan, however few rings the bound leaves
         assert counts["tables"] == counts["scans"]
+        # one transform per scan, shared by the ring bounds and the table
+        assert counts["spectra"] == counts["scans"]
+        assert counts["feval_spectra"] == 0
         assert counts["steps"] == sweeps * sweep_steps(n)
 
 
