@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .hardy import PoleTuple, norm_sq
-from .reduction import energy_gradient, error_energy
+from .reduction import Objective, energy_gradient, error_energy
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 
@@ -97,11 +97,11 @@ def _real(z):
 
 
 def cgd_refine(f, start, cfg=CgdConfig()):
-    """Refine the PoleTuple `start` by quasi-Newton ascent on the energy."""
-    tup = start
+    """Refine the PoleTuple `start` by quasi-Newton ascent on the energy of f."""
+    tup, state = start, Objective(f)
     n = tup.degree
-    err_curr = error_energy(f, tup)
-    g = energy_gradient(f, tup)
+    err_curr = error_energy(state, tup)
+    g = energy_gradient(state, tup)
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
@@ -127,7 +127,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         for _ in range(MAX_BACKTRACKS):
             cand = _candidate(tup.poles + s * p)
             if cand is not None:
-                err_cand = error_energy(f, cand)
+                err_cand = error_energy(state, cand)
                 # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
                 if err_cand <= err_curr - 0.5 * s * slope:
                     break
@@ -135,7 +135,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break
-        g_next = energy_gradient(f, cand)
+        g_next = energy_gradient(state, cand)
         # g is the ascent direction, so the curvature pair of A is (s p, g - g_next)
         sk, yk = _real(s * p), _real(g - g_next)
         sy = sk @ yk

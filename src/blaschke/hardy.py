@@ -85,9 +85,9 @@ def _tail_tol(degree):
 
 
 def check_degree(n):
-    """The one test of a degree: a tuple, a run or a draw has at least one pole."""
-    if n < 1:
-        raise ValueError(f"degree must be at least 1, got {n}")
+    """The one test of a degree: an integer, not a bool, and at least one pole."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"degree must be an integer of at least 1, got {n!r}")
 
 
 def draw_separated(rng, n, radius, gap, max_tries):

@@ -12,34 +12,36 @@ returns the ascent direction gradE_l = -conj(d(-E)/da_l) = g_l conj(f_n(a_l))
 as a plain complex array, the step direction of the refinement a <- a + s gradE.
 
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
-`energy_gradient` take a `Signal` and a `PoleTuple`, whose poles they do not
-test again.  The raw-array entry points `reduce_chain` and `series_value`
-(when it builds its own row) test theirs with `hardy.disk_points`.  There is
-one reduction loop, `_chain`, and its one result is the final remainder.  A
-stage makes no division: the value f_j(a_j) = (1 - a^N) mean(f_j z w)
-(`series_value`, an O(N) Parseval mean with no FFT) and the step
-(f_j (1 - conj(a) z) - c) w (`reduce_step`) are products with the pole's row
-w = 1/(z - a), and the step consumes the value.  `reduce_chain` builds the
-rows at the N sample points.  For a `PoleTuple` they are taken at the 2N
-circle points, the N sample points and then the N midpoints (the even
-samples of the 2N points are the N points bit for bit): the chain reads the
-first half of each row, and the gradient's means over all 2N points the
-whole row, since there 1/(1 - conj(a) z) = conj(z w).  The rows and the
-remainder are memoized on the immutable `Signal` in one entry keyed on the
-pole bytes, so `energy_gradient` at a tuple that `error_energy` just
-evaluated runs no second chain.  The gradient's f at the 2N points, taken
-from `hardy.spectrum`, is memoized there too; these two are the only state
-kept on a `Signal`.  E has one definition, ||f||^2 - A, which `energy`
-returns and the refinement's energy trace records.
+`energy_gradient` take a `Signal` (or its `Objective`) and a `PoleTuple`,
+whose poles they do not test again.  The raw-array entry points
+`reduce_chain` and `series_value` (when it builds its own row) test theirs
+with `hardy.disk_points`.  There is one reduction loop, `_chain`, and its
+one result is the final remainder.  A stage makes no division: the value
+f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval mean
+with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`) are
+products with the pole's row w = 1/(z - a), and the step consumes the value.
+`reduce_chain` builds the rows at the N sample points.  For a `PoleTuple`
+they are taken at the 2N circle points, the N sample points and then the N
+midpoints (the even samples of the 2N points are the N points bit for bit):
+the chain reads the first half of each row, and the gradient's means over
+all 2N points the whole row, since there 1/(1 - conj(a) z) = conj(z w).  The
+rows and the remainder of the last tuple evaluated, and the gradient's f at
+the 2N points, are kept in an `Objective`, which `cgd_refine` builds once
+per call, so within that call `energy_gradient` at a tuple that
+`error_energy` just evaluated runs no second chain.  A `Signal` passed in
+gets a fresh one, and nothing is stored on it.  E has one definition,
+||f||^2 - A, which `energy` returns and the refinement's energy trace
+records.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .hardy import circle_points, disk_points, norm_sq, spectrum
 
 __all__ = [
+    "Objective",
     "series_value",
     "reduce_step",
     "reduce_chain",
@@ -113,37 +115,44 @@ def _chain(f, order, rows):
     return f
 
 
-def _evaluate(f, poles):
-    """The 2N-point rows and the final remainder of a tuple on a Signal, memoized.
+class Objective:
+    """The energy of one Signal along a refinement: f z at the 2N points, and
+    the 2N-point rows and final remainder of the last tuple evaluated.
 
-    The one entry is keyed on the pole bytes and kept on the (immutable)
-    Signal, so a second call at the same tuple reuses the chain and a call
-    at another tuple replaces it.  Both arrays are read-only.
+    `cgd_refine` builds one per call.  The one entry is keyed on the pole
+    bytes, so a second call at the same tuple reuses the chain and a call at
+    another tuple replaces it.  Its arrays are read-only.
     """
-    key = poles.tobytes()
-    cached = getattr(f, "_evaluation_cache", None)
-    if cached is None or cached[0] != key:
-        rows = 1.0 / (_doubled_points(f.n_samples) - poles[:, None])
-        rest = _chain(f.samples, poles, rows)
-        rows.setflags(write=False)
-        rest.setflags(write=False)
-        cached = (key, (rows, rest))
-        object.__setattr__(f, "_evaluation_cache", cached)
-    return cached[1]
 
+    def __init__(self, signal):
+        self.signal = signal
+        self._key = self._entry = None
 
-def _fine_times_z(f):
-    """f resampled to 2N points (`hardy.spectrum`, zero-padded, one inverse FFT)
-    times z, on `_doubled_points`; memoized on the (immutable) Signal."""
-    cached = getattr(f, "_fine_times_z_cache", None)
-    if cached is None:
-        n = f.n_samples
+    @cached_property
+    def fine_times_z(self):
+        """f (`spectrum`, zero-padded, one inverse FFT) times z on `_doubled_points`."""
+        n = self.signal.n_samples
         # scaling by the power of two N is exact: ifft(fft(f), 2N) * 2, bit for bit
-        fine = np.fft.ifft(spectrum(f).coeffs, 2 * n) * (2 * n)
-        cached = np.concatenate([fine[::2], fine[1::2]]) * _doubled_points(n)
-        cached.setflags(write=False)
-        object.__setattr__(f, "_fine_times_z_cache", cached)
-    return cached
+        fine = np.fft.ifft(spectrum(self.signal).coeffs, 2 * n) * (2 * n)
+        value = np.concatenate([fine[::2], fine[1::2]]) * _doubled_points(n)
+        value.setflags(write=False)
+        return value
+
+    def evaluate(self, poles):
+        """The 2N-point rows and the final remainder of the tuple with these poles."""
+        key = poles.tobytes()
+        if key != self._key:
+            rows = 1.0 / (_doubled_points(self.signal.n_samples) - poles[:, None])
+            rest = _chain(self.signal.samples, poles, rows)
+            rows.setflags(write=False)
+            rest.setflags(write=False)
+            self._key, self._entry = key, (rows, rest)
+        return self._entry
+
+
+def _objective(f):
+    """f if it is an Objective, else a fresh one for the Signal f."""
+    return f if isinstance(f, Objective) else Objective(f)
 
 
 def _finite(value, name):
@@ -159,7 +168,8 @@ def energy(f, tup):
     This is the value `cgd_refine` records in its energy trace, bit for bit.
     Its precision is absolute, about eps ||f||^2, not relative to E.
     """
-    return _finite(norm_sq(f) - error_energy(f, tup), "energy")
+    state = _objective(f)
+    return _finite(norm_sq(state.signal) - error_energy(state, tup), "energy")
 
 
 def error_energy(f, tup):
@@ -170,7 +180,7 @@ def error_energy(f, tup):
     the small remainder itself, A keeps its relative precision near an exact
     recovery, where E = ||f||^2 - A keeps only an absolute one.
     """
-    rest = _evaluate(f, tup.poles)[1]
+    rest = _objective(f).evaluate(tup.poles)[1]
     return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
@@ -186,20 +196,20 @@ def energy_gradient(f, tup):
     reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
     f with the kernel times B/M_l.  The means for g_l run on 2N points, where
     conj(B) = prod (1 - conj(a_j) z) w_j aliases at max|a|^(2N), not
-    max|a|^N.  Everything is read off the tuple's memoized rows and
-    remainder, the ones `error_energy` also uses: with w_l = 1/(z - a_l) at
+    max|a|^N.  Everything is read off the tuple's rows and remainder in the
+    Objective, the ones `error_energy` also uses: with w_l = 1/(z - a_l) at
     the 2N points, 1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means
     g_l are one matrix-vector product with the rows, and the n values
     f_n(a_l) are another with the rows' N-point halves.  Per call that is
     the Moebius product conj(B) over the n rows and the two products, with
     no division and, at a tuple already evaluated, no second chain.
     """
-    poles = tup.poles
-    rows, rest = _evaluate(f, poles)
-    n = f.n_samples
+    poles, state = tup.poles, _objective(f)
+    rows, rest = state.evaluate(poles)
+    n = state.signal.n_samples
     z2 = _doubled_points(n)
     conj_b = np.prod((1.0 - np.conj(poles)[:, None] * z2) * rows, axis=0)
-    weight = _fine_times_z(f) * conj_b
+    weight = state.fine_times_z * conj_b
     # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
     conj_g = rows @ (np.conj(weight) * z2) / (2 * n)
     rest_at = (1.0 - poles**n) * (rows[:, :n] @ (rest * circle_points(n))) / n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import blaschke.cgd
-from blaschke import BlaschkeModel, PoleTuple, synthesize, tuple_distance
+from blaschke import BlaschkeModel, PoleTuple, reduction, synthesize, tuple_distance
 from blaschke.cgd import CgdConfig, CgdStatus, _candidate, cgd_refine
 from blaschke.pipeline import RunConfig, builtin_signal, builtin_truth, cafd_cgd_result
 from blaschke.reduction import energy_gradient, error_energy
@@ -161,6 +161,35 @@ class TestCgdRefine:
         r2 = cgd_refine(f, PoleTuple([0.3, -0.4j]), CgdConfig(max_iters=30))
         np.testing.assert_array_equal(r1.tuple.poles, r2.tuple.poles)
         assert r1.energy_trace == r2.energy_trace
+
+    def test_one_chain_per_energy_evaluation(self, monkeypatch):
+        # each call's gradients reuse the chain of the energy just evaluated
+        # at the same tuple, and nothing carries over from an earlier call on
+        # the same Signal: a call that starts where the last one ended, as
+        # the pipeline's confirm stage does, runs its first chain again
+        energies, steps = [], []
+        evaluate, step = blaschke.cgd.error_energy, reduction.reduce_step
+
+        def spy_energy(f, tup):
+            energies.append(tup.degree)
+            return evaluate(f, tup)
+
+        def spy_step(*args):
+            steps.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(blaschke.cgd, "error_energy", spy_energy)
+        monkeypatch.setattr(reduction, "reduce_step", spy_step)
+        truth = builtin_truth("ex5_3")
+        cases = [(monomial_signal(3, 256), PoleTuple([0.3, -0.4j])),
+                 (builtin_signal("ex5_3", 1024), PoleTuple(truth.poles + 0.02))]
+        for f, start in cases:
+            for _ in range(2):
+                energies.clear()
+                steps.clear()
+                start = cgd_refine(f, start, CgdConfig(max_iters=20)).tuple
+                assert len(energies) > 1
+                assert len(steps) == start.degree * len(energies)
 
 
 class TestConvergenceOnSmoothTargets:

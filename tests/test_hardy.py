@@ -1,5 +1,8 @@
 """Core representations: signals, spectra, the TM system, projection."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,13 +21,19 @@ from blaschke import (
     synthesize,
     tm_basis,
 )
+import blaschke
 from blaschke import build_polar_grid, eval_interior, feval_table, hardy, ring_bounds
+from blaschke.cgd import CgdConfig, cgd_refine
 from blaschke.pipeline import (
     BUILTIN_FORMS,
+    RunConfig,
     builtin_signal,
     builtin_truth,
+    cafd_cgd_result,
     random_blaschke_form,
 )
+from blaschke.reduction import energy, energy_gradient, error_energy
+from blaschke.search import SearchConfig
 
 from conftest import (
     inverse_spectrum,
@@ -215,7 +224,7 @@ class TestValueTypes:
 
 
 class TestNoStateOnSignal:
-    """Transforming or evaluating a Signal stores nothing on it."""
+    """Transforming, evaluating or refining a Signal stores nothing on it."""
 
     @pytest.mark.parametrize("call", [
         spectrum,
@@ -223,13 +232,43 @@ class TestNoStateOnSignal:
         lambda f: feval_table(f, build_polar_grid(4, 8)),
         lambda f: ring_bounds(f, build_polar_grid(4, 8)),
         lambda f: eval_interior(f, 0.5j),
-    ], ids=["spectrum", "project", "feval_table", "ring_bounds", "eval_interior"])
+        lambda f: energy(f, PoleTuple([0.3, -0.5j])),
+        lambda f: error_energy(f, PoleTuple([0.3, -0.5j])),
+        lambda f: energy_gradient(f, PoleTuple([0.3, -0.5j])),
+        lambda f: cgd_refine(f, PoleTuple([0.3, -0.5j]), CgdConfig(max_iters=3)),
+        lambda f: cafd_cgd_result(f, RunConfig(2, SearchConfig(radial=10, angular=16),
+                                               CgdConfig(max_iters=3))),
+    ], ids=["spectrum", "project", "feval_table", "ring_bounds", "eval_interior",
+            "energy", "error_energy", "energy_gradient", "cgd_refine", "cafd_cgd_result"])
     def test_signal_unchanged(self, rng, call):
         # 256 samples: project runs below N, on f's spectrum
         f = random_smooth_signal(rng, 256)
         samples = f.samples
         call(f)
         assert vars(f) == {"samples": samples}
+
+
+def _setattr_scopes(tree, scope=()):
+    """The scope (class and function names) of every `object.__setattr__` in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            yield scope
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _setattr_scopes(node, scope + (node.name,) if named else scope)
+
+
+def test_setattr_only_finishes_construction_or_stores_an_array():
+    # Signal and the other frozen types are plain values: object.__setattr__
+    # may only finish a frozen dataclass in __post_init__ or store a field
+    # by the value types' one array rule, never cache anything on a value
+    sites = [(path.name, scope)
+             for path in sorted(Path(blaschke.__file__).parent.glob("*.py"))
+             for scope in _setattr_scopes(ast.parse(path.read_text()))]
+    misplaced = [f"{name}:{'.'.join(scope)}" for name, scope in sites
+                 if scope[-1:] != ("__post_init__",) and scope[-2:] != ("_ArrayValue", "_store")]
+    assert misplaced == []
+    assert ("hardy.py", ("_ArrayValue", "_store")) in sites
 
 
 class TestPoleTupleValidation:

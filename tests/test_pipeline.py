@@ -1,6 +1,7 @@
 """End-to-end driver, metrics, random forms, and the benchmark harness."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from blaschke import (
     energy_gradient,
     norm_sq,
     project,
+    reduction,
     synthesize,
     tm_basis,
 )
@@ -37,7 +39,7 @@ from blaschke.pipeline import (
     run_benchmark,
     tuple_distance,
 )
-from blaschke.search import RectGridConfig, SearchConfig
+from blaschke.search import RectGridConfig, SearchConfig, its_search
 
 from conftest import brute_tuple_distance
 
@@ -171,6 +173,27 @@ class TestRandomBlaschkeForm:
             random_blaschke_form(0, 0)
 
 
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
+def test_non_integer_degree_rejected(degree):
+    # hardy.check_degree is the one test: each entry point raises a
+    # ValueError naming the degree before any array is sized by it
+    f = builtin_signal("ex5_3", 256)
+    calls = [lambda: cafd_cgd_result(f, RunConfig(degree)),
+             lambda: random_blaschke_form(degree, 0),
+             lambda: its_search(f, degree, SearchConfig(radial=10, angular=16))]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(degree))):
+            call()
+
+
+def test_numpy_integer_degree_accepted():
+    tup, coeffs = random_blaschke_form(np.int64(3), 0)
+    assert tup.degree == 3 and coeffs.size == 3
+    f = builtin_signal("ex5_3", 256)
+    assert its_search(f, np.int32(2), SearchConfig(radial=10, angular=16)).degree == 2
+    assert RunConfig(np.int64(4)).degree == 4
+
+
 class TestBuiltinTargets:
     def test_function_values(self):
         tau = circle_points(256)
@@ -227,6 +250,31 @@ class TestPipeline:
         assert lhs == pytest.approx(
             result.model.residual_error, abs=1e-8 * norm_sq(f)
         )
+
+    def test_repeat_run_on_one_signal_does_the_same_work(self, monkeypatch):
+        # nothing a run computes is kept on the Signal, so a second run on
+        # the same object makes the same reduction steps and the same answer
+        steps = []
+        step = reduction.reduce_step
+
+        def counted(*args):
+            steps.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(reduction, "reduce_step", counted)
+        f, truth, _ = _form_run("ex5_3")
+        cfg = RunConfig(truth.degree, SearchConfig(angular=128, seed=1))
+        runs, counts = [], []
+        for _ in range(2):
+            steps.clear()
+            runs.append(cafd_cgd_result(f, cfg))
+            counts.append(len(steps))
+        assert counts[0] == counts[1]
+        first, second = runs
+        assert first.its_tuple == second.its_tuple
+        assert first.model == second.model
+        assert first.cgd_report == second.cgd_report
+        assert first.working_samples == second.working_samples
 
     def test_seeded_determinism(self):
         f = builtin_signal("ex5_1_f2", 256)

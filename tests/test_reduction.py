@@ -20,6 +20,7 @@ from blaschke import (
 from blaschke import reduction
 from blaschke.pipeline import BUILTIN_FORMS
 from blaschke.reduction import (
+    Objective,
     derivative_reduce_step,
     energy,
     energy_gradient,
@@ -396,18 +397,19 @@ class TestReductionTrail:
 
 
 class TestSharedEvaluation:
-    """error_energy, energy and energy_gradient share one memoized chain."""
+    """Within one Objective, error_energy, energy and energy_gradient share one chain."""
 
     def test_reuse_equals_cold_evaluation(self, rng):
         samples = random_smooth_signal(rng, 1024).samples
         tup = random_tuple(rng, 5)
-        warm = Signal(samples)
+        warm = Objective(Signal(samples))
         err_warm = error_energy(warm, tup)
         grad_warm = energy_gradient(warm, tup)
         grad_cold = energy_gradient(Signal(samples), tup)
         np.testing.assert_array_equal(-np.conj(grad_warm), -np.conj(grad_cold))
-        # and error_energy after a gradient, against a cold one
-        warm = Signal(samples)
+        assert energy(warm, tup) == energy(Signal(samples), tup)
+        # and error_energy after a gradient, against a cold Signal
+        warm = Objective(Signal(samples))
         energy_gradient(warm, tup)
         assert error_energy(warm, tup) == error_energy(Signal(samples), tup) == err_warm
 
@@ -421,32 +423,39 @@ class TestSharedEvaluation:
             return reduce_step(*args)
 
         monkeypatch.setattr(reduction, "reduce_step", counted)
-        error_energy(f, tup)
+        state = Objective(f)
+        error_energy(state, tup)
         assert len(steps) == 4
+        energy_gradient(state, tup)
+        energy(state, tup)
+        assert len(steps) == 4
+        # a Signal gets a fresh Objective per call, so each call runs a chain
         energy_gradient(f, tup)
-        energy(f, tup)
-        assert len(steps) == 4
+        error_energy(f, tup)
+        assert len(steps) == 12
 
     def test_second_tuple_does_not_reuse_first_entry(self, rng):
         samples = random_smooth_signal(rng, 1024).samples
         first, second = random_tuple(rng, 3), random_tuple(rng, 3)
-        f = Signal(samples)
-        energy_gradient(f, first)
+        state = Objective(Signal(samples))
+        energy_gradient(state, first)
         for tup in (second, PoleTuple(first.poles[::-1]), first):
-            got = energy_gradient(f, tup)
+            got = energy_gradient(state, tup)
             want = energy_gradient(Signal(samples), tup)
             np.testing.assert_array_equal(-np.conj(got), -np.conj(want))
-            assert error_energy(f, tup) == error_energy(Signal(samples), tup)
-        got = -np.conj(energy_gradient(f, second))
-        assert not np.array_equal(got, -np.conj(energy_gradient(f, first)))
+            assert error_energy(state, tup) == error_energy(Signal(samples), tup)
+        got = -np.conj(energy_gradient(state, second))
+        assert not np.array_equal(got, -np.conj(energy_gradient(state, first)))
+        # the one entry now holds the second tuple's rows, not the first's
+        rows, _ = state.evaluate(second.poles)
+        np.testing.assert_array_equal(rows[:, 0], 1.0 / (1.0 - second.poles))
 
     def test_memoized_arrays_are_read_only(self, rng):
         f = random_smooth_signal(rng, 256)
         tup = random_tuple(rng, 3)
-        energy_gradient(f, tup)
-        arrays = list(reduction._evaluate(f, tup.poles))
-        arrays.append(reduction._fine_times_z(f))
-        for array in arrays:
+        state = Objective(f)
+        energy_gradient(state, tup)
+        for array in (*state.evaluate(tup.poles), state.fine_times_z):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -456,7 +465,7 @@ class TestSharedEvaluation:
         f = random_smooth_signal(rng, 1024)
         tup = random_tuple(rng, 4)
         chain = reduce_chain(f.samples, tup.poles)
-        _, rest = reduction._evaluate(f, tup.poles)
+        _, rest = Objective(f).evaluate(tup.poles)
         np.testing.assert_array_equal(rest, chain)
 
     def test_reduce_chain_rejects_boundary_poles(self, rng):
