@@ -151,17 +151,15 @@ def _run_options(fn):
                      help=f"samples of a --builtin target  [default: {DEFAULT_SAMPLES}]"),
         click.option("--radial", default=SearchConfig.radial, show_default=True),
         click.option("--angular", default=SearchConfig.angular, show_default=True),
-        click.option("--seed", type=click.IntRange(min=0), default=SearchConfig.seed,
-                     show_default=True),
         click.option("--out", "out_path", type=click.Path(), required=True),
     ]):
         fn = deco(fn)
     return fn
 
 
-def _approximate(input_path, builtin, degree, samples, radial, angular, seed,
-                 out_path, truth_path=None):
-    cfg = RunConfig(degree, SearchConfig(radial=radial, angular=angular, seed=seed))
+def _approximate(input_path, builtin, degree, samples, radial, angular, out_path,
+                 truth_path=None):
+    cfg = RunConfig(degree, SearchConfig(radial=radial, angular=angular))
     f = _load_input(input_path, builtin, samples)
     truth = read_tuple_json(truth_path) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)

@@ -399,8 +399,8 @@ def _plan(descriptor):
         name = entry["name"]
         degree = entry.get("degree", BUILTIN_DEGREES.get(name))
         if name == "random":
-            # drawn once, then run under every algorithm; a search seeded like
-            # its form would start at scaled true poles
+            # drawn once, then run under every algorithm; a rectangular search
+            # seeded like its form would start at scaled true poles
             forms = [random_blaschke_form(degree, seed + i)
                      for i in range(entry.get("count", 20))]
             cases = [(f"random_n{degree}_{i}", synthesize(BlaschkeModel(*form), n_samples),

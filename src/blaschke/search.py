@@ -1,8 +1,8 @@
 """Cyclic coordinate search for an initial pole tuple.
 
 Both searches run one cyclic coordinate-ascent driver, `_cyclic_search`,
-which draws the start (the draw checks the degree), sets the threshold and
-caps the sweeps; each search only builds its grid scan.  A sweep visits
+which takes the start from its caller, sets the threshold and caps the
+sweeps; each search builds its start and its grid scan.  A sweep visits
 the positions n-1, n-2, ..., 0 of the tuple; at each it holds the other
 poles fixed, scans a grid for the node maximizing |<f_n, e_z>| of the
 remainder f_n of f reduced through those poles, and replaces the pole a
@@ -13,7 +13,27 @@ candidate makes no move.  A PoleTuple admits repeated poles, but the search
 keeps this rule of its own: stacked poles get identical gradient entries,
 so the refinement's BFGS, started from the identity, moves them together
 and never splits them.  Every pole the search places is a node of its own
-grid and the random start lands on none, so exact equality is the test.
+grid, and a start pole that is not a node equals none, so exact equality
+is the test.
+
+The polar search starts from a deterministic tuple and draws no random
+number.  A Blaschke form of degree n is a rational function whose Taylor
+coefficients are an exponential sum in the conjugated poles, so its
+Hankel matrix has rank n (Kronecker's theorem), and a matrix pencil on the
+first few dozen DFT coefficients finds the poles (Hua and Sarkar, IEEE
+Trans. Acoust. Speech Signal Process. 38, 1990; the DFT's aliasing keeps
+the nodes).  `_pencil_poles` gives the r <= n poles of the numerical rank
+that lie inside the disk.  `_snap` moves each to its nearest grid node; a
+pole whose node an earlier one holds keeps its pencil value.  `_place`
+puts each of the n - r poles left at the best free node of the remainder
+through the poles placed before it, one whole-grid scan each.  The sweeps
+run from there.  The start is snapped, not passed on off the grid, so
+the search still returns grid nodes and its answer stays bitwise
+invariant under f -> lambda f; off-grid pencil poles would make that a
+round-off invariance.  On a form in the model class the pencil alone is at
+round-off; for f outside it, the pencil is no H^2 optimum, and the sweeps
+and the refinement keep their role.  The rectangular baseline keeps the
+paper's random start, drawn from `RectGridConfig.seed`.
 
 The remainder does not depend on the order of the poles it is reduced
 through (up to the O(max|a|^N) aliasing of the sampled kernel), so a sweep
@@ -49,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
-from .hardy import PoleTuple, Signal, draw_separated, norm_sq, spectrum
+from .hardy import PoleTuple, Signal, check_degree, draw_separated, norm_sq, spectrum
 from .reduction import reduce_chain, series_value
 
 __all__ = [
@@ -71,6 +91,10 @@ MAX_SWEEPS = 100
 # a move must gain more than ETA_REL * ||f||^2 of energy
 ETA_REL = 1e-12
 
+# the pencil's numerical rank counts the Hankel singular values above this
+# share of the largest
+PENCIL_RANK_TOL = 1e-13
+
 
 class SearchNonConvergence(RuntimeError):
     """Sweep cap reached; carries the best tuple found so far."""
@@ -82,13 +106,15 @@ class SearchNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Polar-grid search parameters: the grid shape and the start's seed.
+    """Polar-grid search parameters: the grid shape.
 
     `grid` is the `PolarGrid` the search scans; building it checks the shape.
     """
 
     radial: int = 100
     angular: int = 256
+    # read by nothing (the start is drawn from no seed); kept only because
+    # perfbench/workloads.py passes it
     seed: int = 0
 
     def __post_init__(self):
@@ -176,26 +202,83 @@ def _sweep(g, poles, lo, hi, scan, eta):
     return accepted + _sweep(reduce_chain(g, poles[mid:hi]), poles, lo, mid, scan, eta)
 
 
-def _cyclic_search(f, n, cfg, scan, start_radius):
-    """Shared cyclic coordinate-ascent driver.
+def _cyclic_search(f, poles, scan):
+    """Shared cyclic coordinate-ascent driver from the caller's start `poles`.
 
     `scan(f_n, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|
     over the grid, or over a part of it that holds every node whose value
-    reaches the floor (floor 0, the default, is the whole grid); `cfg`
-    gives the seed.  Each sweep is one `_sweep` over all n positions, T(n)
-    reduction steps and n scans; the search stops after the first sweep
-    that accepts no move, or raises after MAX_SWEEPS sweeps.
+    reaches the floor (floor 0, the default, is the whole grid).  Each sweep
+    is one `_sweep` over all n positions, T(n) reduction steps and n scans;
+    the search stops after the first sweep that accepts no move, or raises
+    after MAX_SWEEPS sweeps.  `poles` is updated in place.
     """
     eta = ETA_REL * norm_sq(f)
-    rng = np.random.default_rng(cfg.seed)
-    # about one try in five falls outside the disk; 100 per pole leave ample room
-    poles = draw_separated(rng, n, start_radius, 0.0, 100 * n)
     for _ in range(MAX_SWEEPS):
-        if _sweep(f.samples, poles, 0, n, scan, eta) == 0:
+        if _sweep(f.samples, poles, 0, poles.size, scan, eta) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
         f"no coordinate maximum within {MAX_SWEEPS} sweeps", PoleTuple(poles)
     )
+
+
+def _pencil_poles(f, n):
+    """At most n poles inside the disk from a matrix pencil on f's spectrum.
+
+    The first 3L DFT coefficients, L = max(2n, 8) capped so that 3L <= N,
+    fill the 2L x (L+1) Hankel matrix H[i, j] = f_hat(i + j).  Its numerical
+    rank r <= n counts the singular values above PENCIL_RANK_TOL times the
+    largest.  The first r rows of V^H, transposed and not conjugated, span
+    the powers of the nodes conj(a_j), so the least-squares shift between
+    their rows has those nodes as eigenvalues; the poles are their
+    conjugates, and those with |a| >= 1 are dropped.
+    """
+    coeffs = spectrum(f).coeffs
+    size = min(max(2 * n, 8), coeffs.size // 3)
+    hankel = coeffs[np.arange(2 * size)[:, None] + np.arange(size + 1)]
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    # at N = 2 the matrix is empty, and so is sv
+    rank = min(n, int(np.count_nonzero(sv > PENCIL_RANK_TOL * sv.max(initial=0.0))))
+    if rank == 0:
+        return np.empty(0, dtype=complex)
+    basis = vh[:rank].T
+    shift = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
+    poles = np.conj(np.linalg.eigvals(shift))
+    return poles[np.abs(poles) < 1.0]
+
+
+def _snap(poles, grid, nodes):
+    """Each pole moved to its nearest node of the grid, as a list.
+
+    Ring round(|a| / eps), clipped to 1 .. radial-1, and angle
+    round(angular * arg(a) / 2 pi).  A pole whose node an earlier pole
+    already holds keeps its own value, which no node equals.
+    """
+    rings = np.clip(np.rint(np.abs(poles) / grid.eps), 1, grid.radial - 1).astype(int)
+    turns = np.rint(grid.angular * np.angle(poles) / (2.0 * np.pi)).astype(int)
+    # column k-1 of a ring holds the angle 2 pi k / angular, k = 1 .. angular
+    start = []
+    for a, node in zip(poles, nodes[(rings - 1) * grid.angular + (turns - 1) % grid.angular]):
+        start.append(a if node in start else node)
+    return start
+
+
+def _place(f, start, n, scan):
+    """`start` extended to n poles, each new one at the best free node.
+
+    Each new pole takes one whole-grid scan of the remainder of f through
+    the poles placed before it, and a ValueError follows when no node is
+    free of them.
+    """
+    poles = list(start)
+    # g is f reduced through poles[:reduced]
+    g, reduced = f.samples, 0
+    while len(poles) < n:
+        g, reduced = reduce_chain(g, poles[reduced:]), len(poles)
+        best = _masked_argmax(*scan(Signal(g)), np.array(poles, dtype=complex))
+        if best is None:
+            raise ValueError(f"no grid node is free for pole {len(poles) + 1} of {n}")
+        poles.append(best[1])
+    return np.array(poles, dtype=complex)
 
 
 def _ring_band(bounds, floor):
@@ -210,10 +293,12 @@ def _ring_band(bounds, floor):
     return int(rings[0]), int(rings[-1]) + 1
 
 
-def its_search(f, n, cfg=SearchConfig()):
-    """Initial tuple selection over the polar grid using the fast table."""
-    grid = cfg.grid
-    nodes = grid.nodes().ravel()
+def _polar_scan(grid, nodes):
+    """The polar grid's scan for `_cyclic_search`; `nodes` is `grid.nodes()` flattened.
+
+    One transform of the remainder feeds the ring bounds and one table call
+    on the band of rings that can reach the floor.
+    """
 
     def scan(f_n, floor=0.0):
         spec = spectrum(f_n)
@@ -221,7 +306,22 @@ def its_search(f, n, cfg=SearchConfig()):
         table = feval_table(spec, grid.band(lo, hi))
         return np.abs(table).ravel(), nodes[lo * grid.angular:hi * grid.angular]
 
-    return _cyclic_search(f, n, cfg, scan, 1.0 - grid.eps)
+    return scan
+
+
+def its_search(f, n, cfg=SearchConfig()):
+    """Initial tuple selection over the polar grid using the fast table.
+
+    The start is deterministic: the poles of `_pencil_poles`, snapped to the
+    grid (`_snap`), then, for each pole the pencil left out, the best free
+    node of the remainder (`_place`).  No random number is drawn, so
+    `cfg.seed` is not read.  The cyclic sweeps run from that start.
+    """
+    check_degree(n)
+    nodes = cfg.grid.nodes().ravel()
+    scan = _polar_scan(cfg.grid, nodes)
+    start = _place(f, _snap(_pencil_poles(f, n), cfg.grid, nodes), n, scan)
+    return _cyclic_search(f, start, scan)
 
 
 def rect_cafd_search(f, n, cfg=RectGridConfig()):
@@ -232,4 +332,6 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
     def scan(f_n, floor=0.0):
         return weight * np.abs(eval_interior(f_n, nodes)), nodes
 
-    return _cyclic_search(f, n, cfg, scan, 1.0 - cfg.gap)
+    # about one try in five falls outside the disk; 100 per pole leave ample room
+    start = draw_separated(np.random.default_rng(cfg.seed), n, 1.0 - cfg.gap, 0.0, 100 * n)
+    return _cyclic_search(f, start, scan)

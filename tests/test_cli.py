@@ -133,29 +133,29 @@ class TestSynthesizeAndRecover:
             degree=4, search=SearchConfig(angular=128))).working_samples
         assert int(lines["working_samples"]) == want < DEFAULT_SAMPLES
 
-    def test_iteration_cap_exits_5_and_writes_model(self, tmp_path):
-        # under the default settings this target stops at the 500-iteration
-        # cap: its gradient norm stays above the absolute cgd.GRAD_TOL
+    def test_iteration_cap_exits_5_and_writes_model(self, tmp_path, monkeypatch, capsys):
+        # no gradient norm is at most 0, so the refinement runs to the cap
+        monkeypatch.setattr(blaschke.cgd, "GRAD_TOL", 0.0)
         out = tmp_path / "out.json"
-        res = run_cli(
-            "approximate", "--builtin", "ex5_1_f3", "--degree", "6",
+        code = run_cli_in_process(
+            monkeypatch, "approximate", "--builtin", "ex5_1_f3", "--degree", "6",
             "--out", str(out),
         )
-        assert res.returncode == 5, res.stderr
-        assert "status: iteration-cap" in res.stdout
+        assert code == 5
+        assert "status: iteration-cap" in capsys.readouterr().out
         assert read_model_json(out).degree == 6
 
     def test_search_non_convergence_exits_3_without_model(
             self, tmp_path, monkeypatch, capsys):
-        # a degree-5 target cannot settle in a single sweep
-        monkeypatch.setattr(blaschke.search, "MAX_SWEEPS", 1)
+        # with no sweep allowed, the search gives up at its start
+        monkeypatch.setattr(blaschke.search, "MAX_SWEEPS", 0)
         out = tmp_path / "out.json"
         code = run_cli_in_process(
             monkeypatch, "approximate", "--builtin", "ex5_3", "--degree", "5",
             "--out", str(out),
         )
         assert code == 3
-        assert "no coordinate maximum within 1 sweeps" in capsys.readouterr().err
+        assert "no coordinate maximum within 0 sweeps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_line_search_stall_exits_4_and_writes_model(
@@ -259,13 +259,15 @@ class TestValidationExitCodes:
         )
         assert res.returncode == 2
 
-    def test_negative_seed(self, tmp_path):
-        res = run_cli(
-            "approximate", "--builtin", "ex5_5", "--degree", "4", "--seed", "-1",
-            "--out", str(tmp_path / "o.json"),
+    def test_seed_is_no_option(self, monkeypatch, capsys, tmp_path):
+        # the polar search draws no random number, so there is no seed to set
+        code = run_cli_in_process(
+            monkeypatch, "approximate", "--builtin", "ex5_5", "--degree", "4",
+            "--seed", "1", "--out", str(tmp_path / "o.json"),
         )
-        assert res.returncode == 2
-        assert "--seed" in res.stderr
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--seed" in err
         assert not (tmp_path / "o.json").exists()
 
     def test_bad_angular_count(self, tmp_path):

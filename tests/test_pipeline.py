@@ -114,6 +114,21 @@ class TestTupleDistance:
                     )
 
 
+def test_pipeline_run_imports_no_numpy_random():
+    # the polar search draws no random number, so a whole run never loads
+    # numpy.random and its memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from blaschke import RunConfig, cafd_cgd_result; "
+            "from blaschke.pipeline import builtin_signal; "
+            "cafd_cgd_result(builtin_signal('ex5_5'), RunConfig(4)); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_import_loads_no_scipy():
     # scipy took most of a fresh `import blaschke`; the runtime needs only
     # numpy and click
@@ -440,20 +455,22 @@ class TestWorkingResolution:
         assert len(report.energy_trace) == report.iterations + 1
 
     def test_confirm_stage_that_iterates_still_recovers(self, monkeypatch):
-        # at N' = 128, ex5_5's tail is not at round-off, so the tuple must
+        # at N' = 128, ex5_5's tail is not at round-off; from this fixed
+        # tuple of grid nodes the working stage stops where the tuple must
         # move again at N
         import blaschke.pipeline as pipeline
 
         monkeypatch.setattr(pipeline, "_working_samples", lambda f, tup: 128)
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_5")
-        res = cafd_cgd_result(f, cfg, truth=truth)
-        (n_work, _), (n_full, confirm_iters) = calls
-        assert n_work < n_full == 1024
+        start = PoleTuple(cfg.search.grid.nodes()[[53, 89, 87, 84], [125, 22, 92, 13]])
+        report, n_work = pipeline._refine(f, start, cfg.cgd)
+        (n_coarse, _), (n_full, confirm_iters) = calls
+        assert n_work == n_coarse == 128 and n_full == 1024
         assert confirm_iters > 0
-        assert res.cgd_report.iterations == sum(k for _, k in calls)
-        assert res.cgd_report.status is CgdStatus.CONVERGED
-        assert res.tuple_distance <= 5e-3
+        assert report.iterations == sum(k for _, k in calls)
+        assert report.status is CgdStatus.CONVERGED
+        assert tuple_distance(report.tuple, truth) <= 5e-3
 
     def test_rect_cafd_reports_no_working_resolution(self):
         f = synthesize(BlaschkeModel(PoleTuple([0.45 - 0.3j]), [1.0]), 256)

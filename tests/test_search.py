@@ -13,6 +13,7 @@ from blaschke import (
     build_polar_grid,
     feval_table,
     norm_sq,
+    project,
     synthesize,
 )
 from blaschke.hardy import draw_separated
@@ -22,15 +23,21 @@ from blaschke.pipeline import (
     builtin_signal,
     builtin_truth,
     cafd_cgd_result,
+    tuple_distance,
 )
 from blaschke.reduction import energy, reduce_chain
 from blaschke.search import (
     RectGridConfig,
     SearchConfig,
     SearchNonConvergence,
+    _cyclic_search,
     _masked_argmax,
     _partial_energy_amp,
+    _pencil_poles,
+    _place,
+    _polar_scan,
     _ring_band,
+    _snap,
     its_search,
     rect_cafd_search,
     rect_grid_nodes,
@@ -39,7 +46,7 @@ from blaschke.search import (
 from conftest import kernel_reference, monomial_signal, szego_signal
 
 
-def roll_cyclic_search(f, n, cfg, scan, start_radius):
+def roll_cyclic_search(f, poles, scan):
     """Reference sweep: rebuild each remainder from f, scan the last pole, roll.
 
     Takes `_cyclic_search`'s arguments.  Each of the n steps of a sweep
@@ -47,7 +54,7 @@ def roll_cyclic_search(f, n, cfg, scan, start_radius):
     sweep; after n rolls the tuple is back in array order.
     """
     eta = blaschke.search.ETA_REL * norm_sq(f)
-    poles = draw_separated(np.random.default_rng(cfg.seed), n, start_radius, 0.0, 100 * n)
+    n = poles.size
     for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
         for _ in range(n):
@@ -94,11 +101,18 @@ class TestSweepEquivalence:
     )
     def test_polar_search(self, monkeypatch, name, n, angular, seed):
         # the benchmark's search inputs: recover's targets and grid, and an
-        # approximate target at n = 10
+        # approximate target at n = 10; first from the pencil start, then
+        # from a seeded random start, whose sweeps must accept moves
         f = builtin_signal(name, 1024)
-        cfg = SearchConfig(angular=angular, seed=seed)
+        cfg = SearchConfig(angular=angular)
         fast, ref = self.both(monkeypatch, its_search, f, n, cfg)
         np.testing.assert_array_equal(fast.poles, ref.poles)
+        rng = np.random.default_rng(seed)
+        start = draw_separated(rng, n, 1.0 - cfg.grid.eps, 0.0, 100 * n)
+        monkeypatch.setattr(blaschke.search, "_place", lambda *args: start.copy())
+        fast, ref = self.both(monkeypatch, its_search, f, n, cfg)
+        np.testing.assert_array_equal(fast.poles, ref.poles)
+        assert not np.any(np.isin(fast.poles, start))
 
     def test_rectangular_search(self, monkeypatch):
         f = builtin_signal("ex5_5", 256)
@@ -113,8 +127,8 @@ class TestSweepCost:
             0, 2, 8, 12, 24, 34, 148,
         ]
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
-    def test_steps_per_sweep(self, monkeypatch, n):
+    @staticmethod
+    def counters(monkeypatch):
         counts = {}
 
         def count(module, name, key):
@@ -132,8 +146,17 @@ class TestSweepCost:
         count(blaschke.search, "feval_table", "tables")
         count(blaschke.search, "spectrum", "spectra")
         count(blaschke.feval, "spectrum", "feval_spectra")
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
+    def test_steps_per_sweep(self, monkeypatch, n):
+        # the sweeps alone, from an explicit start of n poles
         f = builtin_signal("ex5_2_f3", 256)
-        its_search(f, n, SearchConfig(radial=10, angular=32))
+        grid = SearchConfig(radial=10, angular=32).grid
+        start = draw_separated(np.random.default_rng(n), n, 1.0 - grid.eps, 0.0, 100 * n)
+        scan = _polar_scan(grid, grid.nodes().ravel())
+        counts = self.counters(monkeypatch)
+        _cyclic_search(f, start, scan)
         sweeps, rem = divmod(counts["scans"], n)
         assert sweeps >= 1 and rem == 0
         # one table call per scan, however few rings the bound leaves
@@ -142,6 +165,33 @@ class TestSweepCost:
         assert counts["spectra"] == counts["scans"]
         assert counts["feval_spectra"] == 0
         assert counts["steps"] == sweeps * sweep_steps(n)
+
+    @pytest.mark.parametrize("n, given", [(1, 0), (5, 0), (5, 2), (30, 0), (4, 4)])
+    def test_placement_scans(self, monkeypatch, n, given):
+        # one whole-grid scan per placed pole, and one reduction step per
+        # pole the next scan's remainder goes through
+        f = builtin_signal("ex5_2_f3", 256)
+        grid = SearchConfig(radial=10, angular=32).grid
+        nodes = grid.nodes().ravel()
+        start = nodes[[3, 40]].tolist() + [0.1 + 0.2j, -0.3j]
+        counts = self.counters(monkeypatch)
+        poles = _place(f, start[:given], n, _polar_scan(grid, nodes))
+        placed = n - given
+        assert counts["tables"] == counts["spectra"] == placed
+        assert counts["steps"] == (given + placed - 1 if placed else 0)
+        assert counts["scans"] == counts["feval_spectra"] == 0
+        np.testing.assert_array_equal(poles[:given], start[:given])
+        assert np.all(np.isin(poles[given:], nodes))
+        assert np.unique(poles).size == n
+
+    def test_placement_without_free_node_raises(self):
+        # a grid of two nodes holds two poles
+        f = builtin_signal("ex5_5", 64)
+        grid = SearchConfig(radial=2, angular=2).grid
+        nodes = grid.nodes().ravel()
+        assert _place(f, [], 2, _polar_scan(grid, nodes)).size == 2
+        with pytest.raises(ValueError, match="no grid node is free for pole 3 of 3"):
+            _place(f, [], 3, _polar_scan(grid, nodes))
 
 
 class TestRectGridNodes:
@@ -309,7 +359,8 @@ class TestItsSearch:
         assert res.tuple_distance <= 5e-3
 
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
-        # a degree-5 target cannot settle in a single sweep from a cold start
+        # on this coarse grid the snapped start of a degree-5 target still
+        # moves in its first sweep, so one sweep cannot end the search
         from blaschke.pipeline import BUILTIN_FORMS
 
         poles, coeffs = BUILTIN_FORMS["ex5_3"]
@@ -319,6 +370,112 @@ class TestItsSearch:
             its_search(f, 5, SearchConfig(radial=20, angular=64))
         assert isinstance(err.value.best_tuple, PoleTuple)
         assert err.value.best_tuple.degree == 5
+
+
+# forms with a repeated, a triple, a clustered and a triple origin pole; the
+# coefficients are the first n of COEFFS
+STACKED_FORMS = {
+    "double": [0.5, 0.5, -0.4j],
+    "triple": [0.6j, 0.6j, 0.6j, -0.5],
+    "cluster": [0.7, 0.7 * np.exp(0.02j), 0.7 * np.exp(-0.02j), -0.3 + 0.2j],
+    "origin": [0.0, 0.0, 0.0, 0.5 + 0.5j],
+}
+COEFFS = [1.0, -0.7 + 0.3j, 0.5j, 0.8]
+
+
+def _stacked_signal(name):
+    poles = STACKED_FORMS[name]
+    return synthesize(BlaschkeModel(PoleTuple(poles), COEFFS[:len(poles)]), 1024)
+
+
+def _l2_error(f, poles):
+    return float(np.sqrt(project(f, PoleTuple(poles)).residual_error / norm_sq(f)))
+
+
+class TestPencilStart:
+    """The search's start: matrix-pencil poles, snapped to the grid."""
+
+    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5", "ex5_6"])
+    def test_pencil_recovers_builtin_forms(self, name):
+        f = builtin_signal(name, 1024)
+        poles = _pencil_poles(f, BUILTIN_DEGREES[name])
+        assert poles.size == BUILTIN_DEGREES[name]
+        assert _l2_error(f, poles) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(STACKED_FORMS))
+    def test_pencil_recovers_stacked_poles(self, name):
+        # a pole of multiplicity m moved by d changes f by O(d^m), so the
+        # error, not the tuple distance, is the yardstick here
+        f = _stacked_signal(name)
+        poles = _pencil_poles(f, len(STACKED_FORMS[name]))
+        assert poles.size == len(STACKED_FORMS[name])
+        assert _l2_error(f, poles) <= 1e-13
+
+    def test_pencil_finds_ex5_4_tuple(self):
+        # ex5_4's L2 error at its true tuple is project's aliasing floor
+        # (a pole at |a| = 0.984), so its tuple is the yardstick
+        f = builtin_signal("ex5_4", 1024)
+        poles = _pencil_poles(f, 4)
+        assert tuple_distance(PoleTuple(poles), builtin_truth("ex5_4")) <= 1e-13
+
+    def test_rank_caps_the_pole_count(self):
+        # a kernel has rank 1: the pencil gives one pole, and the search
+        # places the others on free nodes
+        b = 0.3 + 0.4j
+        f = szego_signal(b, 256)
+        poles = _pencil_poles(f, 3)
+        assert poles.size == 1 and abs(poles[0] - b) <= 1e-14
+        tup = its_search(f, 3, SearchConfig(radial=20, angular=64))
+        assert tup.degree == 3 and np.unique(tup.poles).size == 3
+
+    def test_two_samples_give_no_pencil(self):
+        # 3L <= N leaves L = 0: no pencil pole, and the scan places the pole
+        f = monomial_signal(1, 2)
+        assert _pencil_poles(f, 1).size == 0
+        tup = its_search(f, 1, SearchConfig(radial=4, angular=2))
+        assert tup.degree == 1 and tup.poles[0] in SearchConfig(radial=4, angular=2).grid.nodes()
+
+    def test_snapped_to_nearest_node(self):
+        # each start pole is the node nearest in ring and in angle
+        grid = SearchConfig(angular=128).grid
+        nodes = grid.nodes().ravel()
+        truth = builtin_truth("ex5_5").poles
+        start = np.array(_snap(truth, grid, nodes))
+        assert np.all(np.isin(start, nodes))
+        assert np.max(np.abs(np.abs(start) - np.abs(truth))) <= grid.eps / 2
+        turn = 2.0 * np.pi / grid.angular
+        assert np.max(np.abs(np.angle(start / truth))) <= turn / 2 + 1e-15
+
+    def test_snap_keeps_a_pole_whose_node_is_taken(self):
+        # 0.5 and 0.51 share the node of ring 5 at angle 0 (column 8 of 8):
+        # the first takes it, the second keeps its own value
+        grid = SearchConfig(radial=10, angular=8).grid
+        nodes = grid.nodes().ravel()
+        start = _snap(np.array([0.5, 0.51, 0.52j]), grid, nodes)
+        assert start == [nodes[4 * 8 + 7], 0.51, nodes[4 * 8 + 1]]
+
+    @pytest.mark.parametrize("name, angular", [("ex5_3", 128), ("ex5_2_f1", 256)])
+    def test_search_reads_no_seed(self, name, angular):
+        f = builtin_signal(name, 1024)
+        n = BUILTIN_DEGREES[name]
+        tuples = [its_search(f, n, SearchConfig(angular=angular, seed=seed)).poles
+                  for seed in range(4)]
+        for poles in tuples[1:]:
+            np.testing.assert_array_equal(poles, tuples[0])
+
+    @pytest.mark.parametrize("name, angular", [
+        ("ex5_3", 128), ("ex5_5", 128), ("ex5_2_f2", 256), ("ex5_1_f3", 256),
+    ])
+    def test_conjugation(self, name, angular):
+        # conj(f(conj z)) has the conjugated poles; its samples are the
+        # conjugates of f's at the mirrored circle points
+        f = builtin_signal(name, 1024)
+        mirrored = Signal(np.conj(f.samples[-np.arange(1024) % 1024]))
+        n = BUILTIN_DEGREES[name]
+        cfg = SearchConfig(angular=angular)
+        tup = its_search(f, n, cfg)
+        conj = its_search(mirrored, n, cfg)
+        assert tuple_distance(PoleTuple(np.conj(tup.poles)), conj) <= 1e-14
 
 
 class TestRectCafdSearch:
