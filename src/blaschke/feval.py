@@ -20,8 +20,9 @@ inequality every |<f, e_z>| on ring m is at most
 
     UB_m = sqrt(1-r_m^2) * sum_k r_m^k |f_hat(k)|,
 
-which `ring_bounds` takes as the row sums of R o (V @ |F|), |F| being
-|f_hat| viewed as Q x A: one small real matrix product, no FFT.
+which `ring_bounds` takes as the row sums of (R @ |F|^T) o V, |F| being
+|f_hat| viewed as Q x A: one small real matrix product into a rings x Q
+array, no FFT.
 `feval_table` also accepts a band of consecutive rings (`grid.band(lo, hi)`)
 and returns only its rows.  The product and the multiplication by R still
 run over whole blocks of 16 rings aligned as for the full grid, and only
@@ -31,7 +32,9 @@ differently and differ in the last bit).  The full grid is the band of all
 rings.
 
 `eval_interior` sums the series directly and is the tests' reference; the
-solver evaluates single points by Parseval (`reduction.series_value`).
+solver evaluates single points by Parseval means over the circle points,
+each a dot product with the pole's z w row (`reduction.pole_rows`), which
+the search builds once per search and rebuilds for one pole per move.
 """
 
 from dataclasses import dataclass
@@ -165,12 +168,12 @@ def ring_bounds(f, grid):
     """UB_m >= |<f, e_z>| at every node z of ring m, for each of the grid's rings.
 
     UB_m = sqrt(1-r_m^2) * sum_k r_m^k |f_hat(k)|, computed from the cached
-    ring tables as the row sums of R o (V @ |F|); `f` as in `feval_table`.
+    ring tables as the row sums of (R @ |F|^T) o V; `f` as in `feval_table`.
     """
     coeffs = _coeffs(f, grid)
     v_tab, r_tab = _ring_tables(grid, coeffs.size)
-    sums = v_tab @ np.abs(coeffs).reshape(-1, grid.angular)
-    sums *= r_tab
+    sums = r_tab @ np.abs(coeffs).reshape(-1, grid.angular).T
+    sums *= v_tab
     return sums.sum(axis=1)
 
 

@@ -14,24 +14,28 @@ as a plain complex array, the step direction of the refinement a <- a + s gradE.
 The kernel works on raw sample arrays; only `energy`, `error_energy` and
 `energy_gradient` take a `Signal` (or its `Objective`) and a `PoleTuple`,
 whose poles they do not test again.  The raw-array entry points
-`reduce_chain` and `series_value` (when it builds its own row) test theirs
+`reduce_chain` (when it builds its own rows) and `series_value` test theirs
 with `hardy.disk_points`.  There is one reduction loop, `_chain`, and its
-one result is the final remainder.  A stage makes no division: the value
-f_j(a_j) = (1 - a^N) mean(f_j z w) (`series_value`, an O(N) Parseval mean
-with no FFT) and the step (f_j (1 - conj(a) z) - c) w (`reduce_step`) are
-products with the pole's row w = 1/(z - a), and the step consumes the value.
-`reduce_chain` builds the rows at the N sample points.  For a `PoleTuple`
-they are taken at the 2N circle points, the N sample points and then the N
-midpoints (the even samples of the 2N points are the N points bit for bit):
-the chain reads the first half of each row, and the gradient's means over
-all 2N points the whole row, since there 1/(1 - conj(a) z) = conj(z w).  The
-rows and the remainder of the last tuple evaluated, and the gradient's f at
-the 2N points, are kept in an `Objective`, which `cgd_refine` builds once
-per call, so within that call `energy_gradient` at a tuple that
-`error_energy` just evaluated runs no second chain.  A `Signal` passed in
-gets a fresh one, and nothing is stored on it.  E has one definition,
-||f||^2 - A, which `energy` returns and the refinement's energy trace
-records.
+one result is the final remainder.  A stage makes no division: each pole
+has one row set at the sample points (`pole_rows`), w = 1/(z - a), z w and
+the Moebius row (1 - conj(a) z) w = w - conj(a) z w, built by one broadcast
+per tuple.  A stage (`reduce_step`) is one dot product for the extracted
+amount c = (1 - |a|^2) mean(f_j z w), which is f_j(a_j) (1 - |a|^2)/(1 - a^N)
+with the series value f_j(a_j) = (1 - a^N) mean(f_j z w) of `series_value`
+(an O(N) Parseval mean with no FFT), and one update f_j (1 - conj(a) z) w
+- c w.  `reduce_chain` builds the rows at the N sample points unless its
+caller passes them; the search builds them once per search and rebuilds
+one pole's rows per move.  For a `PoleTuple` they are taken at the 2N
+circle points, the N sample points and then the N midpoints (the even
+samples of the 2N points are the N points bit for bit): the chain reads the
+first half of each row, and the gradient's means over all 2N points the
+whole row, since there 1/(1 - conj(a) z) = conj(z w).  The rows and the
+remainder of the last tuple evaluated, and the gradient's f z at the 2N
+points, are kept in an `Objective`, which `cgd_refine` builds once per
+call, so within that call `energy_gradient` at a tuple that `error_energy`
+just evaluated runs no second chain.  A `Signal` passed in gets a fresh
+one, and nothing is stored on it.  E has one definition, ||f||^2 - A, which
+`energy` returns and the refinement's energy trace records.
 """
 
 from functools import cached_property, lru_cache
@@ -42,6 +46,7 @@ from .hardy import circle_points, disk_points, norm_sq, spectrum
 
 __all__ = [
     "Objective",
+    "pole_rows",
     "series_value",
     "reduce_step",
     "reduce_chain",
@@ -64,32 +69,50 @@ def _doubled_points(n):
     return pts
 
 
-def series_value(f, a, recip=None):
+def pole_rows(z, poles):
+    """Each pole's row set at the points z, as a read-write n x 3 x len(z) array.
+
+    Row set j holds w = 1/(z - a_j), z w and (1 - conj(a_j) z) w, the last
+    formed as w - conj(a_j) z w; one broadcast over the tuple.
+    """
+    rows = np.empty((poles.size, 3, z.size), dtype=complex)
+    w, zw, moebius = rows[:, 0], rows[:, 1], rows[:, 2]
+    np.subtract(z, poles[:, None], out=w)
+    np.divide(1.0, w, out=w)
+    np.multiply(z, w, out=zw)
+    np.multiply(np.conj(poles)[:, None], zw, out=moebius)
+    np.subtract(w, moebius, out=moebius)
+    return rows
+
+
+def series_value(f, a):
     """Truncated series value f(a) = sum_k f_hat(k) a^k at a pole |a| < 1.
 
     By Parseval <f, e_a> = sqrt(1-|a|^2) * mean(f * z/(z - a)) over the circle
     points z, and the sampled kernel's aliased coefficients give <f, e_a> =
     sqrt(1-|a|^2) * f(a) / (1 - a^N); so f(a) = mean(f * z * w) * (1 - a^N)
-    with w = 1/(z - a).  `recip` is that row at the points of f, when the
-    caller already holds it.
+    with w = 1/(z - a).
     """
     a = complex(a)
     z = circle_points(f.size)
-    if recip is None:
-        recip = 1.0 / (z - disk_points(a, "pole"))
+    recip = 1.0 / (z - disk_points(a, "pole"))
     return complex((f * z * recip).sum()) / f.size * (1.0 - a**f.size)
 
 
-def reduce_step(fj, a, fj_at_a, recip):
+def reduce_step(fj, a, row):
     """One reduction: extract the e_a component and divide out the Moebius factor.
 
     (f - <f, e_a> e_a) (1 - conj(a) z)/(z - a), with <f, e_a> e_a(z) =
     f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out, is
-    (f (1 - conj(a) z) - c) w for the row w = 1/(z - a) at the points of f.
+    f (1 - conj(a) z) w - c w with the extracted amount c = (1-|a|^2) mean(f z w):
+    the (1 - a^N) of f(a) (`series_value`) cancels.  `row` is the pole's row
+    set (`pole_rows`) at the points of f.
     """
-    z = circle_points(fj.size)
-    extracted = fj_at_a * (1.0 - abs(a) ** 2) / (1.0 - a**fj.size)
-    return (fj * (1.0 - np.conj(a) * z) - extracted) * recip
+    # row[0] is w, row[1] z w and row[2] the Moebius row (1 - conj(a) z) w
+    extracted = (1.0 - abs(a) ** 2) / fj.size * np.dot(row[1], fj)
+    rest = fj * row[2]
+    rest -= extracted * row[0]
+    return rest
 
 
 # the solver makes no derivative step; perfbench/tracing.py CALL_SITES looks this up by name
@@ -101,23 +124,27 @@ def derivative_reduce_step(fj, fj_prime, a, fj_at_a):
     return term1 + term2
 
 
-def reduce_chain(f, order):
-    """The remainder of f reduced through the poles of `order`, on its N points."""
-    order = np.atleast_1d(disk_points(order, "poles"))
-    return _chain(f, order, 1.0 / (circle_points(f.size) - order[:, None]))
+def reduce_chain(f, order, rows=None):
+    """The remainder of f reduced through the poles of `order`, on its N points.
+
+    `rows` are the poles' `pole_rows` at those points, when the caller holds them.
+    """
+    if rows is None:
+        order = np.atleast_1d(disk_points(order, "poles"))
+        rows = pole_rows(circle_points(f.size), order)
+    return _chain(f, order, rows)
 
 
 def _chain(f, order, rows):
-    """The reduction loop; each row starts with its pole's 1/(z - a) at the points of f."""
-    n = f.size
-    for a, w in zip(order, rows):
-        f = reduce_step(f, a, series_value(f, a, w[:n]), w[:n])
+    """The reduction loop over the poles' row sets at the points of f."""
+    for a, row in zip(order, rows):
+        f = reduce_step(f, a, row)
     return f
 
 
 class Objective:
     """The energy of one Signal along a refinement: f z at the 2N points, and
-    the 2N-point rows and final remainder of the last tuple evaluated.
+    the 2N-point row sets and final remainder of the last tuple evaluated.
 
     `cgd_refine` builds one per call.  The one entry is keyed on the pole
     bytes, so a second call at the same tuple reuses the chain and a call at
@@ -139,11 +166,12 @@ class Objective:
         return value
 
     def evaluate(self, poles):
-        """The 2N-point rows and the final remainder of the tuple with these poles."""
+        """The 2N-point row sets and the final remainder of the tuple with these poles."""
         key = poles.tobytes()
         if key != self._key:
-            rows = 1.0 / (_doubled_points(self.signal.n_samples) - poles[:, None])
-            rest = _chain(self.signal.samples, poles, rows)
+            rows = pole_rows(_doubled_points(self.signal.n_samples), poles)
+            # the chain reads the N sample points, the first half of each row
+            rest = _chain(self.signal.samples, poles, rows[:, :, :self.signal.n_samples])
             rows.setflags(write=False)
             rest.setflags(write=False)
             self._key, self._entry = key, (rows, rest)
@@ -196,21 +224,21 @@ def energy_gradient(f, tup):
     reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
     f with the kernel times B/M_l.  The means for g_l run on 2N points, where
     conj(B) = prod (1 - conj(a_j) z) w_j aliases at max|a|^(2N), not
-    max|a|^N.  Everything is read off the tuple's rows and remainder in the
-    Objective, the ones `error_energy` also uses: with w_l = 1/(z - a_l) at
-    the 2N points, 1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means
-    g_l are one matrix-vector product with the rows, and the n values
-    f_n(a_l) are another with the rows' N-point halves.  Per call that is
-    the Moebius product conj(B) over the n rows and the two products, with
-    no division and, at a tuple already evaluated, no second chain.
+    max|a|^N.  Everything is read off the tuple's row sets and remainder in
+    the Objective, the ones `error_energy` also uses: conj(B) is the product
+    of the Moebius rows (1 - conj(a_j) z) w_j at the 2N points, and since
+    1/(1 - conj(a_l) z) = conj(z w_l) there, the n means g_l are one
+    matrix-vector product with the z w rows and the n values f_n(a_l)
+    another with their N-point halves.  Per call that is the product conj(B)
+    and the two matrix-vector products, with no division and, at a tuple
+    already evaluated, no second chain.
     """
     poles, state = tup.poles, _objective(f)
     rows, rest = state.evaluate(poles)
     n = state.signal.n_samples
-    z2 = _doubled_points(n)
-    conj_b = np.prod((1.0 - np.conj(poles)[:, None] * z2) * rows, axis=0)
-    weight = state.fine_times_z * conj_b
+    zw = rows[:, 1]
+    weight = state.fine_times_z * np.prod(rows[:, 2], axis=0)
     # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
-    conj_g = rows @ (np.conj(weight) * z2) / (2 * n)
-    rest_at = (1.0 - poles**n) * (rows[:, :n] @ (rest * circle_points(n))) / n
+    conj_g = zw @ np.conj(weight) / (2 * n)
+    rest_at = (1.0 - poles**n) * (zw[:, :n] @ rest) / n
     return _finite(np.conj(conj_g * rest_at), "gradient")

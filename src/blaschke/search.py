@@ -44,7 +44,11 @@ the second half from g reduced through the first half's poles, as the
 first half's scans left them.  A sweep of n positions then costs T(n)
 reduction steps, T(1) = 0 and T(k) = k + T(floor(k/2)) + T(ceil(k/2)), which
 is O(n log n): 34 at n = 10 and 148 at n = 30, against n(n-1) for
-rebuilding each remainder from f.
+rebuilding each remainder from f.  The search builds the poles' row sets at
+the N sample points once (`reduction.pole_rows`) and rebuilds only the
+moved pole's after an accepted move; each chain takes its block's slice of
+them, so a reduction step is one dot product and one update, and a
+coordinate step reads the current pole's amplitude off its z w row.
 
 The polar search bounds each ring before it transforms it.  On the ring of
 radius r, |<f_n, e_z>| <= UB = sqrt(1-r^2) * sum_k r^k |f_hat_n(k)|
@@ -69,8 +73,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
-from .hardy import PoleTuple, Signal, check_degree, draw_separated, norm_sq, spectrum
-from .reduction import reduce_chain, series_value
+from .hardy import (
+    PoleTuple,
+    Signal,
+    circle_points,
+    check_degree,
+    draw_separated,
+    norm_sq,
+    spectrum,
+)
+from .reduction import pole_rows, reduce_chain, series_value
 
 __all__ = [
     "SearchConfig",
@@ -148,6 +160,8 @@ def rect_grid_nodes(gap):
     return z[(r > 0.0) & (r < 1.0 - gap)]
 
 
+# the solver reads the amplitude off the search's rows; tests/test_search.py's
+# reference sweep imports this
 def _partial_energy_amp(f_n, a):
     """|<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)| for the current remainder."""
     return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
@@ -170,16 +184,21 @@ def _masked_argmax(mags, nodes, fixed):
     return None
 
 
-def _coordinate_step(g, poles, c, scan, eta):
-    """Scan for pole c against the remainder g through the others; 1 if it moved."""
-    f_n = Signal(g)
-    v = _partial_energy_amp(f_n, poles[c])
+def _coordinate_step(g, poles, rows, c, scan, eta):
+    """Scan for pole c against the remainder g through the others; 1 if it moved.
+
+    A move rebuilds the pole's row set in `rows`.
+    """
+    f_n, a, n = Signal(g), complex(poles[c]), g.size
+    # |<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)|, f_n(a) = (1 - a^N) mean(f_n z w)
+    v = np.sqrt(1.0 - abs(a) ** 2) * abs(complex(np.dot(rows[c, 1], g)) / n * (1.0 - a**n))
     # no node below v can win the move, so the scan may skip it
     mags, nodes = scan(f_n, v)
     best = _masked_argmax(mags, nodes, np.delete(poles, c))
     # best[0] and v are amplitudes; eta is an energy gain
     if best is not None and best[0] ** 2 > v**2 + eta:
         poles[c] = best[1]
+        rows[c] = pole_rows(circle_points(n), poles[c:c + 1])[0]
         return 1
     return 0
 
@@ -187,8 +206,8 @@ def _coordinate_step(g, poles, c, scan, eta):
 # module level, not a closure inside _cyclic_search: a closure that calls
 # itself is a reference cycle, which keeps every search's remainders alive
 # until the cyclic garbage collector runs
-def _sweep(g, poles, lo, hi, scan, eta):
-    """Scan positions hi-1 down to lo, updating `poles` in place.
+def _sweep(g, poles, rows, lo, hi, scan, eta):
+    """Scan positions hi-1 down to lo, updating `poles` and `rows` in place.
 
     g is f reduced through every pole outside [lo, hi).  The upper half is
     scanned first, from g reduced through the lower half's poles; then the
@@ -196,10 +215,12 @@ def _sweep(g, poles, lo, hi, scan, eta):
     Returns the number of accepted moves.
     """
     if hi - lo == 1:
-        return _coordinate_step(g, poles, lo, scan, eta)
+        return _coordinate_step(g, poles, rows, lo, scan, eta)
     mid = (lo + hi) // 2
-    accepted = _sweep(reduce_chain(g, poles[lo:mid]), poles, mid, hi, scan, eta)
-    return accepted + _sweep(reduce_chain(g, poles[mid:hi]), poles, lo, mid, scan, eta)
+    upper = reduce_chain(g, poles[lo:mid], rows[lo:mid])
+    accepted = _sweep(upper, poles, rows, mid, hi, scan, eta)
+    lower = reduce_chain(g, poles[mid:hi], rows[mid:hi])
+    return accepted + _sweep(lower, poles, rows, lo, mid, scan, eta)
 
 
 def _cyclic_search(f, poles, scan):
@@ -210,11 +231,13 @@ def _cyclic_search(f, poles, scan):
     reaches the floor (floor 0, the default, is the whole grid).  Each sweep
     is one `_sweep` over all n positions, T(n) reduction steps and n scans;
     the search stops after the first sweep that accepts no move, or raises
-    after MAX_SWEEPS sweeps.  `poles` is updated in place.
+    after MAX_SWEEPS sweeps.  `poles` is updated in place, and the poles'
+    row sets at the N sample points are built once here.
     """
     eta = ETA_REL * norm_sq(f)
+    rows = pole_rows(circle_points(f.n_samples), poles)
     for _ in range(MAX_SWEEPS):
-        if _sweep(f.samples, poles, 0, poles.size, scan, eta) == 0:
+        if _sweep(f.samples, poles, rows, 0, poles.size, scan, eta) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
         f"no coordinate maximum within {MAX_SWEEPS} sweeps", PoleTuple(poles)

@@ -18,6 +18,7 @@ from blaschke import (
     synthesize,
 )
 from blaschke import reduction
+from blaschke.hardy import disk_points
 from blaschke.pipeline import BUILTIN_FORMS
 from blaschke.reduction import (
     Objective,
@@ -25,6 +26,7 @@ from blaschke.reduction import (
     energy,
     energy_gradient,
     error_energy,
+    pole_rows,
     reduce_chain,
     reduce_step,
     series_value,
@@ -60,10 +62,18 @@ def spectral_derivative(f):
 
 
 def step(f, a):
-    """One reduction step of the Signal f, with the stage value and row reduce_chain passes."""
-    value = series_value(f.samples, a)
-    row = 1.0 / (circle_points(f.n_samples) - a)
-    return Signal(reduce_step(f.samples, a, value, row))
+    """One reduction step of the Signal f, with the pole checked and its row
+    set built as reduce_chain does."""
+    poles = np.atleast_1d(disk_points(a, "pole"))
+    return Signal(reduce_step(f.samples, a, pole_rows(circle_points(f.n_samples), poles)[0]))
+
+
+def extracted_amount(f, a):
+    """The amount c that reduce_step takes out at pole a: with the w row set
+    to 1 and the Moebius row to 0, its update f (1 - conj(a) z) w - c w is -c."""
+    row = pole_rows(circle_points(f.n_samples), np.array([complex(a)]))[0]
+    row[0], row[2] = 1.0, 0.0
+    return -reduce_step(f.samples, a, row)[0]
 
 
 def remainders(f, order):
@@ -145,6 +155,16 @@ class TestReduceStep:
     def test_boundary_pole_rejected(self):
         with pytest.raises(ValueError):
             step(monomial_signal(1, 64), 1.0)
+
+    def test_extracted_amount_matches_series_value(self, rng):
+        # c = (1-|a|^2) mean(f z w) is f(a) (1-|a|^2)/(1 - a^N): the factors
+        # (1 - a^N) of the series value and of the extraction cancel
+        for n_samples in (64, 1024):
+            f = random_smooth_signal(rng, n_samples)
+            for a in (0.0, 0.5, -0.3 + 0.4j, 0.98 * np.exp(0.7j)):
+                value = series_value(f.samples, a)
+                want = value * (1.0 - abs(a) ** 2) / (1.0 - a**n_samples)
+                assert extracted_amount(f, a) == pytest.approx(want, rel=1e-13)
 
     def test_norm_telescopes(self, rng):
         # ||f||^2 = (extracted coefficient)^2 + ||next remainder||^2 exactly
@@ -446,9 +466,10 @@ class TestSharedEvaluation:
             assert error_energy(state, tup) == error_energy(Signal(samples), tup)
         got = -np.conj(energy_gradient(state, second))
         assert not np.array_equal(got, -np.conj(energy_gradient(state, first)))
-        # the one entry now holds the second tuple's rows, not the first's
+        # the one entry now holds the second tuple's rows, not the first's:
+        # the w = 1/(z - a) row of each row set, at z = 1
         rows, _ = state.evaluate(second.poles)
-        np.testing.assert_array_equal(rows[:, 0], 1.0 / (1.0 - second.poles))
+        np.testing.assert_array_equal(rows[:, 0, 0], 1.0 / (1.0 - second.poles))
 
     def test_memoized_arrays_are_read_only(self, rng):
         f = random_smooth_signal(rng, 256)

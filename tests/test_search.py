@@ -11,6 +11,7 @@ from blaschke import (
     PoleTuple,
     Signal,
     build_polar_grid,
+    circle_points,
     feval_table,
     norm_sq,
     project,
@@ -25,7 +26,7 @@ from blaschke.pipeline import (
     cafd_cgd_result,
     tuple_distance,
 )
-from blaschke.reduction import energy, reduce_chain
+from blaschke.reduction import energy, pole_rows, reduce_chain
 from blaschke.search import (
     RectGridConfig,
     SearchConfig,
@@ -113,6 +114,30 @@ class TestSweepEquivalence:
         fast, ref = self.both(monkeypatch, its_search, f, n, cfg)
         np.testing.assert_array_equal(fast.poles, ref.poles)
         assert not np.any(np.isin(fast.poles, start))
+
+    @pytest.mark.parametrize("name, angular, seed", [
+        ("ex5_3", 128, 0), ("ex5_6", 128, 1), ("ex5_2_f1", 256, 1),
+    ])
+    def test_search_rows_follow_the_moves(self, monkeypatch, name, angular, seed):
+        # the search builds its row sets once and rebuilds a moved pole's in
+        # place; after sweeps that moved every pole of a seeded random start
+        # they equal the row sets built fresh from the returned tuple
+        f, n = builtin_signal(name, 1024), BUILTIN_DEGREES[name]
+        cfg = SearchConfig(angular=angular)
+        start = draw_separated(np.random.default_rng(seed), n, 1.0 - cfg.grid.eps, 0.0, 100 * n)
+        built = []
+
+        def kept(z, poles):
+            built.append(pole_rows(z, poles))
+            return built[-1]
+
+        monkeypatch.setattr(blaschke.search, "pole_rows", kept)
+        monkeypatch.setattr(blaschke.search, "_place", lambda *args: start.copy())
+        tup = its_search(f, n, cfg)
+        assert not np.any(np.isin(tup.poles, start))
+        # built[0] is the search's own array; later entries are moved poles' rows
+        assert built[0].shape == (n, 3, 1024)
+        np.testing.assert_array_equal(built[0], pole_rows(circle_points(1024), tup.poles))
 
     def test_rectangular_search(self, monkeypatch):
         f = builtin_signal("ex5_5", 256)
