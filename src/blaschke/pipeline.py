@@ -283,7 +283,7 @@ def _working_samples(f, tup):
 
 
 def _refine(f, start, cfg):
-    """cgd_refine on f[::N/N'] (f itself when N' = N), continued at the full N.
+    """cgd_refine on a new Signal f[::N/N'] (N' = N too), continued at the full N.
 
     Returns (report, N').  The second call starts from the first's tuple
     with what is left of `cfg.max_iters`; the report has that call's tuple,
@@ -292,8 +292,7 @@ def _refine(f, start, cfg):
     call's trace is monotone; from the seam on, every entry is a full-N energy.
     """
     n_work = _working_samples(f, start)
-    coarse = f if n_work == f.n_samples else Signal(f.samples[::f.n_samples // n_work])
-    work = cgd_refine(coarse, start, cfg)
+    work = cgd_refine(Signal(f.samples[::f.n_samples // n_work]), start, cfg)
     confirm = cgd_refine(f, work.tuple, CgdConfig(max_iters=cfg.max_iters - work.iterations))
     report = CgdReport(confirm.tuple, work.iterations + confirm.iterations,
                        confirm.final_gradient_norm_sq,
@@ -399,8 +398,8 @@ def _plan(descriptor):
         name = entry["name"]
         degree = entry.get("degree", BUILTIN_DEGREES.get(name))
         if name == "random":
-            # drawn once, then run under every algorithm; a rectangular search
-            # seeded like its form would start at scaled true poles
+            # drawn once, then run under every algorithm; the 2**32 offset keeps
+            # rect_cafd's seeded start off scaled true poles (the polar one reads none)
             forms = [random_blaschke_form(degree, seed + i)
                      for i in range(entry.get("count", 20))]
             cases = [(f"random_n{degree}_{i}", synthesize(BlaschkeModel(*form), n_samples),
@@ -411,14 +410,14 @@ def _plan(descriptor):
             _checked_norm_sq(f, truth, degree)
         for algo in descriptor.get("algorithms", ["cafd_cgd"]):
             runs = []
-            for target, f, truth, search_seed in cases:
+            for target, f, truth, rect_seed in cases:
                 if algo == "cafd_cgd":
                     angular = descriptor.get("angular", 128 if truth is not None else 256)
-                    cfg = RunConfig(degree, SearchConfig(angular=angular, seed=search_seed))
+                    cfg = RunConfig(degree, SearchConfig(angular=angular))
                     cfg.search.grid.check_samples(f.n_samples)
                     run = partial(cafd_cgd_result, f, cfg, truth=truth)
                 else:
-                    run = partial(rect_cafd, f, degree, RectGridConfig(seed=search_seed),
+                    run = partial(rect_cafd, f, degree, RectGridConfig(seed=rect_seed),
                                   truth=truth)
                 runs.append((target, run))
             plan.append((name == "random" and f"random_n{degree}", algo, degree, runs))

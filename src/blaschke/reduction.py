@@ -19,23 +19,25 @@ with `hardy.disk_points`.  There is one reduction loop, `_chain`, and its
 one result is the final remainder.  A stage makes no division: each pole
 has one row set at the sample points (`pole_rows`), w = 1/(z - a), z w and
 the Moebius row (1 - conj(a) z) w = w - conj(a) z w, built by one broadcast
-per tuple.  A stage (`reduce_step`) is one dot product for the extracted
-amount c = (1 - |a|^2) mean(f_j z w), which is f_j(a_j) (1 - |a|^2)/(1 - a^N)
-with the series value f_j(a_j) = (1 - a^N) mean(f_j z w) of `series_value`
-(an O(N) Parseval mean with no FFT), and one update f_j (1 - conj(a) z) w
-- c w.  `reduce_chain` builds the rows at the N sample points unless its
-caller passes them; the search builds them once per search and rebuilds
-one pole's rows per move.  For a `PoleTuple` they are taken at the 2N
-circle points, the N sample points and then the N midpoints (the even
-samples of the 2N points are the N points bit for bit): the chain reads the
-first half of each row, and the gradient's means over all 2N points the
-whole row, since there 1/(1 - conj(a) z) = conj(z w).  The rows and the
-remainder of the last tuple evaluated, and the gradient's f z at the 2N
-points, are kept in an `Objective`, which `cgd_refine` builds once per
-call, so within that call `energy_gradient` at a tuple that `error_energy`
-just evaluated runs no second chain.  A `Signal` passed in gets a fresh
-one, and nothing is stored on it.  E has one definition, ||f||^2 - A, which
-`energy` returns and the refinement's energy trace records.
+per tuple.  A pole's value f(a) = (1 - a^N) mean(f z w), an O(N) Parseval
+mean with no FFT, has one owner, `pole_values`, which the search's
+coordinate step and `energy_gradient` call on the z w rows they hold;
+`series_value`, with its own 1/(z - a), is the tests' reference.  A stage
+(`reduce_step`) is one dot product for the extracted amount
+c = (1 - |a|^2) mean(f_j z w) = f_j(a_j) (1 - |a|^2)/(1 - a^N) and one
+update f_j (1 - conj(a) z) w - c w.  `reduce_chain` builds the rows at the
+N sample points unless its caller passes them; the search builds them once
+per search and rebuilds one pole's rows per move.  For a `PoleTuple` they
+are taken at the 2N circle points, the N sample points and then the N
+midpoints (`_doubled_points`): the chain reads the first half of each row,
+and the gradient's means over all 2N points the whole row, since there
+1/(1 - conj(a) z) = conj(z w).  The rows and the remainder of the last
+tuple evaluated, and the gradient's f z at the 2N points, are kept in an
+`Objective`, which `cgd_refine` builds once per call, so within that call
+`energy_gradient` at a tuple that `error_energy` just evaluated runs no
+second chain.  A `Signal` passed in gets a fresh one, and nothing is
+stored on it.  E has one definition, ||f||^2 - A, which `energy` returns
+and the refinement's energy trace records.
 """
 
 from functools import cached_property, lru_cache
@@ -47,6 +49,7 @@ from .hardy import circle_points, disk_points, norm_sq, spectrum
 __all__ = [
     "Objective",
     "pole_rows",
+    "pole_values",
     "series_value",
     "reduce_step",
     "reduce_chain",
@@ -85,13 +88,20 @@ def pole_rows(z, poles):
     return rows
 
 
+def pole_values(f, poles, zw):
+    """f(a_l) = (1 - a_l^N) mean(f z w_l) per pole, from its z w row at the N points of f.
+
+    By Parseval <f, e_a> = sqrt(1-|a|^2) mean(f z w), w = 1/(z - a), which the
+    sampled kernel's aliased coefficients make sqrt(1-|a|^2) f(a)/(1 - a^N).
+    """
+    return (1.0 - poles**f.size) * (zw @ f) / f.size
+
+
 def series_value(f, a):
     """Truncated series value f(a) = sum_k f_hat(k) a^k at a pole |a| < 1.
 
-    By Parseval <f, e_a> = sqrt(1-|a|^2) * mean(f * z/(z - a)) over the circle
-    points z, and the sampled kernel's aliased coefficients give <f, e_a> =
-    sqrt(1-|a|^2) * f(a) / (1 - a^N); so f(a) = mean(f * z * w) * (1 - a^N)
-    with w = 1/(z - a).
+    The tests' reference for `pole_values`: the same mean(f z w) (1 - a^N),
+    from its own row w = 1/(z - a) at a checked pole.
     """
     a = complex(a)
     z = circle_points(f.size)
@@ -105,7 +115,7 @@ def reduce_step(fj, a, row):
     (f - <f, e_a> e_a) (1 - conj(a) z)/(z - a), with <f, e_a> e_a(z) =
     f(a) (1-|a|^2) / ((1 - a^N)(1 - conj(a) z)) written out, is
     f (1 - conj(a) z) w - c w with the extracted amount c = (1-|a|^2) mean(f z w):
-    the (1 - a^N) of f(a) (`series_value`) cancels.  `row` is the pole's row
+    the (1 - a^N) of f(a) (`pole_values`) cancels.  `row` is the pole's row
     set (`pole_rows`) at the points of f.
     """
     # row[0] is w, row[1] z w and row[2] the Moebius row (1 - conj(a) z) w
@@ -229,9 +239,9 @@ def energy_gradient(f, tup):
     of the Moebius rows (1 - conj(a_j) z) w_j at the 2N points, and since
     1/(1 - conj(a_l) z) = conj(z w_l) there, the n means g_l are one
     matrix-vector product with the z w rows and the n values f_n(a_l)
-    another with their N-point halves.  Per call that is the product conj(B)
-    and the two matrix-vector products, with no division and, at a tuple
-    already evaluated, no second chain.
+    (`pole_values`) another with their N-point halves.  Per call that is the
+    product conj(B) and the two matrix-vector products, with no division
+    and, at a tuple already evaluated, no second chain.
     """
     poles, state = tup.poles, _objective(f)
     rows, rest = state.evaluate(poles)
@@ -240,5 +250,4 @@ def energy_gradient(f, tup):
     weight = state.fine_times_z * np.prod(rows[:, 2], axis=0)
     # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
     conj_g = zw @ np.conj(weight) / (2 * n)
-    rest_at = (1.0 - poles**n) * (zw[:, :n] @ rest) / n
-    return _finite(np.conj(conj_g * rest_at), "gradient")
+    return _finite(np.conj(conj_g * pole_values(rest, poles, zw[:, :n])), "gradient")

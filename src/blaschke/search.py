@@ -48,7 +48,7 @@ rebuilding each remainder from f.  The search builds the poles' row sets at
 the N sample points once (`reduction.pole_rows`) and rebuilds only the
 moved pole's after an accepted move; each chain takes its block's slice of
 them, so a reduction step is one dot product and one update, and a
-coordinate step reads the current pole's amplitude off its z w row.
+coordinate step reads its pole's amplitude off its z w row (`pole_values`).
 
 The polar search bounds each ring before it transforms it.  On the ring of
 radius r, |<f_n, e_z>| <= UB = sqrt(1-r^2) * sum_k r^k |f_hat_n(k)|
@@ -82,7 +82,7 @@ from .hardy import (
     norm_sq,
     spectrum,
 )
-from .reduction import pole_rows, reduce_chain, series_value
+from .reduction import pole_rows, pole_values, reduce_chain
 
 __all__ = [
     "SearchConfig",
@@ -125,8 +125,7 @@ class SearchConfig:
 
     radial: int = 100
     angular: int = 256
-    # read by nothing (the start is drawn from no seed); kept only because
-    # perfbench/workloads.py passes it
+    # read by nothing; kept only because perfbench/workloads.py passes it
     seed: int = 0
 
     def __post_init__(self):
@@ -160,13 +159,6 @@ def rect_grid_nodes(gap):
     return z[(r > 0.0) & (r < 1.0 - gap)]
 
 
-# the solver reads the amplitude off the search's rows; tests/test_search.py's
-# reference sweep imports this
-def _partial_energy_amp(f_n, a):
-    """|<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)| for the current remainder."""
-    return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
-
-
 def _masked_argmax(mags, nodes, fixed):
     """Best node by magnitude, skipping nodes equal to a fixed pole.
 
@@ -189,16 +181,16 @@ def _coordinate_step(g, poles, rows, c, scan, eta):
 
     A move rebuilds the pole's row set in `rows`.
     """
-    f_n, a, n = Signal(g), complex(poles[c]), g.size
-    # |<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)|, f_n(a) = (1 - a^N) mean(f_n z w)
-    v = np.sqrt(1.0 - abs(a) ** 2) * abs(complex(np.dot(rows[c, 1], g)) / n * (1.0 - a**n))
+    f_n, a = Signal(g), complex(poles[c])
+    # |<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)|
+    v = np.sqrt(1.0 - abs(a) ** 2) * abs(pole_values(g, poles[c:c + 1], rows[c:c + 1, 1])[0])
     # no node below v can win the move, so the scan may skip it
     mags, nodes = scan(f_n, v)
     best = _masked_argmax(mags, nodes, np.delete(poles, c))
     # best[0] and v are amplitudes; eta is an energy gain
     if best is not None and best[0] ** 2 > v**2 + eta:
         poles[c] = best[1]
-        rows[c] = pole_rows(circle_points(n), poles[c:c + 1])[0]
+        rows[c] = pole_rows(circle_points(g.size), poles[c:c + 1])[0]
         return 1
     return 0
 
@@ -337,8 +329,7 @@ def its_search(f, n, cfg=SearchConfig()):
 
     The start is deterministic: the poles of `_pencil_poles`, snapped to the
     grid (`_snap`), then, for each pole the pencil left out, the best free
-    node of the remainder (`_place`).  No random number is drawn, so
-    `cfg.seed` is not read.  The cyclic sweeps run from that start.
+    node of the remainder (`_place`); the cyclic sweeps run from there.
     """
     check_degree(n)
     nodes = cfg.grid.nodes().ravel()

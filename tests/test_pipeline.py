@@ -409,8 +409,8 @@ class TestWorkingResolution:
         assert calls[1][1] == 0
 
     def test_full_n_report_is_one_call_at_n(self):
-        # at N' = N the first call runs on f itself and the continuation
-        # starts at its tuple, so the merged report is a lone call's
+        # at N' = N the first call runs on a new Signal of f's samples and
+        # the continuation starts at its tuple, so the merged report is a lone call's
         f, truth, cfg = _form_run("ex5_4")
         res = cafd_cgd_result(f, cfg, truth=truth)
         assert res.working_samples == 1024
@@ -541,18 +541,18 @@ class TestRunBenchmark:
             form_seeds.append(seed)
             return draw(n, seed)
 
-        def record_run(f, cfg, truth=None):
-            search_seeds.append(cfg.search.seed)
+        # the rectangular start is the one seeded search; the polar one reads no seed
+        def record_run(f, n, cfg, truth=None):
+            search_seeds.append(cfg.seed)
             return SimpleNamespace(
                 l2_relative_error=0.0, tuple_distance=0.0, wall_time_seconds=0.0,
-                cgd_report=SimpleNamespace(status=CgdStatus.CONVERGED, iterations=0),
+                cgd_report=None,
             )
 
         monkeypatch.setattr(pipeline, "random_blaschke_form", record_form)
-        monkeypatch.setattr(pipeline, "cafd_cgd_result", record_run)
-        run_benchmark(
-            {"targets": [{"name": "random", "degree": 2, "count": 4}], "seed": 7}
-        )
+        monkeypatch.setattr(pipeline, "rect_cafd", record_run)
+        run_benchmark({"targets": [{"name": "random", "degree": 2, "count": 4}],
+                       "algorithms": ["rect_cafd"], "seed": 7})
         assert form_seeds == [7, 8, 9, 10]
         assert len(search_seeds) == 4
         assert not set(search_seeds) & set(form_seeds)

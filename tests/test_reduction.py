@@ -27,6 +27,7 @@ from blaschke.reduction import (
     energy_gradient,
     error_energy,
     pole_rows,
+    pole_values,
     reduce_chain,
     reduce_step,
     series_value,
@@ -138,6 +139,16 @@ class TestKernelCoefficient:
             assert series_value(f.samples, a) == pytest.approx(
                 eval_interior(f, a), abs=1e-13
             )
+
+    @pytest.mark.parametrize("radius", [0.97, 0.984, 0.99])
+    def test_pole_values_keep_the_aliasing_factor(self, rng, radius):
+        # at N = 1024 the factor 1 - a^N differs from 1 by 3.4e-5 at |a| = 0.99
+        # and 6.7e-8 at 0.984, so a pole_values without it fails here
+        f = random_smooth_signal(rng, 1024).samples
+        poles = radius * np.exp(np.array([0.7j, -2.1j, 3.0j]))
+        values = pole_values(f, poles, pole_rows(circle_points(1024), poles)[:, 1])
+        want = [series_value(f, a) for a in poles]
+        np.testing.assert_allclose(values, want, rtol=1e-13, atol=0.0)
 
 
 class TestReduceStep:

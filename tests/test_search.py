@@ -26,14 +26,13 @@ from blaschke.pipeline import (
     cafd_cgd_result,
     tuple_distance,
 )
-from blaschke.reduction import energy, pole_rows, reduce_chain
+from blaschke.reduction import energy, pole_rows, reduce_chain, series_value
 from blaschke.search import (
     RectGridConfig,
     SearchConfig,
     SearchNonConvergence,
     _cyclic_search,
     _masked_argmax,
-    _partial_energy_amp,
     _pencil_poles,
     _place,
     _polar_scan,
@@ -44,7 +43,12 @@ from blaschke.search import (
     rect_grid_nodes,
 )
 
-from conftest import kernel_reference, monomial_signal, szego_signal
+from conftest import kernel_reference, monomial_signal, random_smooth_signal, szego_signal
+
+
+def _partial_energy_amp(f_n, a):
+    """|<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)| for the current remainder, from `series_value`."""
+    return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
 
 
 def roll_cyclic_search(f, poles, scan):
@@ -144,6 +148,26 @@ class TestSweepEquivalence:
         cfg = RectGridConfig(gap=0.05, seed=2)
         fast, ref = self.both(monkeypatch, rect_cafd_search, f, 4, cfg)
         np.testing.assert_array_equal(fast.poles, ref.poles)
+
+
+class TestCoordinateStep:
+    @pytest.mark.parametrize("radius", [0.97, 0.984, 0.99])
+    def test_floor_is_the_current_amplitude_near_the_circle(self, rng, radius):
+        # the scan's floor v = sqrt(1-|a|^2) |f_n(a)| comes from
+        # reduction.pole_values; at N = 1024 and |a| = 0.99 its aliasing
+        # factor 1 - a^N differs from 1 by 3.4e-5, far above the tolerance
+        g = random_smooth_signal(rng, 1024).samples
+        poles = np.array([radius * np.exp(0.7j), 0.2 - 0.1j])
+        floors = []
+
+        def scan(f_n, floor=0.0):
+            floors.append(floor)
+            return np.zeros(1), np.array([0.5j])
+
+        rows = pole_rows(circle_points(1024), poles)
+        assert blaschke.search._coordinate_step(g, poles, rows, 0, scan, 0.0) == 0
+        want = _partial_energy_amp(Signal(g), poles[0])
+        assert floors == [pytest.approx(want, rel=1e-13, abs=0.0)]
 
 
 class TestSweepCost:
