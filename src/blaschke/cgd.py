@@ -86,7 +86,7 @@ def _candidate(poles):
     without evaluating the energy there.  Inside the margin `PoleTuple`
     cannot fail: it admits repeated poles.
     """
-    if not np.all(np.abs(poles) <= 1.0 - BOUNDARY_MARGIN):
+    if not (np.abs(poles) <= 1.0 - BOUNDARY_MARGIN).all():
         return None
     return PoleTuple(poles)
 

@@ -155,6 +155,14 @@ class TestCgdRefine:
         assert res.cgd_report.status is CgdStatus.CONVERGED
         assert res.tuple_distance <= 5e-3
 
+    def test_candidate_rejects_nan_and_one_ulp_past_the_margin(self):
+        edge = 1.0 - blaschke.cgd.BOUNDARY_MARGIN
+        assert _candidate(np.array([0.5, edge], dtype=complex)) is not None
+        past = np.nextafter(edge, 2.0)
+        for poles in ([0.5, past], [0.5, 1j * past], [0.5, complex(np.nan, 0.0)],
+                      [complex(0.0, np.nan), 0.5]):
+            assert _candidate(np.array(poles, dtype=complex)) is None
+
     def test_determinism(self):
         f = monomial_signal(3, 256)
         r1 = cgd_refine(f, PoleTuple([0.3, -0.4j]), CgdConfig(max_iters=30))

@@ -507,6 +507,47 @@ class TestSharedEvaluation:
                 reduce_chain(f.samples, order)
 
 
+def interleaved_pole_rows(z, poles):
+    """pole_rows with each pole's three rows adjacent in one n x 3 x M array."""
+    rows = np.empty((poles.size, 3, z.size), dtype=complex)
+    w, zw, moebius = rows[:, 0], rows[:, 1], rows[:, 2]
+    np.subtract(z, poles[:, None], out=w)
+    np.divide(1.0, w, out=w)
+    np.multiply(z, w, out=zw)
+    np.multiply(np.conj(poles)[:, None], zw, out=moebius)
+    np.subtract(w, moebius, out=moebius)
+    return rows
+
+
+class TestRowLayout:
+    """The row sets are three contiguous blocks, one per kind, with the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("n_points", [64, 2048])
+    def test_each_kind_is_one_contiguous_block(self, rng, n, n_points):
+        poles = random_tuple(rng, n, gap=0.01).poles
+        z = circle_points(n_points)
+        rows = pole_rows(z, poles)
+        assert rows.shape == (n, 3, n_points)
+        for k in range(3):
+            assert rows[:, k].flags.c_contiguous
+        for j in range(n):
+            np.testing.assert_array_equal(rows[j], pole_rows(z, poles[j:j + 1])[0])
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("n_samples", [64, 2048])
+    def test_objective_matches_interleaved_rows(self, rng, monkeypatch, n, n_samples):
+        f = random_smooth_signal(rng, n_samples)
+        tup = random_tuple(rng, n, gap=0.01)
+        rows, rest = Objective(f).evaluate(tup.poles)
+        grad = energy_gradient(f, tup)
+        monkeypatch.setattr(reduction, "pole_rows", interleaved_pole_rows)
+        want_rows, want_rest = Objective(f).evaluate(tup.poles)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(rest, want_rest)
+        np.testing.assert_array_equal(-np.conj(grad), -np.conj(energy_gradient(f, tup)))
+
+
 class TestInvariances:
     @given(
         n_samples=st.sampled_from([256, 1024]),
