@@ -10,10 +10,11 @@ modified Gram-Schmidt against the running residual, whose squared norm is
 the reported error.
 
 A tuple with max|a| well inside the disk has TM functions band-limited to
-round-off far below N, so projection and synthesis run the product at the
-tuple's band limit M <= N (`band_start`, then a spectral-tail test of the
-product itself) and move between M and N samples with one FFT: they cost
-O(nM + N log N).  At M = N they are the plain N-sample loop.
+round-off far below N.  `tm_band` owns that band limit M <= N (an a-priori
+start, then a spectral-tail test of the product itself): projection and
+synthesis run the product at M and move between M and N samples with one
+FFT, so they cost O(nM + N log N), and the refinement's working resolution
+starts from the same M.  At M = N they are the plain N-sample loop.
 
 The value types hold read-only one-dimensional complex arrays under one
 rule (`_ArrayValue._store`).  `spectrum` stores nothing on a Signal: a
@@ -26,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 # per pole, the share of a TM system's norm that may lie past its band
-# limit M (`_tail_tol`): `band_start` asks max|a|^(M - n) to be at most n
-# times this, and the transforms ask the same of the top quarter of the
+# limit M (`_tail_tol`): `tm_band` starts where max|a|^(M - n) is at most
+# n times this, and then asks the same of the top quarter of the
 # M-point spectrum of the running Blaschke product; its own round-off puts
 # about n*eps/2 there (3e-15 at n = 30, up to 2.6e-14 at n = 200), so a
 # share that did not grow with n would never pass for large n
@@ -60,23 +61,6 @@ def disk_points(points, name):
     if not np.all(np.abs(z) < 1.0):
         raise ValueError(f"{name} must satisfy |z| < 1, max |z| = {np.max(np.abs(z))}")
     return z
-
-
-def band_start(tup, n_samples):
-    """The a-priori band limit of a tuple's TM system on N = n_samples points.
-
-    The smallest power of two m with 2n <= m < N and max|a|^(m - n) at
-    most `_tail_tol`(n) over the tuple, or N if there is none.
-    max|a|^(m - n) is the decay of the TM functions' Fourier coefficients
-    from the farthest pole, so it sizes their spectral tail beyond m and
-    their aliasing on m samples for well-separated poles; for clustered
-    poles it can be far too small, so it is a first guess, not a bound.
-    """
-    radius, n = float(np.max(np.abs(tup.poles))), tup.degree
-    m = 2
-    while m < n_samples and (m < 2 * n or radius ** (m - n) > _tail_tol(n)):
-        m *= 2
-    return m
 
 
 def _tail_tol(degree):
@@ -281,58 +265,77 @@ def tm_basis(tup, k, points):
     return out
 
 
+def tm_band(tup, n_samples):
+    """The tuple's TM columns B_1..B_n at its band limit M <= N = n_samples, as a list.
+
+    M starts at the smallest power of two m with 2n <= m < N and
+    max|a|^(m - n) at most `_tail_tol`(n), else at N.  That is the decay of
+    the TM functions' Fourier coefficients from the farthest pole, so it
+    sizes their spectral tail beyond m and their aliasing on m samples for
+    well-separated poles; for clustered poles it can be far too small, a
+    first guess, not a bound.  So M then doubles until the Blaschke product
+    of the same `_tm_columns` pass passes `_band_limited`; M = N needs no
+    test.  `project` and `synthesize` run at this M, and the refinement's
+    working resolution starts from it.
+    """
+    radius, n = float(np.max(np.abs(tup.poles))), tup.degree
+    m = 2
+    while m < n_samples and (m < 2 * n or radius ** (m - n) > _tail_tol(n)):
+        m *= 2
+    while True:
+        columns = []
+        for b, product in _tm_columns(tup.poles, circle_points(m)):
+            columns.append(b)
+        if m == n_samples or _band_limited(product, n):
+            return columns
+        m *= 2
+
+
 def project(f, tup):
     """Orthogonal projection of f onto the span of the TM system of the tuple.
 
     Modified Gram-Schmidt (Bjorck, BIT 7, 1967): each coefficient
     c_k = <rest, B_k> is taken against the running residual, from which
-    c_k * B_k is then subtracted.  It runs at the tuple's band limit M: on
-    the M-point signal with spectrum f_hat(0..M-1), starting at
-    `band_start` and doubling M until the product passes the tail test of
-    `_band_limited`; at M = N it runs on f's own samples.  The TM functions
-    carry nothing beyond M, so f need not be band-limited: the reported
-    residual is sum_{k>=M} |f_hat(k)|^2 + ||rest||^2, the squared H^2 error
-    of the returned model.  It is a norm, so it is never negative, and it
-    equals `reduction.error_energy` at the same tuple to round-off relative
-    to ||f||^2.
+    c_k * B_k is then subtracted.  It runs at the tuple's band limit M
+    (`tm_band`): on the M-point signal with spectrum f_hat(0..M-1), and at
+    M = N on f's own samples.  The TM functions carry nothing beyond M, so
+    f need not be band-limited: the reported residual is
+    sum_{k>=M} |f_hat(k)|^2 + ||rest||^2, the squared H^2 error of the
+    returned model.  It is a norm, so it is never negative, and it equals
+    `reduction.error_energy` at the same tuple to round-off relative to
+    ||f||^2.
     """
-    m = band_start(tup, f.n_samples)
-    spec = spectrum(f).coeffs
-    while True:
-        if m == f.n_samples:
-            rest, tail = f.samples.copy(), 0.0
-        else:
-            rest = np.fft.ifft(spec[:m]) * m
-            tail = float(np.sum(np.abs(spec[m:]) ** 2))
-        coeffs = []
-        for b, product in _tm_columns(tup.poles, circle_points(m)):
-            c = np.vdot(b, rest) / m
-            rest -= c * b
-            coeffs.append(c)
-        if m == f.n_samples or _band_limited(product, tup.degree):
-            return BlaschkeModel(tup, coeffs, tail + float(np.vdot(rest, rest).real) / m)
-        m *= 2
+    columns = tm_band(tup, f.n_samples)
+    m = columns[0].size
+    if m == f.n_samples:
+        rest, tail = f.samples.copy(), 0.0
+    else:
+        spec = spectrum(f).coeffs
+        rest = np.fft.ifft(spec[:m]) * m
+        tail = float(np.sum(np.abs(spec[m:]) ** 2))
+    coeffs = []
+    for b in columns:
+        c = np.vdot(b, rest) / m
+        rest -= c * b
+        coeffs.append(c)
+    return BlaschkeModel(tup, coeffs, tail + float(np.vdot(rest, rest).real) / m)
 
 
 def synthesize(model, n_samples):
     """Samples of the Blaschke form sum_k c_k B_k at n equidistant circle points.
 
-    The sum is taken at the tuple's band limit M, chosen as in `project`;
-    below N its M-point spectrum is zero-padded to N and inverted by one
-    FFT, which is exact to round-off because the TM functions carry
-    nothing beyond M.
+    The sum is taken at the tuple's band limit M (`tm_band`); below N its
+    M-point spectrum is zero-padded to N and inverted by one FFT, which is
+    exact to round-off because the TM functions carry nothing beyond M.
     """
     check_sample_count(n_samples)
-    m = band_start(model.tuple, n_samples)
-    while True:
-        out = np.zeros(m, dtype=complex)
-        for c, (b, product) in zip(model.coeffs,
-                                   _tm_columns(model.tuple.poles, circle_points(m))):
-            out += c * b
-        if m == n_samples:
-            return Signal(out)
-        if _band_limited(product, model.degree):
-            padded = np.zeros(n_samples, dtype=complex)
-            padded[:m] = np.fft.fft(out)
-            return Signal(np.fft.ifft(padded) * (n_samples / m))
-        m *= 2
+    columns = tm_band(model.tuple, n_samples)
+    m = columns[0].size
+    out = np.zeros(m, dtype=complex)
+    for c, b in zip(model.coeffs, columns):
+        out += c * b
+    if m == n_samples:
+        return Signal(out)
+    padded = np.zeros(n_samples, dtype=complex)
+    padded[:m] = np.fft.fft(out)
+    return Signal(np.fft.ifft(padded) * (n_samples / m))

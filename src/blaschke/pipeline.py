@@ -23,7 +23,6 @@ from .hardy import (
     BlaschkeModel,
     PoleTuple,
     Signal,
-    band_start,
     check_degree,
     circle_points,
     draw_separated,
@@ -31,6 +30,7 @@ from .hardy import (
     project,
     spectrum,
     synthesize,
+    tm_band,
 )
 from .search import RectGridConfig, SearchConfig, its_search, rect_cafd_search
 
@@ -265,18 +265,19 @@ def _result(f, total, start_time, search_tuple, report, truth, working=None):
 def _working_samples(f, tup):
     """The fewest samples N' on which to refine from `tup`; f.n_samples if none passes.
 
-    N' is the smallest power of two below N, from the tuple's a-priori band
-    limit `hardy.band_start` on, at which f's relative spectral tail
+    N' is the smallest power of two below N, from the tuple's band limit
+    `hardy.tm_band` on, at which f's relative spectral tail
     sqrt(sum_{k >= N'} |f_hat(k)|^2) / ||f|| is at most WORKING_TOL (where a
     Chebyshev series is chopped: Aurentz and Trefethen, ACM TOMS 43, 2017).
-    Every sample j*N/N' of f is exact, so at N' the refinement sees f and
-    its own energy as at N, up to round-off.
+    Every sample j*N/N' of f is exact, and the tuple's TM system is held to
+    round-off on N' samples, so at N' the refinement sees f and its own
+    energy as at N, up to round-off.
     """
     n_samples = f.n_samples
     # tail[k] = sum_{j >= k} |f_hat(j)|^2, summed from the small end
     tail = np.cumsum(np.abs(spectrum(f).coeffs[::-1]) ** 2)[::-1]
     # both tests hold at every larger m once they hold at m
-    m = band_start(tup, n_samples)
+    m = tm_band(tup, n_samples)[0].size
     while m < n_samples and np.sqrt(tail[m] / tail[0]) > WORKING_TOL:
         m *= 2
     return m

@@ -15,8 +15,8 @@ The kernel works on raw sample arrays; only `energy`, `error_energy` and
 `energy_gradient` take a `Signal` (or its `Objective`) and a `PoleTuple`,
 whose poles they do not test again.  The raw-array entry points
 `reduce_chain` (when it builds its own rows) and `series_value` test theirs
-with `hardy.disk_points`.  There is one reduction loop, `_chain`, and its
-one result is the final remainder.  A stage makes no division: each pole
+with `hardy.disk_points`.  There is one reduction loop, `reduce_chain`,
+and its one result is the final remainder.  A stage makes no division: each pole
 has one row set at the sample points (`pole_rows`), w = 1/(z - a), z w and
 the Moebius row (1 - conj(a) z) w = w - conj(a) z w, built by one broadcast
 per tuple.  The row sets are three contiguous blocks, w, z w and the
@@ -150,11 +150,6 @@ def reduce_chain(f, order, rows=None):
     if rows is None:
         order = np.atleast_1d(disk_points(order, "poles"))
         rows = pole_rows(circle_points(f.size), order)
-    return _chain(f, order, rows)
-
-
-def _chain(f, order, rows):
-    """The reduction loop over the poles' row sets at the points of f."""
     for a, row in zip(order, rows):
         f = reduce_step(f, a, row)
     return f
@@ -189,7 +184,7 @@ class Objective:
         if key != self._key:
             rows = pole_rows(_doubled_points(self.signal.n_samples), poles)
             # the chain reads the N sample points, the first half of each row
-            rest = _chain(self.signal.samples, poles, rows[:, :, :self.signal.n_samples])
+            rest = reduce_chain(self.signal.samples, poles, rows[:, :, :self.signal.n_samples])
             rows.setflags(write=False)
             rest.setflags(write=False)
             self._key, self._entry = key, (rows, rest)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blaschke import Signal, Spectrum, circle_points, eval_interior
+from blaschke import PoleTuple, Signal, Spectrum, circle_points, eval_interior, hardy
 from blaschke.feval import RingBand
 from blaschke.hardy import disk_points
 
@@ -103,3 +103,33 @@ def monomial_signal(k, n_samples):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# tuples whose TM functions are far wider in frequency than the a-priori
+# start max|a|^(M - n) predicts: a 30-fold pole at 0.9 (its columns'
+# spectral tail beyond 512 is 0.44 of their norm), and 30 poles at radius
+# 0.9, 0.01 rad apart (tail 1.6e-8 beyond 512)
+REPEATED = PoleTuple(np.full(30, 0.9))
+CLUSTER = PoleTuple(0.9 * np.exp(0.01j * np.arange(30)))
+
+
+@pytest.fixture
+def band_limits(monkeypatch):
+    """The sample count M of every band-limit test the transforms make."""
+    seen = []
+    real = hardy._band_limited
+
+    def spy(product, degree):
+        passed = real(product, degree)
+        seen.append((product.size, passed))
+        return passed
+
+    monkeypatch.setattr(hardy, "_band_limited", spy)
+    return seen
+
+
+def band_limit(seen, n_samples):
+    """The M a transform ran at: the first passed test, else N; clears `seen`."""
+    m = next((size for size, passed in seen if passed), n_samples)
+    seen.clear()
+    return m

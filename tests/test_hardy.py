@@ -22,7 +22,7 @@ from blaschke import (
     tm_basis,
 )
 import blaschke
-from blaschke import build_polar_grid, eval_interior, feval_table, hardy, ring_bounds
+from blaschke import build_polar_grid, eval_interior, feval_table, ring_bounds
 from blaschke.cgd import CgdConfig, cgd_refine
 from blaschke.pipeline import (
     BUILTIN_FORMS,
@@ -36,6 +36,9 @@ from blaschke.reduction import energy, energy_gradient, error_energy
 from blaschke.search import SearchConfig
 
 from conftest import (
+    CLUSTER,
+    REPEATED,
+    band_limit,
     inverse_spectrum,
     monomial_signal,
     quadrature_inner,
@@ -441,36 +444,6 @@ def loop_synthesize(tup, coeffs, n_samples):
     for c, b in zip(coeffs, loop_columns(tup.poles, n_samples)):
         out += c * b
     return out
-
-
-# tuples whose TM functions are far wider in frequency than the a-priori
-# start max|a|^(M - n) predicts: a 30-fold pole at 0.9 (its columns'
-# spectral tail beyond 512 is 0.44 of their norm), and 30 poles at radius
-# 0.9, 0.01 rad apart (tail 1.6e-8 beyond 512)
-REPEATED = PoleTuple(np.full(30, 0.9))
-CLUSTER = PoleTuple(0.9 * np.exp(0.01j * np.arange(30)))
-
-
-@pytest.fixture
-def band_limits(monkeypatch):
-    """The sample count M of every band-limit test the transforms make."""
-    seen = []
-    real = hardy._band_limited
-
-    def spy(product, degree):
-        passed = real(product, degree)
-        seen.append((product.size, passed))
-        return passed
-
-    monkeypatch.setattr(hardy, "_band_limited", spy)
-    return seen
-
-
-def band_limit(seen, n_samples):
-    """The M a transform ran at: the first passed test, else N; clears `seen`."""
-    m = next((size for size, passed in seen if passed), n_samples)
-    seen.clear()
-    return m
 
 
 class TestBandLimit:

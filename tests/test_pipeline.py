@@ -24,7 +24,9 @@ from blaschke import (
     tm_basis,
 )
 from blaschke.cgd import CgdConfig, CgdStatus, cgd_refine
+from blaschke.hardy import draw_separated
 from blaschke.pipeline import (
+    BUILTIN_DEGREES,
     BUILTIN_FORMS,
     BUILTIN_FUNCTIONS,
     RunConfig,
@@ -41,7 +43,7 @@ from blaschke.pipeline import (
 )
 from blaschke.search import RectGridConfig, SearchConfig, its_search
 
-from conftest import brute_tuple_distance
+from conftest import CLUSTER, band_limit, brute_tuple_distance
 
 
 SMALL_RUN = RunConfig(
@@ -187,6 +189,11 @@ class TestRandomBlaschkeForm:
         with pytest.raises(ValueError):
             random_blaschke_form(0, 0)
 
+    def test_draw_gives_up_after_max_tries(self):
+        # no two points of |w| < 0.1 are 0.5 apart, so the second never fits
+        with pytest.raises(ValueError, match="could not draw 2 separated poles in 50 tries"):
+            draw_separated(np.random.default_rng(0), 2, 0.1, 0.5, 50)
+
 
 @pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
 def test_non_integer_degree_rejected(degree):
@@ -252,6 +259,12 @@ class TestPipeline:
         model = cafd_cgd(f, 1, SMALL_RUN)
         assert model.degree == 1
         assert model.residual_error >= 0.0
+
+    def test_readme_quick_start_call_is_the_default_run(self):
+        # cafd_cgd(f, n=6) with no config, as in the README's quick start
+        tau = np.exp(2j * np.pi * np.arange(1024) / 1024)
+        f = Signal(1.0 / (2.0 + tau**4))
+        assert cafd_cgd(f, n=6) == cafd_cgd_result(f, RunConfig(6)).model
 
     def test_degree_mismatch_rejected(self):
         f = builtin_signal("ex5_1_f1", 256)
@@ -471,6 +484,30 @@ class TestWorkingResolution:
         assert report.iterations == sum(k for _, k in calls)
         assert report.status is CgdStatus.CONVERGED
         assert tuple_distance(report.tuple, truth) <= 5e-3
+
+    @pytest.mark.parametrize("angular", [128, 256])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DEGREES))
+    def test_not_below_the_band_limit_of_project(self, band_limits, name, angular):
+        # the a-priori start max|a|^(N' - n) alone is below the M that
+        # project's tail test accepts for the search tuples of ex5_1_f2 (both
+        # grids), and of ex5_2_f1 and ex5_2_f2 at angular 128
+        import blaschke.pipeline as pipeline
+
+        f = builtin_signal(name, 1024)
+        tup = its_search(f, BUILTIN_DEGREES[name], SearchConfig(angular=angular))
+        band_limits.clear()
+        project(f, tup)
+        assert pipeline._working_samples(f, tup) >= band_limit(band_limits, 1024)
+
+    def test_cluster_refines_at_the_band_limit_of_project(self, band_limits):
+        # 30 poles at radius 0.9, 0.01 rad apart: the a-priori start gives
+        # 512, where the sampled TM Gram matrix is 1.4e-8 off the identity
+        import blaschke.pipeline as pipeline
+
+        f = builtin_signal("ex5_1_f1", 1024)
+        project(f, CLUSTER)
+        assert band_limit(band_limits, 1024) == 1024
+        assert pipeline._working_samples(f, CLUSTER) == 1024
 
     def test_rect_cafd_reports_no_working_resolution(self):
         f = synthesize(BlaschkeModel(PoleTuple([0.45 - 0.3j]), [1.0]), 256)
