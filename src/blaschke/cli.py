@@ -125,10 +125,6 @@ def read_model_json(path):
     return _from_file(path, BlaschkeModel, _pole_tuple(path, payload), coeffs, residual)
 
 
-def read_tuple_json(path):
-    return _pole_tuple(path, _read_json(path))
-
-
 def _load_input(input_path, builtin, samples):
     """The signal to approximate; --samples applies only to a --builtin target."""
     if (input_path is None) == (builtin is None):
@@ -161,7 +157,7 @@ def _approximate(input_path, builtin, degree, samples, radial, angular, out_path
                  truth_path=None):
     cfg = RunConfig(degree, SearchConfig(radial=radial, angular=angular))
     f = _load_input(input_path, builtin, samples)
-    truth = read_tuple_json(truth_path) if truth_path else None
+    truth = _pole_tuple(truth_path, _read_json(truth_path)) if truth_path else None
     result = cafd_cgd_result(f, cfg, truth=truth)
     write_model_json(out_path, result.model)
     click.echo(f"l2_relative_error: {result.l2_relative_error:.6e}")

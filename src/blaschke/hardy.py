@@ -27,11 +27,11 @@ from functools import lru_cache
 import numpy as np
 
 # per pole, the share of a TM system's norm that may lie past its band
-# limit M (`_tail_tol`): `tm_band` starts where max|a|^(M - n) is at most
-# n times this, and then asks the same of the top quarter of the
-# M-point spectrum of the running Blaschke product; its own round-off puts
-# about n*eps/2 there (3e-15 at n = 30, up to 2.6e-14 at n = 200), so a
-# share that did not grow with n would never pass for large n
+# limit M, so n * BAND_TOL for n poles: `tm_band` starts where
+# max|a|^(M - n) is at most that, and then asks the same of the top
+# quarter of the M-point spectrum of the running Blaschke product; its own
+# round-off puts about n*eps/2 there (3e-15 at n = 30, up to 2.6e-14 at
+# n = 200), so a share that did not grow with n would never pass for large n
 BAND_TOL = 1e-15
 
 __all__ = [
@@ -61,11 +61,6 @@ def disk_points(points, name):
     if not np.all(np.abs(z) < 1.0):
         raise ValueError(f"{name} must satisfy |z| < 1, max |z| = {np.max(np.abs(z))}")
     return z
-
-
-def _tail_tol(degree):
-    """The share of its norm that a TM system of n = degree poles may keep past its band limit."""
-    return BAND_TOL * degree
 
 
 def check_degree(n):
@@ -246,14 +241,14 @@ def _band_limited(product, degree):
     P_n has unit norm on the circle, and its Fourier coefficients decay from
     the poles like every TM function's: they rise to a peak, late for
     clustered or repeated poles, and then fall.  So when its M-point
-    coefficients in [3M/4, M) hold at most `_tail_tol`(n) of that norm, the
+    coefficients in [3M/4, M) hold at most n * BAND_TOL of that norm, the
     peak lies below them, and the coefficients beyond M, which alias onto
     the M samples, are at round-off too.  P_n's tail can read a few times
     below a column's (about sqrt(1 - |a|^2) at a pole a repeated n times),
     which the tolerance's margin over round-off covers.
     """
     m = product.size
-    return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= _tail_tol(degree)
+    return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= BAND_TOL * degree
 
 
 def tm_basis(tup, k, points):
@@ -269,7 +264,7 @@ def tm_band(tup, n_samples):
     """The tuple's TM columns B_1..B_n at its band limit M <= N = n_samples, as a list.
 
     M starts at the smallest power of two m with 2n <= m < N and
-    max|a|^(m - n) at most `_tail_tol`(n), else at N.  That is the decay of
+    max|a|^(m - n) at most n * BAND_TOL, else at N.  That is the decay of
     the TM functions' Fourier coefficients from the farthest pole, so it
     sizes their spectral tail beyond m and their aliasing on m samples for
     well-separated poles; for clustered poles it can be far too small, a
@@ -280,7 +275,7 @@ def tm_band(tup, n_samples):
     """
     radius, n = float(np.max(np.abs(tup.poles))), tup.degree
     m = 2
-    while m < n_samples and (m < 2 * n or radius ** (m - n) > _tail_tol(n)):
+    while m < n_samples and (m < 2 * n or radius ** (m - n) > BAND_TOL * n):
         m *= 2
     while True:
         columns = []

@@ -316,13 +316,13 @@ def cafd_cgd_result(f, cfg, truth=None):
     return _result(f, total, start_time, its_tuple, report, truth, n_work)
 
 
-def cafd_cgd(f, n, cfg=None):
-    """Best n-Blaschke-form approximation of f by polar search plus refinement."""
-    if cfg is None:
-        cfg = RunConfig(degree=n)
-    elif cfg.degree != n:
-        raise ValueError("config degree does not match requested degree")
-    return cafd_cgd_result(f, cfg).model
+def cafd_cgd(f, n):
+    """Best n-Blaschke-form approximation of f by polar search plus refinement.
+
+    The default run; a run with its own `RunConfig` is
+    `cafd_cgd_result(f, cfg).model`.
+    """
+    return cafd_cgd_result(f, RunConfig(degree=n)).model
 
 
 def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):

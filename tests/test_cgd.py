@@ -9,7 +9,7 @@ from blaschke.cgd import CgdConfig, CgdStatus, _candidate, cgd_refine
 from blaschke.pipeline import RunConfig, builtin_signal, builtin_truth, cafd_cgd_result
 from blaschke.reduction import energy_gradient, error_energy
 
-from conftest import monomial_signal, szego_signal
+from conftest import fix_search_tuple, monomial_signal, szego_signal
 
 
 def well_separated_form(n, seed, radius=0.85, gap=0.15):
@@ -129,9 +129,10 @@ class TestCgdRefine:
             assert report.final_gradient_norm_sq <= 1e-18
 
     def test_trial_outside_the_margin_is_rejected_unevaluated(self, monkeypatch):
-        # on ex5_4 (a pole at |a| = 0.984) one trial step of this run crosses
-        # the unit circle; the margin test must turn it down before the
-        # energy is evaluated there, and the halved step must still converge
+        # from ex5_4's search tuple one trial step crosses the unit circle
+        # (the true pole at |a| = 0.984); the margin test must turn it down
+        # before the energy is evaluated there, and the halved step must
+        # still converge
         limit = 1.0 - blaschke.cgd.BOUNDARY_MARGIN
         energy, candidate = blaschke.cgd.error_energy, blaschke.cgd._candidate
         evaluated, rejected = [], []
@@ -148,6 +149,7 @@ class TestCgdRefine:
 
         monkeypatch.setattr(blaschke.cgd, "error_energy", spy_energy)
         monkeypatch.setattr(blaschke.cgd, "_candidate", spy_candidate)
+        fix_search_tuple(monkeypatch, "ex5_4")
         res = cafd_cgd_result(builtin_signal("ex5_4"), RunConfig(4),
                               truth=builtin_truth("ex5_4"))
         assert evaluated and max(evaluated) <= limit
@@ -169,6 +171,42 @@ class TestCgdRefine:
         r2 = cgd_refine(f, PoleTuple([0.3, -0.4j]), CgdConfig(max_iters=30))
         np.testing.assert_array_equal(r1.tuple.poles, r2.tuple.poles)
         assert r1.energy_trace == r2.energy_trace
+
+    def test_estimate_that_is_no_ascent_resets_to_steepest_ascent(self, monkeypatch):
+        # in exact arithmetic BFGS keeps H positive definite, so the reset
+        # for Re<g, Hg> <= 0 is reached here by scaling the first estimate
+        # from -I, not I; the step after that update must then be a + s*g
+        class NegatedEye:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def eye(k):
+                events.append(("eye",))
+                return -np.eye(k)
+
+        events = []
+        gradient, candidate = blaschke.cgd.energy_gradient, blaschke.cgd._candidate
+
+        def spy_gradient(state, tup):
+            g = gradient(state, tup)
+            events.append(("gradient", tup.poles, g))
+            return g
+
+        def spy_candidate(poles):
+            events.append(("trial", poles))
+            return candidate(poles)
+
+        monkeypatch.setattr(blaschke.cgd, "np", NegatedEye())
+        monkeypatch.setattr(blaschke.cgd, "energy_gradient", spy_gradient)
+        monkeypatch.setattr(blaschke.cgd, "_candidate", spy_candidate)
+        f = synthesize(BlaschkeModel(PoleTuple([0.5, -0.4j]), [1.0, 0.5j]), 256)
+        cgd_refine(f, PoleTuple([0.45, -0.35j]), CgdConfig(max_iters=2))
+        # the first trial is taken, and its curvature pair builds the estimate
+        assert [e[0] for e in events[:5]] == ["gradient", "trial", "gradient", "eye", "trial"]
+        _, poles, g = events[2]
+        s = min(blaschke.cgd.TRUST_RADIUS / np.max(np.abs(g)), 1.0)
+        np.testing.assert_array_equal(events[4][1], poles + s * g)
 
     def test_one_chain_per_energy_evaluation(self, monkeypatch):
         # each call's gradients reuse the chain of the energy just evaluated

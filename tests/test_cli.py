@@ -29,6 +29,8 @@ from blaschke.cli import (
 from blaschke.pipeline import DEFAULT_SAMPLES, RunConfig, builtin_signal, cafd_cgd_result
 from blaschke.search import SearchConfig
 
+from conftest import fix_search_tuple
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -134,8 +136,10 @@ class TestSynthesizeAndRecover:
         assert int(lines["working_samples"]) == want < DEFAULT_SAMPLES
 
     def test_iteration_cap_exits_5_and_writes_model(self, tmp_path, monkeypatch, capsys):
-        # no gradient norm is at most 0, so the refinement runs to the cap
+        # no gradient norm is at most 0, so the refinement from this grid
+        # tuple runs to the cap
         monkeypatch.setattr(blaschke.cgd, "GRAD_TOL", 0.0)
+        fix_search_tuple(monkeypatch, "ex5_1_f3")
         out = tmp_path / "out.json"
         code = run_cli_in_process(
             monkeypatch, "approximate", "--builtin", "ex5_1_f3", "--degree", "6",
@@ -162,6 +166,7 @@ class TestSynthesizeAndRecover:
             self, tmp_path, monkeypatch, capsys):
         # with no step allowed, the first line search stalls at the search tuple
         monkeypatch.setattr(blaschke.cgd, "MAX_BACKTRACKS", 0)
+        fix_search_tuple(monkeypatch, "ex5_5")
         out = tmp_path / "out.json"
         code = run_cli_in_process(
             monkeypatch, "approximate", "--builtin", "ex5_5", "--degree", "4",

@@ -408,12 +408,14 @@ class TestItsSearch:
         assert res.tuple_distance <= 5e-3
 
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
-        # on this coarse grid the snapped start of a degree-5 target still
-        # moves in its first sweep, so one sweep cannot end the search
+        # from a start far from ex5_3's poles the first sweep moves, so one
+        # sweep cannot end the search
         from blaschke.pipeline import BUILTIN_FORMS
 
         poles, coeffs = BUILTIN_FORMS["ex5_3"]
         f = synthesize(BlaschkeModel(PoleTuple(poles), coeffs), 256)
+        far = np.array([0.9, 0.9j, -0.9, -0.9j, 0.1 + 0.1j])
+        monkeypatch.setattr(blaschke.search, "_pencil_poles", lambda f, n: far)
         monkeypatch.setattr(blaschke.search, "MAX_SWEEPS", 1)
         with pytest.raises(SearchNonConvergence) as err:
             its_search(f, 5, SearchConfig(radial=20, angular=64))
