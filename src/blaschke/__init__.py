@@ -6,19 +6,17 @@ energy, which refines the pole tuple off the grid.
 """
 
 from .cgd import CgdConfig, CgdReport, CgdStatus, cgd_refine
-from .feval import PolarGrid, build_polar_grid, eval_interior, feval_table, ring_bounds
+from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
 from .hardy import (
     BlaschkeModel,
     PoleTuple,
     Signal,
     Spectrum,
     circle_points,
-    inner_product,
     norm_sq,
     project,
     spectrum,
     synthesize,
-    tm_basis,
 )
 from .pipeline import (
     RecoveryResult,

@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .cgd import CgdStatus
-from .feval import build_polar_grid, feval_table
+from .feval import PolarGrid, feval_table
 from .hardy import BlaschkeModel, PoleTuple, Signal, synthesize
 from .pipeline import (
     BENCHMARK_COLUMNS,
@@ -23,7 +23,6 @@ from .pipeline import (
     builtin_signal,
     cafd_cgd_result,
     run_benchmark,
-    tuple_distance,
 )
 from .search import SearchConfig, SearchNonConvergence
 
@@ -245,7 +244,7 @@ def _load_suite(suite):
 def eval_grid(input_path, radial, angular, out_path):
     """Dump the raw <f, e_z> table over a polar grid as CSV."""
     f = read_signal_csv(input_path)
-    grid = build_polar_grid(radial, angular)
+    grid = PolarGrid(radial, angular)
     table = feval_table(f, grid)
     nodes = grid.nodes()
     with open(out_path, "w", newline="") as fh:

@@ -29,8 +29,8 @@ rings aligned as for the full grid, and only the band's rows are scaled by
 R and transformed, so a band's rows equal the full table's bit for bit (a
 product over the band's rows alone may split its sums differently and
 differ in the last bit).  Most of the search's scans have a one-ring band,
-whose call then scales one row of its block, not 16 (at N = 1024, angular
-256, 36 -> 20 us on one core).  The full grid is the band of all rings.
+whose call then scales one row of its block, not 16.  The full grid is the
+band of all rings.
 
 `eval_interior` sums the series directly and is the tests' reference; the
 solver evaluates single points by Parseval means over the circle points,
@@ -47,7 +47,6 @@ from .hardy import Signal, Spectrum, disk_points, spectrum
 
 __all__ = [
     "PolarGrid",
-    "build_polar_grid",
     "eval_interior",
     "feval_table",
     "ring_bounds",
@@ -113,11 +112,6 @@ class RingBand:
     @property
     def angular(self):
         return self.grid.angular
-
-
-def build_polar_grid(radial, angular):
-    """Polar grid with radial step 1/radial and a power-of-two angular count."""
-    return PolarGrid(radial, angular)
 
 
 def eval_interior(f, z):

@@ -2,12 +2,12 @@
 
 A function f in H^2 on the unit disk is represented by its N samples at the
 equidistant circle points tau_j = exp(2*pi*i*j/N).  The discrete inner
-product is defined spectrally, so the discrete Parseval identity holds by
-construction and agrees with the trapezoid quadrature of the circle
-integral: <f, g> is also the sample mean of f * conj(g).  The TM functions
-B_1, ..., B_n come from one running Moebius product.  Projection is
-modified Gram-Schmidt against the running residual, whose squared norm is
-the reported error.
+product <f, g> is the sample mean of f * conj(g), the trapezoid quadrature
+of the circle integral, as `norm_sq` takes it for <f, f>; by the discrete
+Parseval identity it is also sum_k f_hat(k) * conj(g_hat(k)).  The TM
+functions B_1, ..., B_n come from one running Moebius product.  Projection
+is modified Gram-Schmidt against the running residual, whose squared norm
+is the reported error.
 
 A tuple with max|a| well inside the disk has TM functions band-limited to
 round-off far below N.  `tm_band` owns that band limit M <= N (an a-priori
@@ -41,9 +41,7 @@ __all__ = [
     "BlaschkeModel",
     "circle_points",
     "spectrum",
-    "inner_product",
     "norm_sq",
-    "tm_basis",
     "project",
     "synthesize",
 ]
@@ -206,15 +204,6 @@ def spectrum(f):
     return Spectrum(np.fft.fft(f.samples) / f.n_samples)
 
 
-def inner_product(f, g):
-    """Discrete H^2 inner product sum_k f_hat(k) * conj(g_hat(k))."""
-    if f.n_samples != g.n_samples:
-        raise ValueError(
-            f"sample counts differ: {f.n_samples} != {g.n_samples}"
-        )
-    return complex(np.sum(spectrum(f).coeffs * np.conj(spectrum(g).coeffs)))
-
-
 def norm_sq(f):
     """Squared discrete H^2 norm of a Signal."""
     return float(np.sum(np.abs(f.samples) ** 2) / f.n_samples)
@@ -249,15 +238,6 @@ def _band_limited(product, degree):
     """
     m = product.size
     return np.linalg.norm(np.fft.fft(product)[3 * m // 4:]) / m <= BAND_TOL * degree
-
-
-def tm_basis(tup, k, points):
-    """Takenaka-Malmquist basis function B_k at the given points (k is 1-based)."""
-    if not 1 <= k <= tup.degree:
-        raise IndexError(f"basis index {k} out of range 1..{tup.degree}")
-    for out, _ in _tm_columns(tup.poles[:k], np.asarray(points, dtype=complex)):
-        pass
-    return out
 
 
 def tm_band(tup, n_samples):
@@ -331,6 +311,4 @@ def synthesize(model, n_samples):
         out += c * b
     if m == n_samples:
         return Signal(out)
-    padded = np.zeros(n_samples, dtype=complex)
-    padded[:m] = np.fft.fft(out)
-    return Signal(np.fft.ifft(padded) * (n_samples / m))
+    return Signal(np.fft.ifft(np.fft.fft(out), n_samples) * (n_samples / m))

@@ -345,8 +345,9 @@ def run_benchmark(descriptor):
     its rows leave those two blank, as do the mean/max/std stat rows that
     follow a batch's rows.  Every case is built before any runs, so each
     bad input raises a `ValueError` or `KeyError` first: the descriptor's
-    JSON shape here, and the target, degree, sample count, grid shape, fold
-    (N a multiple of angular) and random draw where each rule is kept.
+    JSON shape and any field not named here, then the target, degree,
+    sample count, grid shape, fold (N a multiple of angular) and random
+    draw where each rule is kept.
     """
     rows = []
     for stat_target, algo, degree, runs in _plan(descriptor):
@@ -358,12 +359,19 @@ def run_benchmark(descriptor):
 
 
 def _check_descriptor(descriptor):
-    """Reject a descriptor whose JSON shape is wrong, naming the field."""
+    """Reject a descriptor whose JSON shape is wrong or with an unknown field, naming it."""
     if not isinstance(descriptor, dict):
         raise ValueError("the descriptor must be a JSON object")
     targets = descriptor.get("targets", [])
     if not (isinstance(targets, list) and all(isinstance(t, dict) for t in targets)):
         raise ValueError("descriptor field 'targets' must be a list of objects")
+    # a misspelled field would otherwise run its default unseen
+    for fields, known in (
+            (descriptor, ("targets", "algorithms", "n_samples", "seed", "angular")),
+            *((t, ("name", "degree", "count")) for t in targets)):
+        for key in fields:
+            if key not in known:
+                raise ValueError(f"descriptor field {key!r} is not one of {', '.join(known)}")
     if not all(isinstance(t.get("name"), str) for t in targets):
         raise ValueError("descriptor field 'name' of each target must be a string")
     algorithms = descriptor.get("algorithms", [])

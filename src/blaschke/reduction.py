@@ -21,12 +21,11 @@ has one row set at the sample points (`pole_rows`), w = 1/(z - a), z w and
 the Moebius row (1 - conj(a) z) w = w - conj(a) z w, built by one broadcast
 per tuple.  The row sets are three contiguous blocks, w, z w and the
 Moebius rows, of one 3 x n x len(z) array seen per pole, so each of the
-build's broadcasts writes one contiguous block: half the time of three
-rows adjacent per pole, for the same bits (n = 4 at 2048 points, one
-core: 136 -> 75 us).  A pole's value f(a) = (1 - a^N) mean(f z w), an
-O(N) Parseval mean with no FFT, has one owner, `pole_values`, which the
-search's coordinate step and `energy_gradient` call on the z w rows they hold;
-`series_value`, with its own 1/(z - a), is the tests' reference.  A stage
+build's broadcasts writes one contiguous block.  A pole's value
+f(a) = (1 - a^N) mean(f z w), an O(N) Parseval mean with no FFT, has one
+owner, `pole_values`, which the search's coordinate step and
+`energy_gradient` call on the z w rows they hold; `series_value`, with its
+own 1/(z - a), is the tests' reference.  A stage
 (`reduce_step`) is one dot product for the extracted amount
 c = (1 - |a|^2) mean(f_j z w) = f_j(a_j) (1 - |a|^2)/(1 - a^N) and one
 update f_j (1 - conj(a) z) w - c w.  `reduce_chain` builds the rows at the
@@ -83,8 +82,7 @@ def pole_rows(z, poles):
     formed as w - conj(a_j) z w; one broadcast over the tuple.  Each kind
     is one contiguous n x len(z) block of a 3 x n x len(z) array, which the
     broadcasts write whole; the result is its per-pole view, so `rows[:, k]`
-    is block k.  On one core the build takes 75 us for n = 4 at 2048 points
-    and 127 us for n = 30 at 512 (with a pole's rows adjacent: 136, 287).
+    is block k.
     """
     block = np.empty((3, poles.size, z.size), dtype=complex)
     w, zw, moebius = block

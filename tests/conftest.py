@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blaschke import PoleTuple, Signal, Spectrum, circle_points, eval_interior, hardy, pipeline
+from blaschke import (
+    BlaschkeModel,
+    PoleTuple,
+    Signal,
+    Spectrum,
+    circle_points,
+    eval_interior,
+    hardy,
+    pipeline,
+    synthesize,
+)
 from blaschke.feval import RingBand
 from blaschke.hardy import disk_points
 
@@ -82,6 +92,33 @@ def kernel_reference(f, grid):
 def quadrature_inner(f, g):
     """Sample-domain inner product (1/N) sum f_j conj(g_j) of two Signals."""
     return complex(np.mean(f.samples * np.conj(g.samples)))
+
+
+def loop_columns(poles, n_samples):
+    """B_1, ..., B_n at the N circle points by the running product, as a list.
+
+    The tests' one TM reference: a plain loop at all N points, with no band
+    limit and no FFT.
+    """
+    z = circle_points(n_samples)
+    product, columns = np.ones_like(z), []
+    for a in poles:
+        d = product / (1.0 - np.conj(a) * z)
+        columns.append(np.sqrt(1.0 - abs(a) ** 2) * d)
+        product = d * (z - a)
+    return columns
+
+
+def synthesized_columns(tup, n_samples):
+    """B_1, ..., B_n as `synthesize` produces them, each the form with one unit coefficient."""
+    return [synthesize(BlaschkeModel(tup, unit), n_samples).samples
+            for unit in np.eye(tup.degree)]
+
+
+def sample_gram(columns):
+    """The Gram matrix <B_j, B_k> of sample arrays as sample means of B_j * conj(B_k)."""
+    b = np.array(columns)
+    return b @ b.conj().T / b.shape[1]
 
 
 def brute_tuple_distance(u, v):

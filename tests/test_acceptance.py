@@ -9,16 +9,13 @@ import numpy as np
 
 from blaschke import (
     BlaschkeModel,
+    PolarGrid,
     PoleTuple,
     Signal,
     Spectrum,
-    build_polar_grid,
-    circle_points,
     feval_table,
-    inner_product,
     spectrum,
     synthesize,
-    tm_basis,
     tuple_distance,
 )
 from blaschke.cgd import CgdStatus
@@ -35,6 +32,8 @@ from conftest import (
     monomial_signal,
     quadrature_kernel_inner_many,
     random_smooth_signal,
+    sample_gram,
+    synthesized_columns,
 )
 
 
@@ -54,18 +53,15 @@ def random_disk_tuple(rng, n, radius=0.9, gap=1e-3):
 
 
 def test_criterion_01_orthonormality(capsys):
-    # 50 random tuples, n <= 6, |a| <= 0.9, N = 1024; runtime < 10 s
+    # 50 random tuples, n <= 6, |a| <= 0.9, N = 1024; runtime < 10 s.  The
+    # columns are the ones `synthesize` sums, at the tuple's band limit M and
+    # moved to N by one FFT; the Gram matrix is of sample means
     rng = np.random.default_rng(101)
-    z = circle_points(1024)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 7))
-        tup = random_disk_tuple(rng, n)
-        basis = [Signal(tm_basis(tup, k, z)) for k in range(1, n + 1)]
-        gram = np.array(
-            [[inner_product(bj, bk) for bk in basis] for bj in basis]
-        )
+        gram = sample_gram(synthesized_columns(random_disk_tuple(rng, n), 1024))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -76,7 +72,7 @@ def test_criterion_01_orthonormality(capsys):
 def test_criterion_02_feval_oracle_equivalence(capsys):
     # 10 random smooth signals, M = 16, N = 64, vs trapezoid quadrature; < 5 s
     rng = np.random.default_rng(202)
-    grid = build_polar_grid(16, 64)
+    grid = PolarGrid(16, 64)
     nodes = grid.nodes()
     t0 = time.perf_counter()
     worst = 0.0
@@ -206,7 +202,7 @@ def test_criterion_09_complexity_scaling(capsys):
     coeffs = (rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
     s = Spectrum(coeffs * 0.99 ** np.arange(1024))
     sizes = [64, 128, 256, 512]
-    grids = [build_polar_grid(m, 1024) for m in sizes]
+    grids = [PolarGrid(m, 1024) for m in sizes]
     fns = [lambda g=g: feval_table(s, g) for g in grids]
     reps = [512 // m for m in sizes]
     ratios = None
@@ -218,7 +214,7 @@ def test_criterion_09_complexity_scaling(capsys):
     ok = max(ratios) <= 2.2
 
     # relative ordering: the shared-FFT table beats a direct per-node scan
-    grid = build_polar_grid(100, 256)
+    grid = PolarGrid(100, 256)
     nodes = grid.nodes()
     weight = np.sqrt(1.0 - np.abs(nodes) ** 2)
     sig = Signal(np.fft.ifft(s.coeffs) * 1024)

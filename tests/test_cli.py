@@ -15,9 +15,9 @@ from blaschke import cli
 from blaschke import (
     BlaschkeModel,
     CgdStatus,
+    PolarGrid,
     PoleTuple,
     Signal,
-    build_polar_grid,
     feval_table,
 )
 from blaschke.cli import (
@@ -439,6 +439,10 @@ class TestBenchmarkCommand:
         ({"targets": "ex5_5"}, "'targets'"),
         ({"targets": [{"name": "ex5_5"}], "algorithms": "cafd_cgd"}, "'algorithms'"),
         ({"targets": [{"name": "ex5_5", "degree": "4"}]}, "'degree'"),
+        # misspelled fields, which would otherwise run their defaults
+        ({"targets": [{"name": "ex5_5", "degre": 3}], "algorithm": ["rect_cafd"],
+          "samples": 256}, "'algorithm'"),
+        ({"targets": [{"name": "ex5_5", "degre": 3}]}, "'degre'"),
     ])
     def test_field_of_wrong_type_exits_2(self, tmp_path, descriptor, field):
         desc = tmp_path / "suite.json"
@@ -509,7 +513,7 @@ class TestEvalGridCommand:
             "--angular", "64", "--out", str(out),
         )
         assert res.returncode == 0, res.stderr
-        table = feval_table(f, build_polar_grid(4, 64))
+        table = feval_table(f, PolarGrid(4, 64))
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 64

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blaschke import (
+    PolarGrid,
     Signal,
     Spectrum,
-    build_polar_grid,
     circle_points,
     eval_interior,
     feval_table,
@@ -23,33 +23,33 @@ from conftest import kernel_reference, quadrature_kernel_inner, random_smooth_si
 
 class TestPolarGrid:
     def test_reference_node_count(self):
-        assert build_polar_grid(100, 256).nodes().size == 25344
+        assert PolarGrid(100, 256).nodes().size == 25344
 
     def test_small_grid_nodes(self):
-        grid = build_polar_grid(2, 4)
+        grid = PolarGrid(2, 4)
         nodes = grid.nodes()
         assert nodes.shape == (1, 4)
         # radius 0.5 at angles pi/2, pi, 3*pi/2, 2*pi
         np.testing.assert_allclose(nodes[0], [0.5j, -0.5, -0.5j, 0.5], atol=1e-15)
 
     def test_radius_bounds(self):
-        grid = build_polar_grid(10, 8)
+        grid = PolarGrid(10, 8)
         r = np.abs(grid.nodes())
         assert np.all(r >= grid.eps - 1e-15)
         assert np.all(r <= 1.0 - grid.eps + 1e-15)
 
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            build_polar_grid(1, 8)
+            PolarGrid(1, 8)
         with pytest.raises(ValueError):
-            build_polar_grid(10, 1)
+            PolarGrid(10, 1)
 
     def test_non_power_of_two_angular_rejected(self):
         with pytest.raises(ValueError):
-            build_polar_grid(10, 12)
+            PolarGrid(10, 12)
 
     def test_band_nodes_are_grid_rows(self):
-        grid = build_polar_grid(10, 8)
+        grid = PolarGrid(10, 8)
         band = grid.band(3, 7)
         assert (band.radial, band.angular) == (10, 8)
         # the rings of the band are rows 3 .. 6 of the grid's node matrix
@@ -58,7 +58,7 @@ class TestPolarGrid:
     @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (4, 2), (0, 10)])
     def test_band_outside_grid_rejected(self, lo, hi):
         with pytest.raises(ValueError):
-            build_polar_grid(10, 8).band(lo, hi)
+            PolarGrid(10, 8).band(lo, hi)
 
 
 class TestEvalInterior:
@@ -94,20 +94,20 @@ class TestEvalInterior:
 
 class TestFevalTable:
     def test_constant_signal_rows(self):
-        grid = build_polar_grid(8, 16)
+        grid = PolarGrid(8, 16)
         table = feval_table(Signal(np.ones(16)), grid)
         want = np.sqrt(1.0 - grid.radii**2)[:, None] * np.ones((1, 16))
         np.testing.assert_allclose(table, want, atol=1e-13)
 
     def test_single_harmonic(self):
-        grid = build_polar_grid(8, 16)
+        grid = PolarGrid(8, 16)
         table = feval_table(Signal(circle_points(16)), grid)
         nodes = grid.nodes()
         want = np.sqrt(1.0 - np.abs(nodes) ** 2) * nodes
         np.testing.assert_allclose(table, want, atol=1e-13)
 
     def test_matches_quadrature_oracle(self, rng):
-        grid = build_polar_grid(8, 32)
+        grid = PolarGrid(8, 32)
         f = random_smooth_signal(rng, 32)
         table = feval_table(f, grid)
         coeffs = spectrum(f).coeffs
@@ -118,7 +118,7 @@ class TestFevalTable:
 
     def test_kernel_identity(self, rng):
         # table entry at z equals sqrt(1-|z|^2) * f(z)
-        grid = build_polar_grid(6, 8)
+        grid = PolarGrid(6, 8)
         f = random_smooth_signal(rng, 32)
         table = feval_table(f, grid)
         nodes = grid.nodes()
@@ -130,7 +130,7 @@ class TestFevalTable:
     def test_coarse_angular_grid_subsamples(self, rng):
         # a 256-sample signal on a 64-angle grid folds the spectrum exactly
         f = random_smooth_signal(rng, 256)
-        grid = build_polar_grid(6, 64)
+        grid = PolarGrid(6, 64)
         table = feval_table(f, grid)
         nodes = grid.nodes()
         want = np.sqrt(1.0 - np.abs(nodes) ** 2) * eval_interior(f, nodes)
@@ -139,11 +139,11 @@ class TestFevalTable:
     def test_incompatible_angular_count_rejected(self, rng):
         f = random_smooth_signal(rng, 64)
         with pytest.raises(ValueError):
-            feval_table(f, build_polar_grid(6, 128))
+            feval_table(f, PolarGrid(6, 128))
 
     def test_rejects_non_signal_input(self):
         with pytest.raises(TypeError):
-            feval_table([1, 2, 3, 4], build_polar_grid(4, 4))
+            feval_table([1, 2, 3, 4], PolarGrid(4, 4))
 
     def test_reference_on_benchmark_grids(self, rng):
         # the search grids of the benchmark, a grid with angular = N (one
@@ -152,12 +152,12 @@ class TestFevalTable:
         phases = np.exp(2j * np.pi * rng.uniform(size=1024))
         tail = Spectrum(phases * 10.0 ** (-310.0 * k / 1023))
         cases = [
-            (builtin_signal("ex5_3", 1024), build_polar_grid(100, 128)),
-            (builtin_signal("ex5_5", 2048), build_polar_grid(100, 256)),
-            (builtin_signal("ex5_3", 1024), build_polar_grid(100, 256)),
-            (builtin_signal("ex5_5", 2048), build_polar_grid(100, 128)),
-            (builtin_signal("ex5_6", 1024), build_polar_grid(8, 1024)),
-            (tail, build_polar_grid(100, 128)),
+            (builtin_signal("ex5_3", 1024), PolarGrid(100, 128)),
+            (builtin_signal("ex5_5", 2048), PolarGrid(100, 256)),
+            (builtin_signal("ex5_3", 1024), PolarGrid(100, 256)),
+            (builtin_signal("ex5_5", 2048), PolarGrid(100, 128)),
+            (builtin_signal("ex5_6", 1024), PolarGrid(8, 1024)),
+            (tail, PolarGrid(100, 128)),
         ]
         first = []
         for f, grid in cases:
@@ -171,7 +171,7 @@ class TestFevalTable:
             np.testing.assert_array_equal(feval_table(f, grid), table)
         with pytest.raises(ValueError):
             first[0][0, 0] = 0.0
-        for ring_table in _ring_tables(build_polar_grid(100, 128), 1024):
+        for ring_table in _ring_tables(PolarGrid(100, 128), 1024):
             with pytest.raises(ValueError):
                 ring_table[0, 0] = 0.0
 
@@ -190,21 +190,21 @@ class TestRingBounds:
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         f = Spectrum(coeffs * decay ** np.arange(n_samples))
-        grid = build_polar_grid(radial, angular)
+        grid = PolarGrid(radial, angular)
         bounds = ring_bounds(f, grid)
         assert bounds.shape == (radial - 1,)
         assert np.all(np.abs(feval_table(f, grid)) <= bounds[:, None] * (1.0 + BOUND_SLACK))
 
     def test_bound_is_attained_by_a_single_harmonic(self):
         # for f = z^k every node of a ring has the same modulus, the bound
-        grid = build_polar_grid(8, 16)
+        grid = PolarGrid(8, 16)
         f = Spectrum(np.eye(16)[3])
         r = grid.radii
         np.testing.assert_allclose(ring_bounds(f, grid), np.sqrt(1 - r**2) * r**3, rtol=1e-14)
 
     def test_incompatible_angular_count_rejected(self, rng):
         with pytest.raises(ValueError):
-            ring_bounds(random_smooth_signal(rng, 64), build_polar_grid(6, 128))
+            ring_bounds(random_smooth_signal(rng, 64), PolarGrid(6, 128))
 
 
 class TestBandTable:
@@ -217,7 +217,7 @@ class TestBandTable:
         # bands that start or end inside a 16-ring block, span several
         # blocks, or end at the grid's last, partial block
         f = builtin_signal("ex5_3", 1024)
-        grid = build_polar_grid(radial, 128)
+        grid = PolarGrid(radial, 128)
         band = feval_table(f, grid.band(lo, hi))
         assert band.shape == (hi - lo, 128)
         np.testing.assert_array_equal(band, feval_table(f, grid)[lo:hi])
@@ -226,7 +226,7 @@ class TestBandTable:
 
     def test_band_of_all_rings_is_the_grid(self, rng):
         f = random_smooth_signal(rng, 256)
-        grid = build_polar_grid(40, 64)
+        grid = PolarGrid(40, 64)
         np.testing.assert_array_equal(
             feval_table(f, grid.band(0, 39)), feval_table(f, grid)
         )

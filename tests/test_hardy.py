@@ -14,15 +14,13 @@ from blaschke import (
     Signal,
     Spectrum,
     circle_points,
-    inner_product,
     norm_sq,
     project,
     spectrum,
     synthesize,
-    tm_basis,
 )
 import blaschke
-from blaschke import build_polar_grid, eval_interior, feval_table, ring_bounds
+from blaschke import PolarGrid, eval_interior, feval_table, ring_bounds
 from blaschke.cgd import CgdConfig, cgd_refine
 from blaschke.pipeline import (
     BUILTIN_FORMS,
@@ -40,9 +38,12 @@ from conftest import (
     REPEATED,
     band_limit,
     inverse_spectrum,
+    loop_columns,
     monomial_signal,
     quadrature_inner,
     random_smooth_signal,
+    sample_gram,
+    synthesized_columns,
     szego_kernel,
     szego_signal,
 )
@@ -101,27 +102,7 @@ class TestSpectrum:
 
 
 class TestInnerProduct:
-    def test_unit_constant(self):
-        one = Signal([1, 1, 1, 1])
-        assert inner_product(one, one) == pytest.approx(1.0)
-
-    def test_harmonic_orthogonality(self):
-        assert abs(inner_product(monomial_signal(2, 16), monomial_signal(5, 16))) < 1e-14
-
-    def test_kernel_normalization(self):
-        e = szego_signal(0.5, 1024)
-        assert inner_product(e, e) == pytest.approx(1.0, abs=1e-10)
-        # independent sample-domain quadrature oracle
-        assert quadrature_inner(e, e) == pytest.approx(1.0, abs=1e-10)
-
-    def test_spectral_matches_sample_quadrature(self, rng):
-        f = random_smooth_signal(rng, 64)
-        g = random_smooth_signal(rng, 64)
-        assert inner_product(f, g) == pytest.approx(quadrature_inner(f, g), abs=1e-12)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            inner_product(Signal([1, 1]), Signal([1, 1, 1, 1]))
+    """The discrete inner product, the sample mean that `norm_sq` takes."""
 
     def test_parseval(self, rng):
         f = random_smooth_signal(rng, 128)
@@ -149,30 +130,23 @@ class TestSzegoKernel:
 
 
 class TestTmBasis:
+    """The TM columns that `synthesize` sums, each as the form with one unit coefficient."""
+
     def test_first_element_is_kernel(self):
         tup = PoleTuple([0.3, -0.4j])
-        z = circle_points(64)
-        np.testing.assert_allclose(tm_basis(tup, 1, z), szego_kernel(0.3, z))
+        got = synthesized_columns(tup, 64)[0]
+        np.testing.assert_allclose(got, szego_kernel(0.3, circle_points(64)))
 
     def test_center_tuple_constant(self):
         tup = PoleTuple([0.0])
-        np.testing.assert_allclose(tm_basis(tup, 1, circle_points(8)), np.ones(8))
+        np.testing.assert_allclose(synthesized_columns(tup, 8)[0], np.ones(8))
 
     def test_orthogonality(self):
-        z = circle_points(1024)
         # the second tuple repeats a pole, which the running product allows
         for poles in ([0.3, -0.4j], [0.5, 0.5, 0.2j, 0.5]):
             tup = PoleTuple(poles)
-            basis = [Signal(tm_basis(tup, k, z)) for k in range(1, tup.degree + 1)]
-            gram = np.array([[inner_product(b, c) for c in basis] for b in basis])
+            gram = sample_gram(synthesized_columns(tup, 1024))
             assert np.max(np.abs(gram - np.eye(tup.degree))) < 1e-10
-
-    def test_index_out_of_range(self):
-        tup = PoleTuple([0.3])
-        with pytest.raises(IndexError):
-            tm_basis(tup, 2, circle_points(8))
-        with pytest.raises(IndexError):
-            tm_basis(tup, 0, circle_points(8))
 
 
 class TestValueTypes:
@@ -232,8 +206,8 @@ class TestNoStateOnSignal:
     @pytest.mark.parametrize("call", [
         spectrum,
         lambda f: project(f, PoleTuple([0.3, -0.5j])),
-        lambda f: feval_table(f, build_polar_grid(4, 8)),
-        lambda f: ring_bounds(f, build_polar_grid(4, 8)),
+        lambda f: feval_table(f, PolarGrid(4, 8)),
+        lambda f: ring_bounds(f, PolarGrid(4, 8)),
         lambda f: eval_interior(f, 0.5j),
         lambda f: energy(f, PoleTuple([0.3, -0.5j])),
         lambda f: error_energy(f, PoleTuple([0.3, -0.5j])),
@@ -294,7 +268,7 @@ class TestPoleTupleValidation:
 class TestProject:
     def test_basis_element_projection(self):
         tup = PoleTuple([0.3])
-        f = Signal(tm_basis(tup, 1, circle_points(1024)))
+        f = szego_signal(0.3, 1024)
         model = project(f, tup)
         np.testing.assert_allclose(model.coeffs, [1.0], atol=1e-10)
         assert model.residual_error < 1e-10
@@ -347,11 +321,9 @@ class TestProject:
 
 class TestReproducingProperty:
     def test_kernel_inner_product_evaluates(self, rng):
-        from blaschke import eval_interior
-
         f = random_smooth_signal(rng, 256)
         for a in (0.5, -0.3 + 0.4j, 0.0, 0.7j):
-            got = inner_product(f, szego_signal(a, 256))
+            got = quadrature_inner(f, szego_signal(a, 256))
             want = np.sqrt(1.0 - abs(a) ** 2) * eval_interior(f, a)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -414,17 +386,6 @@ class TestSynthesize:
     def test_non_finite_values_rejected(self, coeffs, residual):
         with pytest.raises(ValueError, match="finite"):
             BlaschkeModel(PoleTuple([0.1]), coeffs, residual_error=residual)
-
-
-def loop_columns(poles, n_samples):
-    """B_1, ..., B_n at the N circle points by the running product, as a list."""
-    z = circle_points(n_samples)
-    product, columns = np.ones_like(z), []
-    for a in poles:
-        d = product / (1.0 - np.conj(a) * z)
-        columns.append(np.sqrt(1.0 - abs(a) ** 2) * d)
-        product = d * (z - a)
-    return columns
 
 
 def loop_project(f, tup):
@@ -520,7 +481,6 @@ class TestBandLimit:
 class TestOrthonormalitySample:
     def test_random_tuples(self, rng):
         # small version; the full 50-tuple sweep runs in the acceptance suite
-        z = circle_points(1024)
         for _ in range(5):
             n = int(rng.integers(1, 7))
             poles = []
@@ -528,9 +488,5 @@ class TestOrthonormalitySample:
                 w = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.9, 0.9)
                 if abs(w) <= 0.9 and all(abs(w - p) > 1e-6 for p in poles):
                     poles.append(w)
-            tup = PoleTuple(poles)
-            basis = [Signal(tm_basis(tup, k, z)) for k in range(1, n + 1)]
-            for j in range(n):
-                for k in range(n):
-                    got = inner_product(basis[j], basis[k])
-                    assert abs(got - (1.0 if j == k else 0.0)) <= 1e-8
+            gram = sample_gram(synthesized_columns(PoleTuple(poles), 1024))
+            assert np.max(np.abs(gram - np.eye(n))) <= 1e-8

@@ -21,7 +21,6 @@ from blaschke import (
     project,
     reduction,
     synthesize,
-    tm_basis,
 )
 from blaschke.cgd import CgdConfig, CgdStatus, cgd_refine
 from blaschke.hardy import draw_separated
@@ -43,7 +42,7 @@ from blaschke.pipeline import (
 )
 from blaschke.search import RectGridConfig, SearchConfig, its_search
 
-from conftest import CLUSTER, band_limit, brute_tuple_distance, fix_search_tuple
+from conftest import CLUSTER, band_limit, brute_tuple_distance, fix_search_tuple, loop_columns
 
 
 SMALL_RUN = RunConfig(
@@ -225,11 +224,7 @@ class TestBuiltinTargets:
     def test_form_synthesis_matches_direct_sum(self):
         poles, coeffs = BUILTIN_FORMS["ex5_5"]
         f = builtin_signal("ex5_5", 256)
-        tup = PoleTuple(poles)
-        z = circle_points(256)
-        want = sum(
-            c * tm_basis(tup, k + 1, z) for k, c in enumerate(coeffs)
-        )
+        want = sum(c * b for c, b in zip(coeffs, loop_columns(poles, 256)))
         np.testing.assert_allclose(f.samples, want, atol=1e-13)
 
     def test_unknown_name(self):
@@ -510,6 +505,23 @@ class TestWorkingResolution:
         assert rect_cafd(f, 1, RectGridConfig(gap=0.05)).working_samples is None
 
 
+@pytest.mark.parametrize("name", ["ex5_3", "ex5_4", "ex5_5", "ex5_6"])
+def test_rotation_equivariance(name):
+    # the north star's rotation f(wz), w = exp(2 pi i k / A), on the whole
+    # pipeline: A = 128 is the search grid's angular count, so w maps nodes
+    # onto nodes, and the run on f(wz), the samples rolled by (N / A) k, is
+    # the base run with every pole turned by conj(w)
+    f, _, cfg = _form_run(name)
+    base = cafd_cgd_result(f, cfg)
+    for k in (1, 5, 32):
+        run = cafd_cgd_result(Signal(np.roll(f.samples, -(1024 // 128) * k)), cfg)
+        turned = PoleTuple(base.model.tuple.poles * np.exp(-2j * np.pi * k / 128))
+        assert tuple_distance(run.model.tuple, turned) <= 1e-14
+        assert run.cgd_report.iterations == base.cgd_report.iterations
+        assert run.cgd_report.status == base.cgd_report.status
+        assert abs(run.l2_relative_error - base.l2_relative_error) <= 1e-13
+
+
 class TestRunBenchmark:
     def test_empty_descriptor(self):
         assert run_benchmark({"targets": []}) == []
@@ -606,6 +618,10 @@ class TestRunBenchmark:
         ({"targets": [{"name": "ex5_5"}], "n_samples": 64, "angular": 128}, ValueError),
         ({"targets": [{"name": "ex5_5"}], "seed": -1}, ValueError),
         ({"targets": [{"name": "ex5_1_f1"}, {"name": "ex5_5"}], "n_samples": -4}, ValueError),
+        # a misspelled field, which would otherwise run its default
+        ({"targets": [{"name": "ex5_3"}, {"name": "ex5_5", "degre": 3}]}, ValueError),
+        ({"targets": [{"name": "ex5_5"}], "algorithm": ["rect_cafd"]}, ValueError),
+        ({"targets": [{"name": "ex5_5"}], "samples": 256}, ValueError),
     ])
     def test_bad_entry_fails_before_any_case(self, monkeypatch, descriptor, error):
         import blaschke.pipeline as pipeline

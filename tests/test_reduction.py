@@ -11,7 +11,6 @@ from blaschke import (
     Signal,
     circle_points,
     eval_interior,
-    inner_product,
     norm_sq,
     project,
     spectrum,
@@ -33,7 +32,7 @@ from blaschke.reduction import (
     series_value,
 )
 
-from conftest import monomial_signal, random_smooth_signal, szego_signal
+from conftest import monomial_signal, quadrature_inner, random_smooth_signal, szego_signal
 
 
 def random_tuple(rng, n, radius=0.8, gap=0.05):
@@ -130,7 +129,7 @@ class TestKernelCoefficient:
     def test_matches_inner_product(self, rng):
         f = random_smooth_signal(rng, 256)
         for a in (0.5, -0.3 + 0.4j, 0.0, 0.85j):
-            want = inner_product(f, szego_signal(a, 256))
+            want = quadrature_inner(f, szego_signal(a, 256))
             assert kernel_coefficient(f, a) == pytest.approx(want, abs=1e-13)
 
     def test_series_value_matches_direct_series(self, rng):
@@ -422,7 +421,7 @@ class TestReductionTrail:
         a = 0.98 * np.exp(0.7j)
         e_a = szego_signal(a, 1024)
         z = circle_points(1024)
-        resid = f.samples - inner_product(f, e_a) * e_a.samples
+        resid = f.samples - quadrature_inner(f, e_a) * e_a.samples
         want = resid * (1.0 - np.conj(a) * z) / (z - a)
         np.testing.assert_allclose(step(f, a).samples, want, rtol=0, atol=1e-12)
 

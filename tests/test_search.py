@@ -8,9 +8,9 @@ import blaschke.reduction
 import blaschke.search
 from blaschke import (
     BlaschkeModel,
+    PolarGrid,
     PoleTuple,
     Signal,
-    build_polar_grid,
     circle_points,
     feval_table,
     norm_sq,
@@ -310,7 +310,7 @@ class TestRingBand:
 
 class TestItsSearch:
     def test_kernel_on_grid_node_recovered_exactly(self):
-        grid = build_polar_grid(10, 64)
+        grid = PolarGrid(10, 64)
         b = grid.nodes()[4, 7]  # radius 0.5, angle 2*pi*8/64
         f = szego_signal(b, 64)
         tup = its_search(f, 1, SearchConfig(radial=10, angular=64))
@@ -345,7 +345,7 @@ class TestItsSearch:
         cfg = SearchConfig(radial=20, angular=64)
         tup = its_search(f, 2, cfg)
         base = energy(f, tup)
-        grid = build_polar_grid(cfg.radial, cfg.angular)
+        grid = PolarGrid(cfg.radial, cfg.angular)
         nodes = grid.nodes().ravel()
         sample = nodes[:: 37]  # spot-check a spread of candidate nodes
         for z in sample:
