@@ -1,8 +1,8 @@
 """Best n-Blaschke-form approximation in the Hardy space H^2 on the unit disk.
 
 Two-stage pipeline: a cyclic coordinate search over a polar grid (with
-FFT-shared kernel inner products) seeds a quasi-Newton ascent on the
-energy, which refines the pole tuple off the grid.
+FFT-shared kernel inner products) seeds a Levenberg-Marquardt refinement
+of the reduction remainder, which moves the pole tuple off the grid.
 """
 
 from .cgd import CgdConfig, CgdReport, CgdStatus, cgd_refine

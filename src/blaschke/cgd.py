@@ -1,31 +1,35 @@
-"""Quasi-Newton ascent on the energy with backtracking line search.
+"""Levenberg-Marquardt refinement of the pole tuple on the reduction remainder.
 
-Each outer iteration steps a <- a + s * p.  The direction is p = H g on the
-real vector [Re g; Im g] in R^2n, with g = gradE and H a BFGS estimate of
-the inverse Hessian of the squared error A (Nocedal & Wright, ch. 6).
-H starts at the identity, so the first step is the paper's steepest-ascent
-step p = gradE.  After each accepted step the pair s_k = s p,
-y_k = g_k - g_(k+1) updates H.  The update is skipped when
-s_k . y_k <= 0.  H is reset to the identity when p is not an ascent
-direction, Re<g, p> <= 0.  The first update from the identity, at the
-start or after a reset, first scales it to (s_k . y_k / y_k . y_k) I
-(N&W eq. 6.20).
+The squared error A = ||f||^2 - E = mean|f_n|^2 is a separable least-squares
+residual, and the final remainder f_n of the reduction is its variable-
+projection residual (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973; RKFIT,
+Berljafa & Guettel, SIAM J. Sci. Comput. 39, 2017).  Each iteration takes a
+Levenberg-Marquardt step (Nocedal & Wright, ch. 10) on the real vector
+[Re a; Im a] in R^2n: with J the closed-form Jacobian of f_n
+(`reduction.remainder_jacobian`) and the Gauss-Newton matrix
+G = Re(conj(J) J^T)/N, the step solves (G + mu S) d = [Re g; Im g], where
+g = gradE (`energy_gradient`) and [Re g; Im g] = -Re(conj(J) f_n)/N.  S is
+diagonal and gives each pole one entry on Re and Im, the mean of its two
+entries of diag(G): Marquardt's plain diag(G) is not invariant under
+turning the poles, and this is, so the step turns with a rotated or
+conjugated signal.  The step is
+capped so that no pole moves farther than TRUST_RADIUS.
 
-The trial step starts at s = min(TRUST_RADIUS/max|p|, 1), so no pole moves
-farther than the trust radius.  Backtracking shrinks s by BACKTRACK_FACTOR
-while the sufficient-increase test E(a + s*p) >= E(a) + (s/2)*Re<g, p>
-fails, or, without evaluating E, while a trial pole lies outside the disk
-|a| <= 1 - BOUNDARY_MARGIN: the one rule that keeps the iterates inside.
-Poles may merge: a PoleTuple admits repeated poles, so a step inside the
-margin always makes one.  The refinement stops once |g|^2 <= GRAD_TOL.  The
-gradient at the accepted point is computed once and serves both the update
-and the next direction.
+A trial is accepted when A(c) <= A(a) - pred/4, with pred the decrease of
+A the Gauss-Newton model predicts for the capped step.  Each call starts at
+mu = INITIAL_DAMPING; a rejected trial raises mu by DAMPING_RAISE and is
+solved again, an accepted step lowers it by DAMPING_LOWER down to
+MIN_DAMPING.  A trial with a pole outside the disk |a| <= 1 - BOUNDARY_MARGIN
+is rejected without evaluating A there: the one rule that keeps the
+iterates inside.  After MAX_BACKTRACKS rejected trials in a row the
+refinement stops with LINE_SEARCH_STALL, the damping cap.  Poles may
+merge, or split when they start stacked: a PoleTuple admits repeated
+poles.  The refinement stops once |g|^2 <= GRAD_TOL.  The gradient and the
+Jacobian at an accepted point are read off the chain its energy ran.
 
-The sufficient-increase test is evaluated on the squared error
-A = ||f||^2 - E rather than on E itself: A telescopes to the norm of the
-final reduction remainder, which stays well conditioned near an exact
-recovery where increments of E fall below the round-off resolution of
-||f||^2.
+The test is made on A rather than on E: A is the norm of the final
+remainder, which stays well conditioned near an exact recovery where
+increments of E fall below the round-off resolution of ||f||^2.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .hardy import PoleTuple, norm_sq
-from .reduction import Objective, energy_gradient, error_energy
+from .reduction import Objective, energy_gradient, error_energy, remainder_jacobian
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 
@@ -42,11 +46,19 @@ __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 # the boundary
 BOUNDARY_MARGIN = 1e-9
 
-# step halvings a line search tries before it reports a stall
+# trials, each with a damping DAMPING_RAISE times the last, before a stall
 MAX_BACKTRACKS = 60
 
-# the factor each backtrack shrinks the trial step by
-BACKTRACK_FACTOR = 0.5
+# the damping of each call's first trial, relative to the Gauss-Newton diagonal
+INITIAL_DAMPING = 1e-3
+
+# the factor a rejected trial raises the damping by
+DAMPING_RAISE = 10.0
+
+# the factor an accepted step lowers the damping by, down to MIN_DAMPING; faster
+# than the raise, so the steps near a recovery become Gauss-Newton steps
+DAMPING_LOWER = 100.0
+MIN_DAMPING = 1e-15
 
 # the farthest any one pole moves in a step
 TRUST_RADIUS = 0.05
@@ -82,22 +94,17 @@ class CgdReport:
 def _candidate(poles):
     """The PoleTuple of a trial point, or None if a pole has |a| > 1 - BOUNDARY_MARGIN.
 
-    The line search's one boundary rule: the search halves a rejected trial
-    without evaluating the energy there.  Inside the margin `PoleTuple`
-    cannot fail: it admits repeated poles.
+    The refinement's one boundary rule: a trial outside is rejected without
+    evaluating the energy there.  Inside the margin `PoleTuple` cannot fail:
+    it admits repeated poles.
     """
     if not (np.abs(poles) <= 1.0 - BOUNDARY_MARGIN).all():
         return None
     return PoleTuple(poles)
 
 
-def _real(z):
-    """Complex vector in C^n as [Re z; Im z] in R^2n."""
-    return np.concatenate([z.real, z.imag])
-
-
 def cgd_refine(f, start, cfg=CgdConfig()):
-    """Refine the PoleTuple `start` by quasi-Newton ascent on the energy of f."""
+    """Refine the PoleTuple `start` by Levenberg-Marquardt on the remainder of f."""
     tup, state = start, Objective(f)
     n = tup.degree
     err_curr = error_energy(state, tup)
@@ -105,8 +112,7 @@ def cgd_refine(f, start, cfg=CgdConfig()):
     total = norm_sq(f)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
-    # inverse-Hessian estimate on [Re; Im]; None stands for H = I
-    h = None
+    damping = INITIAL_DAMPING
     for iterations in range(cfg.max_iters + 1):
         gnorm_sq = float(np.sum(np.abs(g) ** 2))
         if gnorm_sq <= GRAD_TOL:
@@ -115,37 +121,31 @@ def cgd_refine(f, start, cfg=CgdConfig()):
         if iterations == cfg.max_iters:
             status = CgdStatus.ITERATION_CAP
             break
-        if h is not None:
-            hg = h @ _real(g)
-            p = hg[:n] + 1j * hg[n:]
-            slope = float(np.real(np.vdot(g, p)))
-            if slope <= 0.0:
-                h = None
-        if h is None:
-            p, slope = g, gnorm_sq
-        s = min(TRUST_RADIUS / np.max(np.abs(p)), 1.0)
+        jac = remainder_jacobian(state, tup)
+        # J'J of the real residual [Re f_n; Im f_n] on [Re a; Im a]; J'f_n = -[Re g; Im g]
+        gram = np.real(np.conj(jac) @ jac.T) / jac.shape[1]
+        ascent = np.concatenate([g.real, g.imag])
+        diag = np.diagonal(gram)
+        # one scale per pole, the same on Re and Im, keeps the step rotation-equivariant
+        scale = np.tile(0.5 * (diag[:n] + diag[n:]), 2)
         for _ in range(MAX_BACKTRACKS):
-            cand = _candidate(tup.poles + s * p)
+            step = np.linalg.solve(gram + damping * np.diag(scale), ascent)
+            move = step[:n] + 1j * step[n:]
+            cap = min(TRUST_RADIUS / np.max(np.abs(move)), 1.0)
+            step *= cap
+            # the decrease of A the Gauss-Newton model predicts; >= 0 up to round-off
+            predicted = max(2.0 * ascent @ step - step @ gram @ step, 0.0)
+            cand = _candidate(tup.poles + cap * move)
             if cand is not None:
                 err_cand = error_energy(state, cand)
-                # E(c) >= E(a) + (s/2) Re<g, p>, written in terms of A
-                if err_cand <= err_curr - 0.5 * s * slope:
+                if err_cand <= err_curr - 0.25 * predicted:
                     break
-            s *= BACKTRACK_FACTOR
+            damping *= DAMPING_RAISE
         else:
             status = CgdStatus.LINE_SEARCH_STALL
             break
-        g_next = energy_gradient(state, cand)
-        # g is the ascent direction, so the curvature pair of A is (s p, g - g_next)
-        sk, yk = _real(s * p), _real(g - g_next)
-        sy = sk @ yk
-        if sy > 0.0:
-            if h is None:
-                h = (sy / (yk @ yk)) * np.eye(2 * n)
-            # N&W (6.17): H <- (I - rho s y') H (I - rho y s') + rho s s'
-            hy = h @ yk
-            h += (np.outer(sk, sk) * (sy + yk @ hy) / sy
-                  - np.outer(sk, hy) - np.outer(hy, sk)) / sy
-        tup, err_curr, g = cand, err_cand, g_next
+        damping = max(damping / DAMPING_LOWER, MIN_DAMPING)
+        tup, err_curr = cand, err_cand
+        g = energy_gradient(state, tup)
         trace.append(total - err_curr)
     return CgdReport(tup, iterations, gnorm_sq, trace, status)

@@ -2,8 +2,8 @@
 
 Signals travel as CSV (columns index,re,im), models as JSON with full
 double precision.  Exit codes: 0 success, 2 validation error, 3 search
-non-convergence, 4 line-search stall, 5 iteration cap (for 4 and 5 the model
-is still written).
+non-convergence, 4 line-search stall (the refinement's damping cap: every
+trial rejected), 5 iteration cap (for 4 and 5 the model is still written).
 """
 
 import csv

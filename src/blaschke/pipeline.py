@@ -306,8 +306,9 @@ def cafd_cgd_result(f, cfg, truth=None):
 
     The search and the projection run at the signal's N samples, the
     refinement at the working resolution and then at N (`_refine`).  A
-    line-search stall in the refinement is not an error: the reported tuple
-    (at worst the search tuple itself) is projected and returned.
+    line-search stall in the refinement (its damping cap) is not an error:
+    the reported tuple (at worst the search tuple itself) is projected and
+    returned.
     """
     total = _checked_norm_sq(f, truth, cfg.degree)
     start_time = time.perf_counter()

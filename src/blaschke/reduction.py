@@ -1,4 +1,4 @@
-"""Reduced remainders, the energy function, and its complex gradient.
+"""Reduced remainders, the energy, its complex gradient and the remainder's Jacobian.
 
 Each reduction step extracts the e_a component from the current remainder
 and divides out the Moebius factor (z - a)/(1 - conj(a) z); on the circle
@@ -9,13 +9,15 @@ remainder does not depend on the order of the poles, so d(-E)/da_l has the
 closed form -conj(g_l) f_n(a_l), with g_l = mean(f conj(B) z/(1 - conj(a_l) z))
 over the circle, B being the tuple's Blaschke product.  `energy_gradient`
 returns the ascent direction gradE_l = -conj(d(-E)/da_l) = g_l conj(f_n(a_l))
-as a plain complex array, the step direction of the refinement a <- a + s gradE.
+as a plain complex array.  The same order independence gives the
+derivatives of f_n by each pole in closed form (`remainder_jacobian`), the
+Jacobian of the refinement's least-squares residual.
 
-The kernel works on raw sample arrays; only `energy`, `error_energy` and
-`energy_gradient` take a `Signal` (or its `Objective`) and a `PoleTuple`,
-whose poles they do not test again.  The raw-array entry points
-`reduce_chain` (when it builds its own rows) and `series_value` test theirs
-with `hardy.disk_points`.  There is one reduction loop, `reduce_chain`,
+The kernel works on raw sample arrays; only `energy`, `error_energy`,
+`energy_gradient` and `remainder_jacobian` take a `Signal` (or its
+`Objective`) and a `PoleTuple`, whose poles they do not test again.  The
+raw-array entry points `reduce_chain` (when it builds its own rows) and
+`series_value` test theirs with `hardy.disk_points`.  There is one reduction loop, `reduce_chain`,
 and its one result is the final remainder.  A stage makes no division: each pole
 has one row set at the sample points (`pole_rows`), w = 1/(z - a), z w and
 the Moebius row (1 - conj(a) z) w = w - conj(a) z w, built by one broadcast
@@ -37,10 +39,10 @@ and the gradient's means over all 2N points the whole row, since there
 1/(1 - conj(a) z) = conj(z w).  The rows and the remainder of the last
 tuple evaluated, and the gradient's f z at the 2N points, are kept in an
 `Objective`, which `cgd_refine` builds once per call, so within that call
-`energy_gradient` at a tuple that `error_energy` just evaluated runs no
-second chain.  A `Signal` passed in gets a fresh one, and nothing is
-stored on it.  E has one definition, ||f||^2 - A, which `energy` returns
-and the refinement's energy trace records.
+`energy_gradient` and `remainder_jacobian` at a tuple that `error_energy`
+just evaluated run no second chain.  A `Signal` passed in gets a fresh
+one, and nothing is stored on it.  E has one definition, ||f||^2 - A,
+which `energy` returns and the refinement's energy trace records.
 """
 
 from functools import cached_property, lru_cache
@@ -59,6 +61,7 @@ __all__ = [
     "energy",
     "error_energy",
     "energy_gradient",
+    "remainder_jacobian",
 ]
 
 
@@ -223,6 +226,19 @@ def error_energy(f, tup):
     return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
+def _pole_means(state, rows):
+    """g_l = h_l(a_l) per pole, h_l being f reduced through every pole but a_l.
+
+    g_l is the mean of f z conj(B)/(1 - conj(a_l) z) over the 2N points, B the
+    tuple's Blaschke product: conj(B) there is the product of the Moebius rows
+    (1 - conj(a_j) z) w_j, and 1/(1 - conj(a_l) z) = conj(z w_l), so the n
+    means are one matrix-vector product with the z w rows.  They alias at
+    max|a|^(2N), not max|a|^N.
+    """
+    weight = state.fine_times_z * np.prod(rows[:, 2], axis=0)
+    return np.conj(rows[:, 1] @ np.conj(weight)) / weight.size
+
+
 def energy_gradient(f, tup):
     """gradE_l = -conj(d(-E)/da_l) = conj(conj(g_l) f_n(a_l)) per pole, as an array.
 
@@ -232,23 +248,52 @@ def energy_gradient(f, tup):
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
-    reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) the inner product of
-    f with the kernel times B/M_l.  The means for g_l run on 2N points, where
-    conj(B) = prod (1 - conj(a_j) z) w_j aliases at max|a|^(2N), not
-    max|a|^N.  Everything is read off the tuple's row sets and remainder in
-    the Objective, the ones `error_energy` also uses: conj(B) is the product
-    of the Moebius rows (1 - conj(a_j) z) w_j at the 2N points, and since
-    1/(1 - conj(a_l) z) = conj(z w_l) there, the n means g_l are one
-    matrix-vector product with the z w rows and the n values f_n(a_l)
-    (`pole_values`) another with their N-point halves.  Per call that is the
-    product conj(B) and the two matrix-vector products, with no division
-    and, at a tuple already evaluated, no second chain.
+    reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) (`_pole_means`) the
+    inner product of f with the kernel times B/M_l.  Everything is read off
+    the tuple's row sets and remainder in the Objective, the ones
+    `error_energy` also uses, and the n values f_n(a_l) (`pole_values`) are
+    one matrix-vector product with the N-point halves of the z w rows.  Per
+    call that is the product conj(B) and two matrix-vector products, with
+    no division and, at a tuple already evaluated, no second chain.
     """
     poles, state = tup.poles, _objective(f)
     rows, rest = state.evaluate(poles)
-    n = state.signal.n_samples
-    zw = rows[:, 1]
-    weight = state.fine_times_z * np.prod(rows[:, 2], axis=0)
-    # conj(g_l) = mean(conj(weight) z w_l) over the 2N points
-    conj_g = zw @ np.conj(weight) / (2 * n)
-    return _finite(np.conj(conj_g * pole_values(rest, poles, zw[:, :n])), "gradient")
+    zw = rows[:, 1, :rest.size]
+    g = _pole_means(state, rows)
+    return _finite(g * np.conj(pole_values(rest, poles, zw)), "gradient")
+
+
+def remainder_jacobian(f, tup):
+    """The derivatives of the final remainder f_n by each pole's Re and Im, 2n x N.
+
+    Row l is d f_n/d Re a_l and row n + l is d f_n/d Im a_l, at the N sample
+    points.  The remainder does not depend on the order of the poles (up to
+    the O(max|a|^N) aliasing of the sampled kernel), so each a_l may be taken
+    last: f_n = h_l (1 - conj(a_l) z) w_l - c_l w_l, with h_l f reduced
+    through the other poles, c_l = s_l m_l, s_l = 1 - |a_l|^2 and
+    m_l = mean(h_l z w_l) = g_l/(1 - a_l^N) (`_pole_means`).  Inverting that
+    stage on the circle gives h_l = (f_n (z - a_l) + c_l) conj(z w_l), and
+    with m2_l = mean(z w_l^2 h_l) the Wirtinger derivatives are
+
+        d f_n/d a_l       = h_l (1 - conj(a_l) z) w_l - (s_l m2_l - conj(a_l) m_l) w_l - c_l w_l^2
+        d f_n/d conj(a_l) = a_l m_l w_l - h_l z w_l,
+
+    so d/d Re = d/da + d/dconj(a) and d/d Im = i (d/da - d/dconj(a)).  All
+    of it is read off the Objective's row sets and remainder: at a tuple
+    already evaluated it runs no chain.  Re(conj(J) f_n)/N, half the
+    gradient of A = mean|f_n|^2 on [Re a; Im a], is then -[Re gradE; Im gradE]
+    (`energy_gradient`).
+    """
+    poles, state = tup.poles, _objective(f)
+    rows, rest = state.evaluate(poles)
+    n = rest.size
+    w, zw, moebius = (rows[:, k, :n] for k in range(3))
+    z = _doubled_points(n)[:n]
+    s = 1.0 - np.abs(poles) ** 2
+    m = _pole_means(state, rows) / (1.0 - poles**n)
+    c = s * m
+    h = (rest * z - poles[:, None] * rest + c[:, None]) * np.conj(zw)
+    m2 = np.sum(zw * w * h, axis=1) / n
+    d_a = (h * moebius - c[:, None] * w - (s * m2 - np.conj(poles) * m)[:, None]) * w
+    d_conj = (poles * m)[:, None] * w - h * zw
+    return _finite(np.concatenate([d_a + d_conj, 1j * (d_a - d_conj)]), "jacobian")

@@ -10,11 +10,12 @@ there when the energy gain |<f_n, e_z>|^2 - |<f_n, e_a>|^2 exceeds
 eta = ETA_REL * ||f||^2 (so the search is invariant under f -> lambda f).
 A node is a candidate only when no other pole sits on it; a scan with no
 candidate makes no move.  A PoleTuple admits repeated poles, but the search
-keeps this rule of its own: stacked poles get identical gradient entries,
-so the refinement's BFGS, started from the identity, moves them together
-and never splits them.  Every pole the search places is a node of its own
-grid, and a start pole that is not a node equals none, so exact equality
-is the test.
+keeps this rule of its own, so it hands the refinement distinct poles.
+Stacked poles get identical gradient entries and Jacobian rows; the
+refinement splits them only through the round-off of its Gauss-Newton
+solve, which the falling damping amplifies.  Every pole the search places
+is a node of its own grid, and a start pole that is not a node equals
+none, so exact equality is the test.
 
 The polar search starts from a deterministic tuple and draws no random
 number.  A Blaschke form of degree n is a rational function whose Taylor

@@ -1,15 +1,23 @@
-"""Quasi-Newton ascent refinement with backtracking line search."""
+"""Levenberg-Marquardt refinement on the reduction remainder."""
 
 import numpy as np
 import pytest
 
 import blaschke.cgd
-from blaschke import BlaschkeModel, PoleTuple, reduction, synthesize, tuple_distance
+from blaschke import (
+    BlaschkeModel,
+    PoleTuple,
+    Signal,
+    pipeline,
+    reduction,
+    synthesize,
+    tuple_distance,
+)
 from blaschke.cgd import CgdConfig, CgdStatus, _candidate, cgd_refine
 from blaschke.pipeline import RunConfig, builtin_signal, builtin_truth, cafd_cgd_result
-from blaschke.reduction import energy_gradient, error_energy
+from blaschke.reduction import energy_gradient, remainder_jacobian
 
-from conftest import fix_search_tuple, monomial_signal, szego_signal
+from conftest import SEARCH_TUPLES, monomial_signal, szego_signal
 
 
 def well_separated_form(n, seed, radius=0.85, gap=0.15):
@@ -27,18 +35,21 @@ def well_separated_form(n, seed, radius=0.85, gap=0.15):
     return PoleTuple(poles), coeffs
 
 
-def paper_step(f, poles):
-    """One step of the paper's steepest ascent: a + s*grad E, backtracked."""
-    g = energy_gradient(f, PoleTuple(poles))
-    gnorm_sq = float(np.sum(np.abs(g) ** 2))
-    err = error_energy(f, PoleTuple(poles))
-    s = min(blaschke.cgd.TRUST_RADIUS / np.max(np.abs(g)), 1.0)
-    while True:
-        cand = poles + s * g
-        tup = _candidate(cand)
-        if tup is not None and error_energy(f, tup) <= err - 0.5 * s * gnorm_sq:
-            return cand
-        s *= blaschke.cgd.BACKTRACK_FACTOR
+def damped_step(f, poles, damping):
+    """The capped solution of (J'J + damping S) d = [Re gradE; Im gradE] at these poles.
+
+    J'J is the Gauss-Newton matrix of the real residual [Re f_n; Im f_n] on
+    [Re a; Im a], and S gives each pole the mean of its two diagonal entries.
+    """
+    tup = PoleTuple(poles)
+    jac = remainder_jacobian(f, tup)
+    gram = np.real(np.conj(jac) @ jac.T) / jac.shape[1]
+    g = energy_gradient(f, tup)
+    per_pole = np.diagonal(gram).reshape(2, -1).mean(axis=0)
+    d = np.linalg.solve(gram + damping * np.diag(np.concatenate([per_pole, per_pole])),
+                        np.concatenate([g.real, g.imag]))
+    move = d[:poles.size] + 1j * d[poles.size:]
+    return move * min(1.0, blaschke.cgd.TRUST_RADIUS / np.max(np.abs(move)))
 
 
 class TestConfigValidation:
@@ -83,10 +94,10 @@ class TestCgdRefine:
             step = np.max(np.abs(report.tuple.poles - np.atleast_1d(start)))
             assert step <= blaschke.cgd.TRUST_RADIUS + 1e-15
 
-    def test_first_step_is_steepest_ascent(self):
-        # the inverse-Hessian estimate starts at the identity; near the
-        # optimum (second case) the unit cap on s binds, so a scaled
-        # H0 would move the result
+    def test_first_step_solves_the_damped_system(self):
+        # the first trial is the Levenberg-Marquardt step at INITIAL_DAMPING;
+        # far from the optimum (first case) the trust radius caps it, near it
+        # (second case) it does not
         truth, coeffs = well_separated_form(3, 11)
         cases = [
             (monomial_signal(1, 256), np.array([0.2 + 0j])),
@@ -95,12 +106,15 @@ class TestCgdRefine:
             (synthesize(BlaschkeModel(truth, coeffs), 256), truth.poles + 0.05),
         ]
         cfg = CgdConfig(max_iters=1)
+        moved = []
         for f, start in cases:
             report = cgd_refine(f, PoleTuple(start), cfg)
             assert report.iterations == 1
-            np.testing.assert_array_equal(
-                report.tuple.poles, paper_step(f, start)
-            )
+            want = damped_step(f, start, blaschke.cgd.INITIAL_DAMPING)
+            np.testing.assert_allclose(report.tuple.poles - start, want, rtol=0, atol=1e-15)
+            moved.append(np.max(np.abs(want)))
+        assert moved[0] == pytest.approx(blaschke.cgd.TRUST_RADIUS, rel=1e-15)
+        assert moved[1] < blaschke.cgd.TRUST_RADIUS
 
     def test_iteration_cap_status(self):
         report = cgd_refine(
@@ -129,10 +143,11 @@ class TestCgdRefine:
             assert report.final_gradient_norm_sq <= 1e-18
 
     def test_trial_outside_the_margin_is_rejected_unevaluated(self, monkeypatch):
-        # from ex5_4's search tuple one trial step crosses the unit circle
-        # (the true pole at |a| = 0.984); the margin test must turn it down
-        # before the energy is evaluated there, and the halved step must
-        # still converge
+        # ex5_4's search tuple with the pole nearest its true pole at
+        # |a| = 0.984 put 0.005 from the circle and 0.04 rad past it: the
+        # Gauss-Newton step overshoots the circle; the margin test must turn
+        # the trial down before the energy is evaluated there, and the more
+        # damped steps must still converge
         limit = 1.0 - blaschke.cgd.BOUNDARY_MARGIN
         energy, candidate = blaschke.cgd.error_energy, blaschke.cgd._candidate
         evaluated, rejected = [], []
@@ -149,7 +164,11 @@ class TestCgdRefine:
 
         monkeypatch.setattr(blaschke.cgd, "error_energy", spy_energy)
         monkeypatch.setattr(blaschke.cgd, "_candidate", spy_candidate)
-        fix_search_tuple(monkeypatch, "ex5_4")
+        truth = builtin_truth("ex5_4")
+        start = np.array(SEARCH_TUPLES["ex5_4"])
+        near = np.argmin(np.abs(start - truth.poles[2]))
+        start[near] = 0.995 * np.exp(1j * (np.angle(truth.poles[2]) + 0.04))
+        monkeypatch.setattr(pipeline, "its_search", lambda f, n, cfg: PoleTuple(start))
         res = cafd_cgd_result(builtin_signal("ex5_4"), RunConfig(4),
                               truth=builtin_truth("ex5_4"))
         assert evaluated and max(evaluated) <= limit
@@ -172,47 +191,25 @@ class TestCgdRefine:
         np.testing.assert_array_equal(r1.tuple.poles, r2.tuple.poles)
         assert r1.energy_trace == r2.energy_trace
 
-    def test_estimate_that_is_no_ascent_resets_to_steepest_ascent(self, monkeypatch):
-        # in exact arithmetic BFGS keeps H positive definite, so the reset
-        # for Re<g, Hg> <= 0 is reached here by scaling the first estimate
-        # from -I, not I; the step after that update must then be a + s*g
-        class NegatedEye:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def eye(k):
-                events.append(("eye",))
-                return -np.eye(k)
-
-        events = []
-        gradient, candidate = blaschke.cgd.energy_gradient, blaschke.cgd._candidate
-
-        def spy_gradient(state, tup):
-            g = gradient(state, tup)
-            events.append(("gradient", tup.poles, g))
-            return g
-
-        def spy_candidate(poles):
-            events.append(("trial", poles))
-            return candidate(poles)
-
-        monkeypatch.setattr(blaschke.cgd, "np", NegatedEye())
-        monkeypatch.setattr(blaschke.cgd, "energy_gradient", spy_gradient)
-        monkeypatch.setattr(blaschke.cgd, "_candidate", spy_candidate)
-        f = synthesize(BlaschkeModel(PoleTuple([0.5, -0.4j]), [1.0, 0.5j]), 256)
-        cgd_refine(f, PoleTuple([0.45, -0.35j]), CgdConfig(max_iters=2))
-        # the first trial is taken, and its curvature pair builds the estimate
-        assert [e[0] for e in events[:5]] == ["gradient", "trial", "gradient", "eye", "trial"]
-        _, poles, g = events[2]
-        s = min(blaschke.cgd.TRUST_RADIUS / np.max(np.abs(g)), 1.0)
-        np.testing.assert_array_equal(events[4][1], poles + s * g)
+    def test_stacked_poles_split(self):
+        # stacked poles have identical gradient entries and Jacobian rows,
+        # so the Gauss-Newton matrix is singular along their difference; the
+        # solve's round-off there grows as the damping falls, the stacked
+        # saddle is left (2e-15, then 5e-12, 5e-6 apart) and both true
+        # poles are reached
+        truth = PoleTuple([0.5, -0.4j])
+        f = synthesize(BlaschkeModel(truth, [1.0, 0.5j]), 256)
+        report = cgd_refine(f, PoleTuple([0.45, 0.45]))
+        assert report.status is CgdStatus.CONVERGED
+        assert tuple_distance(report.tuple, truth) <= 1e-6
 
     def test_one_chain_per_energy_evaluation(self, monkeypatch):
-        # each call's gradients reuse the chain of the energy just evaluated
-        # at the same tuple, and nothing carries over from an earlier call on
-        # the same Signal: a call that starts where the last one ended, as
-        # the pipeline's confirm stage does, runs its first chain again
+        # each call's gradients and Jacobians reuse the chain of the energy
+        # just evaluated at the same tuple, and nothing carries over from an
+        # earlier call on the same Signal: a call that starts where the last
+        # one ended, as the pipeline's confirm stage does, runs its first
+        # chain again; one iteration per call leaves the second call a step
+        # to take
         energies, steps = [], []
         evaluate, step = blaschke.cgd.error_energy, reduction.reduce_step
 
@@ -233,9 +230,39 @@ class TestCgdRefine:
             for _ in range(2):
                 energies.clear()
                 steps.clear()
-                start = cgd_refine(f, start, CgdConfig(max_iters=20)).tuple
+                start = cgd_refine(f, start, CgdConfig(max_iters=1)).tuple
                 assert len(energies) > 1
                 assert len(steps) == start.degree * len(energies)
+
+
+class TestStepEquivariance:
+    """One step on a turned or conjugated signal is the turned or conjugated step.
+
+    The damping gives each pole one scale on Re and Im, so it turns with the
+    poles; Marquardt's plain diagonal would not.
+    """
+
+    @staticmethod
+    def first_step(samples, poles):
+        return cgd_refine(Signal(samples), PoleTuple(poles), CgdConfig(max_iters=1)).tuple.poles
+
+    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
+    def test_rotation(self, name):
+        # f(wz), w = exp(2 pi i k / 128), is f's samples rolled by 8k
+        f, start = builtin_signal(name, 1024).samples, np.array(SEARCH_TUPLES[name])
+        base = self.first_step(f, start)
+        for k in (1, 5, 32):
+            turn = np.exp(-2j * np.pi * k / 128)
+            run = self.first_step(np.roll(f, -(1024 // 128) * k), start * turn)
+            np.testing.assert_allclose(run, base * turn, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
+    def test_conjugation(self, name):
+        # conj(f(conj z)) at the sample points is conj(f) read backwards from z = 1
+        f, start = builtin_signal(name, 1024).samples, np.array(SEARCH_TUPLES[name])
+        base = self.first_step(f, start)
+        run = self.first_step(np.conj(np.roll(f[::-1], 1)), np.conj(start))
+        np.testing.assert_allclose(run, np.conj(base), rtol=0, atol=1e-15)
 
 
 class TestConvergenceOnSmoothTargets:

@@ -164,7 +164,7 @@ class TestSynthesizeAndRecover:
 
     def test_line_search_stall_exits_4_and_writes_model(
             self, tmp_path, monkeypatch, capsys):
-        # with no step allowed, the first line search stalls at the search tuple
+        # with no trial allowed, the refinement stalls at the search tuple
         monkeypatch.setattr(blaschke.cgd, "MAX_BACKTRACKS", 0)
         fix_search_tuple(monkeypatch, "ex5_5")
         out = tmp_path / "out.json"

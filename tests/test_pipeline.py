@@ -443,15 +443,17 @@ class TestWorkingResolution:
         assert calls[1][1] == 0
 
     def test_budget_spent_in_the_working_stage(self, monkeypatch):
-        # the confirm stage gets no iteration left, so it only measures at N
+        # the confirm stage gets no iteration left, so it only measures at N;
+        # from this tuple the working stage converges in 3 iterations, so a
+        # budget of 2 runs out first
         fix_search_tuple(monkeypatch, "ex5_3")
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_3")
-        cfg = RunConfig(cfg.degree, cfg.search, CgdConfig(max_iters=3))
+        cfg = RunConfig(cfg.degree, cfg.search, CgdConfig(max_iters=2))
         res = cafd_cgd_result(f, cfg, truth=truth)
         report = res.cgd_report
-        assert calls == [(res.working_samples, 3), (1024, 0)]
-        assert report.iterations == 3
+        assert calls == [(res.working_samples, 2), (1024, 0)]
+        assert report.iterations == 2
         assert report.status is CgdStatus.ITERATION_CAP
         grad = energy_gradient(f, report.tuple)
         assert report.final_gradient_norm_sq == float(np.sum(np.abs(grad) ** 2))
@@ -459,18 +461,17 @@ class TestWorkingResolution:
         assert len(report.energy_trace) == report.iterations + 1
 
     def test_confirm_stage_that_iterates_still_recovers(self, monkeypatch):
-        # at N' = 128, ex5_5's tail is not at round-off; from this fixed
-        # tuple of grid nodes the working stage stops where the tuple must
-        # move again at N
+        # at N' = 64, ex5_5's samples alias at max|a|^64 = 1.1e-3, so the
+        # working stage converges to a tuple that must move again at N
         import blaschke.pipeline as pipeline
 
-        monkeypatch.setattr(pipeline, "_working_samples", lambda f, tup: 128)
+        monkeypatch.setattr(pipeline, "_working_samples", lambda f, tup: 64)
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_5")
         start = PoleTuple(cfg.search.grid.nodes()[[53, 89, 87, 84], [125, 22, 92, 13]])
         report, n_work = pipeline._refine(f, start, cfg.cgd)
         (n_coarse, _), (n_full, confirm_iters) = calls
-        assert n_work == n_coarse == 128 and n_full == 1024
+        assert n_work == n_coarse == 64 and n_full == 1024
         assert confirm_iters > 0
         assert report.iterations == sum(k for _, k in calls)
         assert report.status is CgdStatus.CONVERGED

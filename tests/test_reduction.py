@@ -18,7 +18,7 @@ from blaschke import (
 )
 from blaschke import reduction
 from blaschke.hardy import disk_points
-from blaschke.pipeline import BUILTIN_FORMS
+from blaschke.pipeline import BUILTIN_FORMS, builtin_signal, builtin_truth
 from blaschke.reduction import (
     Objective,
     derivative_reduce_step,
@@ -29,6 +29,7 @@ from blaschke.reduction import (
     pole_values,
     reduce_chain,
     reduce_step,
+    remainder_jacobian,
     series_value,
 )
 
@@ -368,6 +369,77 @@ class TestEnergyGradient:
         with np.errstate(over="ignore"):
             with pytest.raises(ArithmeticError):
                 energy_gradient(f, PoleTuple([0.3]))
+
+
+def central_jacobian(f, poles, h=1e-6):
+    """d f_n/d Re a_l, then d f_n/d Im a_l, by central differences of reduce_chain."""
+    rows = []
+    for part in (h, 1j * h):
+        for ell in range(poles.size):
+            up, dn = poles.copy(), poles.copy()
+            up[ell] += part
+            dn[ell] -= part
+            rows.append((reduce_chain(f.samples, up) - reduce_chain(f.samples, dn)) / (2 * h))
+    return np.array(rows)
+
+
+class TestRemainderJacobian:
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_central_differences_on_random_tuples(self, rng, n):
+        f = random_smooth_signal(rng, 256)
+        poles = random_tuple(rng, n).poles
+        want = central_jacobian(f, poles)
+        gap = np.max(np.abs(remainder_jacobian(f, PoleTuple(poles)) - want))
+        # h = 1e-6 leaves O(h^2) truncation and O(eps/h) round-off in the differences
+        assert gap <= 1e-8 * np.max(np.abs(want))
+
+    def test_central_differences_at_repeated_poles(self):
+        z = circle_points(256)
+        f = Signal(np.exp(z) + 1.0 / (1.5 - z))
+        for poles in ([0.3, 0.3, 0.5j], [0, 0, 0], [0.2 + 0.1j] * 3 + [-0.4]):
+            poles = np.array(poles, dtype=complex)
+            want = central_jacobian(f, poles)
+            gap = np.max(np.abs(remainder_jacobian(f, PoleTuple(poles)) - want))
+            assert gap <= 1e-8 * np.max(np.abs(want))
+
+    def test_central_differences_at_the_aliasing_gap(self):
+        # the closed form takes each pole last, as if the remainder did not
+        # depend on the pole order; the sampled kernel breaks that by
+        # O(max|a|^N), 5.0e-8 at ex5_4's pole |a| = 0.984 and N = 1024
+        f, poles = builtin_signal("ex5_4", 1024), builtin_truth("ex5_4").poles
+        want = central_jacobian(f, poles)
+        gap = np.max(np.abs(remainder_jacobian(f, PoleTuple(poles)) - want))
+        alias = float(np.max(np.abs(poles))) ** f.n_samples
+        assert gap <= (1e-8 + 4 * alias) * np.max(np.abs(want))
+
+    def test_gradient_of_the_squared_error(self, rng):
+        # A = mean|f_n|^2, so 2 Re(J^H f_n)/N on [Re a; Im a] is -2 gradE
+        for n in (1, 3, 6):
+            f = random_smooth_signal(rng, 256)
+            tup = random_tuple(rng, n)
+            state = Objective(f)
+            rest = state.evaluate(tup.poles)[1]
+            grad_a = 2.0 * np.real(np.conj(remainder_jacobian(state, tup)) @ rest) / rest.size
+            grad = energy_gradient(state, tup)
+            want = -2.0 * np.concatenate([grad.real, grad.imag])
+            assert np.max(np.abs(grad_a - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_runs_no_reduction_step(self, rng, monkeypatch):
+        f = random_smooth_signal(rng, 256)
+        tup = random_tuple(rng, 4)
+        steps = []
+
+        def counted(*args):
+            steps.append(args[1])
+            return reduce_step(*args)
+
+        monkeypatch.setattr(reduction, "reduce_step", counted)
+        state = Objective(f)
+        error_energy(state, tup)
+        assert len(steps) == 4
+        jac = remainder_jacobian(state, tup)
+        assert len(steps) == 4
+        assert jac.shape == (8, 256)
 
 
 def separated(poles, gap=0.05):

@@ -398,8 +398,7 @@ class TestItsSearch:
     ])
     def test_no_pole_stacked_on_a_taken_node(self, name, radial, angular, seed):
         # on a coarse grid the best node is often one a fixed pole holds;
-        # stacked poles get identical gradient entries, so the refinement
-        # would move them together and never split them
+        # the search must hand the refinement distinct poles
         f = builtin_signal(name, 256)
         truth = builtin_truth(name)
         cfg = RunConfig(truth.degree, SearchConfig(radial, angular, seed))
