@@ -147,16 +147,16 @@ def _ring_tables(grid, n):
     return v_tab, r_tab
 
 
-def _coeffs(f, grid):
-    """f's spectrum, checked against the grid's angular count."""
-    if isinstance(f, Signal):
-        coeffs = spectrum(f).coeffs
-    elif isinstance(f, Spectrum):
+def _operands(f, grid):
+    """f's coefficients, checked against the grid, and the grid's ring tables for them."""
+    if isinstance(f, Spectrum):
         coeffs = f.coeffs
+    elif isinstance(f, Signal):
+        coeffs = spectrum(f).coeffs
     else:
         raise TypeError(f"expected Signal or Spectrum, got {type(f).__name__}")
     grid.check_samples(coeffs.size)
-    return coeffs
+    return (coeffs, *_ring_tables(grid, coeffs.size))
 
 
 def ring_bounds(f, grid):
@@ -165,8 +165,7 @@ def ring_bounds(f, grid):
     UB_m = sqrt(1-r_m^2) * sum_k r_m^k |f_hat(k)|, computed from the cached
     ring tables as the row sums of (R @ |F|^T) o V; `f` as in `feval_table`.
     """
-    coeffs = _coeffs(f, grid)
-    v_tab, r_tab = _ring_tables(grid, coeffs.size)
+    coeffs, v_tab, r_tab = _operands(f, grid)
     sums = r_tab @ np.abs(coeffs).reshape(-1, grid.angular).T
     sums *= v_tab
     return sums.sum(axis=1)
@@ -183,19 +182,17 @@ def feval_table(f, grid):
     the same truncated series at the subsampled angles.
     """
     band = grid if isinstance(grid, RingBand) else grid.band(0, grid.radial - 1)
-    coeffs = _coeffs(f, band.grid)
+    coeffs, v_tab, r_tab = _operands(f, band.grid)
     n_ang = grid.angular
-    v_tab, r_tab = _ring_tables(band.grid, coeffs.size)
     # row q holds f_hat(qA .. qA+A-1) as interleaved real and imaginary parts
     spec = coeffs.view(np.float64).reshape(-1, 2 * n_ang)
     rows = np.empty((band.hi - band.lo, n_ang), dtype=complex)
     # whole blocks on the full grid's block boundaries, so that every product
     # row is summed as in the full table
     for start in range(band.lo - band.lo % _BLOCK, band.hi, _BLOCK):
-        folded = (v_tab[start:start + _BLOCK] @ spec).view(complex)
         lo, hi = max(band.lo, start), min(band.hi, start + _BLOCK)
         # band rows only: R, then the unscaled sum over j of folded[j] * e^{2 pi i jk/A}
-        folded = folded[lo - start:hi - start]
+        folded = (v_tab[start:start + _BLOCK] @ spec).view(complex)[lo - start:hi - start]
         folded *= r_tab[lo:hi]
         out = np.fft.ifft(folded, axis=1, norm="forward")
         # column n-1 holds angle 2*pi*n/A (grid angles are 1-based)

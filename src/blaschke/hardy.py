@@ -95,7 +95,7 @@ class _ArrayValue:
     def _store(self, name):
         """Store field `name` as a read-only 1-D complex copy and return it: the
         value types' one array rule.  A scalar becomes one entry."""
-        value = np.atleast_1d(np.array(getattr(self, name), dtype=complex))
+        value = np.array(getattr(self, name), dtype=complex, ndmin=1)
         if value.ndim != 1:
             raise ValueError(f"{name} must be one-dimensional, got shape {value.shape}")
         value.setflags(write=False)
@@ -197,11 +197,9 @@ def circle_points(n):
 
 
 def spectrum(f):
-    """Fourier coefficients with the mean-value normalization (constant 1 -> (1,0,...)).
-
-    One FFT per call; nothing is stored on the Signal.
-    """
-    return Spectrum(np.fft.fft(f.samples) / f.n_samples)
+    """Fourier coefficients with the mean-value normalization (constant 1 -> (1,0,...)),
+    by one forward-normalized FFT, whose 1/N gives the bits of fft / N."""
+    return Spectrum(np.fft.fft(f.samples, norm="forward"))
 
 
 def norm_sq(f):

@@ -36,13 +36,14 @@ per search and rebuilds one pole's rows per move.  For a `PoleTuple` they
 are taken at the 2N circle points, the N sample points and then the N
 midpoints (`_doubled_points`): the chain reads the first half of each row,
 and the gradient's means over all 2N points the whole row, since there
-1/(1 - conj(a) z) = conj(z w).  The rows and the remainder of the last
-tuple evaluated, and the gradient's f z at the 2N points, are kept in an
+1/(1 - conj(a) z) = conj(z w).  The rows, the remainder and the means of
+the last tuple, and the gradient's f z at the 2N points, are kept in an
 `Objective`, which `cgd_refine` builds once per call, so within that call
 `energy_gradient` and `remainder_jacobian` at a tuple that `error_energy`
-just evaluated run no second chain.  A `Signal` passed in gets a fresh
-one, and nothing is stored on it.  E has one definition, ||f||^2 - A,
-which `energy` returns and the refinement's energy trace records.
+just evaluated run no second chain and form conj(B) once.  A `Signal`
+passed in gets a fresh one, and nothing is stored on it.  E has one
+definition, ||f||^2 - A, which `energy` returns and the refinement's
+energy trace records.
 """
 
 from functools import cached_property, lru_cache
@@ -158,16 +159,16 @@ def reduce_chain(f, order, rows=None):
 
 class Objective:
     """The energy of one Signal along a refinement: f z at the 2N points, and
-    the 2N-point row sets and final remainder of the last tuple evaluated.
+    the 2N-point row sets, final remainder and means of the last tuple.
 
     `cgd_refine` builds one per call.  The one entry is keyed on the pole
-    bytes, so a second call at the same tuple reuses the chain and a call at
+    bytes, so a second call at the same tuple reuses it and a call at
     another tuple replaces it.  Its arrays are read-only.
     """
 
     def __init__(self, signal):
         self.signal = signal
-        self._key = self._entry = None
+        self._key = self._entry = self._means = None
 
     @cached_property
     def fine_times_z(self):
@@ -188,8 +189,23 @@ class Objective:
             rest = reduce_chain(self.signal.samples, poles, rows[:, :, :self.signal.n_samples])
             rows.setflags(write=False)
             rest.setflags(write=False)
-            self._key, self._entry = key, (rows, rest)
+            self._key, self._entry, self._means = key, (rows, rest), None
         return self._entry
+
+    def pole_means(self, poles):
+        """g_l = h_l(a_l) per pole, h_l being f reduced through every pole but a_l.
+
+        g_l is the mean of f z conj(B)/(1 - conj(a_l) z) over the 2N points, B the
+        tuple's Blaschke product: conj(B) is the product of the Moebius rows and
+        1/(1 - conj(a_l) z) = conj(z w_l) there, so the n means, formed once per
+        tuple, are one matrix-vector product with the z w rows, aliasing at max|a|^(2N).
+        """
+        rows = self.evaluate(poles)[0]
+        if self._means is None:
+            weight = self.fine_times_z * np.prod(rows[:, 2], axis=0)
+            self._means = np.conj(rows[:, 1] @ np.conj(weight)) / weight.size
+            self._means.setflags(write=False)
+        return self._means
 
 
 def _objective(f):
@@ -226,19 +242,6 @@ def error_energy(f, tup):
     return _finite(float(np.sum(np.abs(rest) ** 2) / rest.size), "error energy")
 
 
-def _pole_means(state, rows):
-    """g_l = h_l(a_l) per pole, h_l being f reduced through every pole but a_l.
-
-    g_l is the mean of f z conj(B)/(1 - conj(a_l) z) over the 2N points, B the
-    tuple's Blaschke product: conj(B) there is the product of the Moebius rows
-    (1 - conj(a_j) z) w_j, and 1/(1 - conj(a_l) z) = conj(z w_l), so the n
-    means are one matrix-vector product with the z w rows.  They alias at
-    max|a|^(2N), not max|a|^N.
-    """
-    weight = state.fine_times_z * np.prod(rows[:, 2], axis=0)
-    return np.conj(rows[:, 1] @ np.conj(weight)) / weight.size
-
-
 def energy_gradient(f, tup):
     """gradE_l = -conj(d(-E)/da_l) = conj(conj(g_l) f_n(a_l)) per pole, as an array.
 
@@ -248,19 +251,18 @@ def energy_gradient(f, tup):
 
     The branch that reduces through a_l last leaves h_l = M_l f_n + c k_{a_l},
     so its formula conj(h_l(a_l)) (conj(a_l) h_l(a_l) - (1-|a_l|^2) h_l'(a_l))
-    reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) (`_pole_means`) the
-    inner product of f with the kernel times B/M_l.  Everything is read off
-    the tuple's row sets and remainder in the Objective, the ones
-    `error_energy` also uses, and the n values f_n(a_l) (`pole_values`) are
-    one matrix-vector product with the N-point halves of the z w rows.  Per
-    call that is the product conj(B) and two matrix-vector products, with
+    reduces to -conj(g_l) f_n(a_l), with g_l = h_l(a_l) (`Objective.pole_means`)
+    the inner product of f with the kernel times B/M_l.  Everything is read
+    off the Objective's entry, which `error_energy` and `remainder_jacobian`
+    also use, and the n values f_n(a_l) (`pole_values`) are one
+    matrix-vector product with the N-point halves of the z w rows.  Per
+    tuple that is the product conj(B) and two matrix-vector products, with
     no division and, at a tuple already evaluated, no second chain.
     """
     poles, state = tup.poles, _objective(f)
     rows, rest = state.evaluate(poles)
-    zw = rows[:, 1, :rest.size]
-    g = _pole_means(state, rows)
-    return _finite(g * np.conj(pole_values(rest, poles, zw)), "gradient")
+    grad = state.pole_means(poles) * np.conj(pole_values(rest, poles, rows[:, 1, :rest.size]))
+    return _finite(grad, "gradient")
 
 
 def remainder_jacobian(f, tup):
@@ -271,16 +273,16 @@ def remainder_jacobian(f, tup):
     the O(max|a|^N) aliasing of the sampled kernel), so each a_l may be taken
     last: f_n = h_l (1 - conj(a_l) z) w_l - c_l w_l, with h_l f reduced
     through the other poles, c_l = s_l m_l, s_l = 1 - |a_l|^2 and
-    m_l = mean(h_l z w_l) = g_l/(1 - a_l^N) (`_pole_means`).  Inverting that
-    stage on the circle gives h_l = (f_n (z - a_l) + c_l) conj(z w_l), and
-    with m2_l = mean(z w_l^2 h_l) the Wirtinger derivatives are
+    m_l = mean(h_l z w_l) = g_l/(1 - a_l^N) (`Objective.pole_means`).
+    Inverting that stage on the circle gives h_l = (f_n (z - a_l) + c_l)
+    conj(z w_l), and with m2_l = mean(z w_l^2 h_l) the Wirtinger derivatives are
 
         d f_n/d a_l       = h_l (1 - conj(a_l) z) w_l - (s_l m2_l - conj(a_l) m_l) w_l - c_l w_l^2
         d f_n/d conj(a_l) = a_l m_l w_l - h_l z w_l,
 
     so d/d Re = d/da + d/dconj(a) and d/d Im = i (d/da - d/dconj(a)).  All
-    of it is read off the Objective's row sets and remainder: at a tuple
-    already evaluated it runs no chain.  Re(conj(J) f_n)/N, half the
+    of it is read off the Objective's entry: at a tuple already evaluated it
+    runs no chain and forms no second conj(B).  Re(conj(J) f_n)/N, half the
     gradient of A = mean|f_n|^2 on [Re a; Im a], is then -[Re gradE; Im gradE]
     (`energy_gradient`).
     """
@@ -290,7 +292,7 @@ def remainder_jacobian(f, tup):
     w, zw, moebius = (rows[:, k, :n] for k in range(3))
     z = _doubled_points(n)[:n]
     s = 1.0 - np.abs(poles) ** 2
-    m = _pole_means(state, rows) / (1.0 - poles**n)
+    m = state.pole_means(poles) / (1.0 - poles**n)
     c = s * m
     h = (rest * z - poles[:, None] * rest + c[:, None]) * np.conj(zw)
     m2 = np.sum(zw * w * h, axis=1) / n

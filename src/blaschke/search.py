@@ -63,10 +63,10 @@ below v, so it can neither win a move (v_t^2 > v^2 + eta) nor tie with a
 node that does, and the band's rows are the full table's rows bit for bit
 (`feval_table` keeps its 16-ring block products aligned).  The tuple is the
 one the whole-grid scan, floor 0, returns.  The rectangular baseline
-evaluates every node directly and ignores the floor.  Remainders are
-reduced on raw sample arrays and wrapped in a `Signal` once per coordinate
-step; the polar scan transforms it once (`hardy.spectrum`) and passes that
-`Spectrum` to both `ring_bounds` and `feval_table`.
+evaluates every node directly and ignores the floor.  The sweeps, `_place`
+and the scans pass raw remainder arrays, not `Signal`s.  The polar scan
+takes one forward-normalized FFT (`hardy.spectrum`'s bits) and wraps it
+once as the `Spectrum` that both `ring_bounds` and `feval_table` read.
 """
 
 from dataclasses import dataclass
@@ -77,6 +77,7 @@ from .feval import PolarGrid, eval_interior, feval_table, ring_bounds
 from .hardy import (
     PoleTuple,
     Signal,
+    Spectrum,
     circle_points,
     check_degree,
     draw_separated,
@@ -160,16 +161,18 @@ def rect_grid_nodes(gap):
     return z[(r > 0.0) & (r < 1.0 - gap)]
 
 
-def _masked_argmax(mags, nodes, fixed):
-    """Best node by magnitude, skipping nodes equal to a fixed pole.
+def _masked_argmax(mags, nodes, poles, c):
+    """Best node by magnitude, skipping nodes equal to a pole other than poles[c].
 
     Only each winner is tested; a taken one is masked and skipped in a
     copy, made only when the first winner is taken.  None when none is free.
     """
     masked = mags
-    for _ in range(fixed.size + 1):
-        idx = int(np.argmax(masked))
-        if nodes[idx] not in fixed:
+    for _ in range(poles.size):
+        idx = masked.argmax()
+        taken = poles == nodes[idx]
+        taken[c] = False
+        if not np.count_nonzero(taken):
             return masked[idx], nodes[idx]
         if masked is mags:
             masked = mags.copy()
@@ -182,12 +185,12 @@ def _coordinate_step(g, poles, rows, c, scan, eta):
 
     A move rebuilds the pole's row set in `rows`.
     """
-    f_n, a = Signal(g), complex(poles[c])
+    a = complex(poles[c])
     # |<f_n, e_a>| = sqrt(1-|a|^2) |f_n(a)|
     v = np.sqrt(1.0 - abs(a) ** 2) * abs(pole_values(g, poles[c:c + 1], rows[c:c + 1, 1])[0])
     # no node below v can win the move, so the scan may skip it
-    mags, nodes = scan(f_n, v)
-    best = _masked_argmax(mags, nodes, np.delete(poles, c))
+    mags, nodes = scan(g, v)
+    best = _masked_argmax(mags, nodes, poles, c)
     # best[0] and v are amplitudes; eta is an energy gain
     if best is not None and best[0] ** 2 > v**2 + eta:
         poles[c] = best[1]
@@ -219,13 +222,13 @@ def _sweep(g, poles, rows, lo, hi, scan, eta):
 def _cyclic_search(f, poles, scan):
     """Shared cyclic coordinate-ascent driver from the caller's start `poles`.
 
-    `scan(f_n, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|
-    over the grid, or over a part of it that holds every node whose value
-    reaches the floor (floor 0, the default, is the whole grid).  Each sweep
-    is one `_sweep` over all n positions, T(n) reduction steps and n scans;
-    the search stops after the first sweep that accepts no move, or raises
-    after MAX_SWEEPS sweeps.  `poles` is updated in place, and the poles'
-    row sets at the N sample points are built once here.
+    `scan(g, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|,
+    g the samples of f_n, over the grid or over a part of it that holds
+    every node whose value reaches the floor (floor 0, the default, is the
+    whole grid).  Each sweep is one `_sweep` over all n positions, T(n)
+    reduction steps and n scans; the search stops after the first sweep
+    that accepts no move, or raises after MAX_SWEEPS sweeps.  `poles` is
+    updated in place; the poles' row sets at the N points are built here.
     """
     eta = ETA_REL * norm_sq(f)
     rows = pole_rows(circle_points(f.n_samples), poles)
@@ -285,27 +288,27 @@ def _place(f, start, n, scan):
     the poles placed before it, and a ValueError follows when no node is
     free of them.
     """
-    poles = list(start)
+    poles = np.pad(np.asarray(start, dtype=complex), (0, n - len(start)))
     # g is f reduced through poles[:reduced]
     g, reduced = f.samples, 0
-    while len(poles) < n:
-        g, reduced = reduce_chain(g, poles[reduced:]), len(poles)
-        best = _masked_argmax(*scan(Signal(g)), np.array(poles, dtype=complex))
+    for c in range(len(start), n):
+        g, reduced = reduce_chain(g, poles[reduced:c]), c
+        best = _masked_argmax(*scan(g), poles[:c + 1], c)
         if best is None:
-            raise ValueError(f"no grid node is free for pole {len(poles) + 1} of {n}")
-        poles.append(best[1])
-    return np.array(poles, dtype=complex)
+            raise ValueError(f"no grid node is free for pole {c + 1} of {n}")
+        poles[c] = best[1]
+    return poles
 
 
 def _ring_band(bounds, floor):
     """First and one past the last ring whose bound reaches the floor.
 
-    The ring of the largest bound is always inside, so the band is never
-    empty.
+    When no bound reaches it, the band is the ring of the largest bound,
+    which is otherwise inside; so the band is never empty.
     """
-    inside = bounds * (1.0 + BOUND_SLACK) >= floor
-    inside[np.argmax(bounds)] = True
-    rings = np.flatnonzero(inside)
+    rings = (bounds * (1.0 + BOUND_SLACK) >= floor).nonzero()[0]
+    if rings.size == 0:
+        rings = [bounds.argmax()]
     return int(rings[0]), int(rings[-1]) + 1
 
 
@@ -316,8 +319,8 @@ def _polar_scan(grid, nodes):
     on the band of rings that can reach the floor.
     """
 
-    def scan(f_n, floor=0.0):
-        spec = spectrum(f_n)
+    def scan(g, floor=0.0):
+        spec = Spectrum(np.fft.fft(g, norm="forward"))
         lo, hi = _ring_band(ring_bounds(spec, grid), floor)
         table = feval_table(spec, grid.band(lo, hi))
         return np.abs(table).ravel(), nodes[lo * grid.angular:hi * grid.angular]
@@ -344,8 +347,8 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
     nodes = rect_grid_nodes(cfg.gap)
     weight = np.sqrt(1.0 - np.abs(nodes) ** 2)
 
-    def scan(f_n, floor=0.0):
-        return weight * np.abs(eval_interior(f_n, nodes)), nodes
+    def scan(g, floor=0.0):
+        return weight * np.abs(eval_interior(Signal(g), nodes)), nodes
 
     # about one try in five falls outside the disk; 100 per pole leave ample room
     start = draw_separated(np.random.default_rng(cfg.seed), n, 1.0 - cfg.gap, 0.0, 100 * n)

@@ -95,6 +95,15 @@ class TestSpectrum:
             expect[4 * m] = 0.5 * (-0.5) ** m
         np.testing.assert_allclose(s.coeffs, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+    def test_normalization_inside_the_transform_is_fft_over_n(self, rng, n):
+        # the 1/N of the forward-normalized FFT gives the bits of fft / N,
+        # on random samples of every size and scale the package meets
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            got = spectrum(Signal(x)).coeffs
+            np.testing.assert_array_equal(got.view(float), (np.fft.fft(x) / n).view(float))
+
     def test_inverse_round_trip(self, rng):
         f = random_smooth_signal(rng, 64)
         g = inverse_spectrum(spectrum(f))

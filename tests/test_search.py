@@ -65,8 +65,8 @@ def roll_cyclic_search(f, poles, scan):
         for _ in range(n):
             f_n = Signal(reduce_chain(f.samples, poles[:-1])) if n > 1 else f
             v = _partial_energy_amp(f_n, poles[-1])
-            mags, nodes = scan(f_n)
-            best = _masked_argmax(mags, nodes, poles[:-1])
+            mags, nodes = scan(f_n.samples)
+            best = _masked_argmax(mags, nodes, poles, n - 1)
             if best is not None and best[0] ** 2 > v**2 + eta:
                 poles[-1] = best[1]
                 accepted += 1
@@ -86,7 +86,7 @@ def sweep_steps(n):
 class TestSweepEquivalence:
     """The bounded divide-and-conquer sweep against the roll-based reference.
 
-    The reference calls `scan(f_n)`, whose default floor 0 evaluates every
+    The reference calls `scan(g)`, whose default floor 0 evaluates every
     ring, so it is also the whole-table oracle for the bounded scan.
     """
 
@@ -102,12 +102,14 @@ class TestSweepEquivalence:
         "name, n, angular, seed",
         [(name, BUILTIN_DEGREES[name], 128, seed)
          for name in ("ex5_3", "ex5_4", "ex5_5", "ex5_6") for seed in (0, 1)]
-        + [("ex5_2_f1", 10, 256, 1)],
+        + [("ex5_2_f1", 10, 256, 1), ("ex5_2_f2", 10, 256, 1)],
     )
     def test_polar_search(self, monkeypatch, name, n, angular, seed):
-        # the benchmark's search inputs: recover's targets and grid, and an
-        # approximate target at n = 10; first from the pencil start, then
-        # from a seeded random start, whose sweeps must accept moves
+        # the benchmark's search inputs: recover's targets and grid, and
+        # approximate's targets at n = 10 (ex5_2_f2's pencil start takes 20
+        # sweeps, with 4-fold symmetric ties and bands of up to 80 rings);
+        # first from the pencil start, then from a seeded random start,
+        # whose sweeps must accept moves
         f = builtin_signal(name, 1024)
         cfg = SearchConfig(angular=angular)
         fast, ref = self.both(monkeypatch, its_search, f, n, cfg)
@@ -160,7 +162,7 @@ class TestCoordinateStep:
         poles = np.array([radius * np.exp(0.7j), 0.2 - 0.1j])
         floors = []
 
-        def scan(f_n, floor=0.0):
+        def scan(g, floor=0.0):
             floors.append(floor)
             return np.zeros(1), np.array([0.5j])
 
@@ -193,7 +195,8 @@ class TestSweepCost:
         count(blaschke.reduction, "reduce_step", "steps")
         count(blaschke.search, "_coordinate_step", "scans")
         count(blaschke.search, "feval_table", "tables")
-        count(blaschke.search, "spectrum", "spectra")
+        # the scan's one transform, wrapped once as a Spectrum
+        count(blaschke.search, "Spectrum", "spectra")
         count(blaschke.feval, "spectrum", "feval_spectra")
         return counts
 
@@ -279,19 +282,24 @@ class TestMaskedArgmax:
     def test_best_node_on_fixed_pole_falls_to_second_best(self):
         nodes = np.array([0.1, 0.2j, -0.3, 0.4 + 0.1j])
         mags = np.array([0.5, 0.9, 0.7, 0.8])
-        fixed = np.array([0.2j, 0.5])
-        assert _masked_argmax(mags, nodes, fixed) == (0.8, 0.4 + 0.1j)
+        # position 2 is the one scanned; the other positions hold fixed poles
+        poles = np.array([0.2j, 0.5, 0.1])
+        assert _masked_argmax(mags, nodes, poles, 2) == (0.8, 0.4 + 0.1j)
         # a chain of coinciding winners is skipped one by one
-        fixed = np.array([0.4 + 0.1j, 0.2j])
-        assert _masked_argmax(mags, nodes, fixed) == (0.7, -0.3)
+        poles = np.array([0.4 + 0.1j, 0.2j, 0.1])
+        assert _masked_argmax(mags, nodes, poles, 2) == (0.7, -0.3)
         np.testing.assert_array_equal(mags, [0.5, 0.9, 0.7, 0.8])
-        assert _masked_argmax(mags, nodes, fixed[:0]) == (0.9, 0.2j)
+        assert _masked_argmax(mags, nodes, poles[1:2], 0) == (0.9, 0.2j)
+        # the scanned position's own pole takes no node
+        assert _masked_argmax(mags, nodes, poles, 1) == (0.9, 0.2j)
         # only a node equal to a fixed pole is taken, however close one is
-        assert _masked_argmax(mags, nodes, np.array([0.2j + 1e-14])) == (0.9, 0.2j)
+        poles = np.array([0.2j + 1e-14, 0.1])
+        assert _masked_argmax(mags, nodes, poles, 1) == (0.9, 0.2j)
 
     def test_no_free_node(self):
         nodes = np.array([0.1, 0.2j])
-        assert _masked_argmax(np.array([0.5, 0.9]), nodes, np.array([0.2j, 0.1, 0.3])) is None
+        poles = np.array([0.2j, 0.1, 0.3, 0.1])
+        assert _masked_argmax(np.array([0.5, 0.9]), nodes, poles, 3) is None
 
 
 class TestRingBand:
