@@ -4,6 +4,10 @@ Signals travel as CSV (columns index,re,im), models as JSON with full
 double precision.  Exit codes: 0 success, 2 validation error, 3 search
 non-convergence, 4 line-search stall (the refinement's damping cap: every
 trial rejected), 5 iteration cap (for 4 and 5 the model is still written).
+A ValueError, ArithmeticError, KeyError (an unknown builtin target or
+algorithm) or OSError exits 2 with its message after `error:`.  A file's
+message names the file: one reader per kind builds its value type
+(`_from_file`), and every JSON file goes through `_read_json`.
 """
 
 import csv

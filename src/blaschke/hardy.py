@@ -48,8 +48,8 @@ __all__ = [
 
 
 def check_sample_count(n):
-    """The one test of a sample count: a power of two, at least 2."""
-    if n < 2 or n & (n - 1):
+    """The one test of a sample count: an integer, not a bool, a power of two, at least 2."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
         raise ValueError(f"sample count must be a power of two >= 2, got {n}")
 
 
@@ -167,7 +167,8 @@ class PoleTuple(_ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeModel(_ArrayValue):
-    """A pole tuple with the coefficients of the n-Blaschke form sum c_k B_k."""
+    """A pole tuple with the coefficients of the n-Blaschke form sum c_k B_k,
+    finite, and a finite nonnegative residual_error."""
 
     tuple: PoleTuple
     coeffs: np.ndarray

@@ -1,10 +1,12 @@
 """End-to-end driver: search, refine, project, and the evaluation metrics.
 
-The search runs on the signal's N samples.  The refinement runs at a
-working resolution N' <= N, the fewest samples at which f and the search
-tuple's Takenaka-Malmquist system are held to round-off (`_working_samples`),
-and a second refinement call continues from its tuple at the full N.  The
-model and its error always come from the full N.
+The search runs on the signal's N samples: its default grid reaches radius
+0.99, and 0.99^256 = 0.08, so a scan on fewer samples would alias.  The
+refinement runs at a working resolution N' <= N, the fewest samples at
+which f and the search tuple's Takenaka-Malmquist system are held to
+round-off (`_working_samples`), and a second refinement call continues
+from its tuple at the full N.  The model and its error always come from
+the full N.
 
 Also houses the builtin target registry (the closed-form functions and the
 fixed Blaschke forms) and the benchmark harness, one row per case and
@@ -291,6 +293,9 @@ def _refine(f, start, cfg):
     status and final |grad E|^2, the iterations of both, and the first call's
     energy trace with its last entry replaced by the second's trace.  Each
     call's trace is monotone; from the seam on, every entry is a full-N energy.
+    The second call usually makes no step; it finishes a tuple that drifted
+    past the working bounds.  At N' = N, after a converged or capped first
+    call, it makes none, and after a stall it restarts at INITIAL_DAMPING.
     """
     n_work = _working_samples(f, start)
     work = cgd_refine(Signal(f.samples[::f.n_samples // n_work]), start, cfg)

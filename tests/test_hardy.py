@@ -1,6 +1,7 @@
 """Core representations: signals, spectra, the TM system, projection."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from blaschke import (
 import blaschke
 from blaschke import PolarGrid, eval_interior, feval_table, ring_bounds
 from blaschke.cgd import CgdConfig, cgd_refine
+from blaschke.hardy import check_sample_count
 from blaschke.pipeline import (
     BUILTIN_FORMS,
     RunConfig,
@@ -71,6 +73,27 @@ class TestSignalConstruction:
         f = Signal([1, 2, 3, 4])
         with pytest.raises(ValueError):
             f.samples[0] = 0.0
+
+
+@pytest.mark.parametrize("count", [64.0, True, "64"])
+def test_non_integer_sample_count_rejected(count):
+    # hardy.check_sample_count is the one test: each entry point raises its
+    # ValueError naming the count, not a TypeError from the power-of-two test
+    model = BlaschkeModel(PoleTuple([0.5]), [1.0])
+    calls = [lambda: check_sample_count(count),
+             lambda: circle_points(count),
+             lambda: builtin_signal("ex5_5", count),
+             lambda: synthesize(model, count)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"got {count}")):
+            call()
+
+
+def test_numpy_integer_sample_count_accepted():
+    model = BlaschkeModel(PoleTuple([0.5]), [1.0])
+    check_sample_count(np.int64(64))
+    assert circle_points(np.int32(64)).size == 64
+    assert synthesize(model, np.int64(64)) == synthesize(model, 64)
 
 
 class TestSpectrum:

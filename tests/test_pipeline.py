@@ -281,7 +281,7 @@ class TestPipeline:
 
         monkeypatch.setattr(reduction, "reduce_step", counted)
         f, truth, _ = _form_run("ex5_3")
-        cfg = RunConfig(truth.degree, SearchConfig(angular=128, seed=1))
+        cfg = RunConfig(truth.degree, SearchConfig(angular=128))
         runs, counts = [], []
         for _ in range(2):
             steps.clear()
