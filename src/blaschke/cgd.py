@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .hardy import PoleTuple, norm_sq
-from .reduction import Objective, energy_gradient, error_energy, remainder_jacobian
+from .reduction import _objective, energy_gradient, error_energy, remainder_jacobian
 
 __all__ = ["CgdConfig", "CgdReport", "CgdStatus", "cgd_refine"]
 
@@ -104,12 +104,18 @@ def _candidate(poles):
 
 
 def cgd_refine(f, start, cfg=CgdConfig()):
-    """Refine the PoleTuple `start` by Levenberg-Marquardt on the remainder of f."""
-    tup, state = start, Objective(f)
+    """Refine the PoleTuple `start` by Levenberg-Marquardt on the remainder of f.
+
+    f is a `Signal`, which gets a fresh `Objective`, or an `Objective`, whose
+    kept entry the call reads and replaces: a call that starts at the tuple
+    the Objective last evaluated takes its first energy and gradient from
+    that entry, with the bits a fresh one would give.
+    """
+    tup, state = start, _objective(f)
     n = tup.degree
     err_curr = error_energy(state, tup)
     g = energy_gradient(state, tup)
-    total = norm_sq(f)
+    total = norm_sq(state.signal)
     # recording E as total - A keeps the trace exactly monotone
     trace = [total - err_curr]
     damping = INITIAL_DAMPING

@@ -51,6 +51,17 @@ moved pole's after an accepted move; each chain takes its block's slice of
 them, so a reduction step is one dot product and one update, and a
 coordinate step reads its pole's amplitude off its z w row (`pole_values`).
 
+A position is settled once its scan accepts no move, and every accepted
+move unsettles all positions, the moved one included.  A sweep skips the
+settled positions, and a block whose positions are all settled runs no
+chain: the first sweep costs T(n) steps and n scans, a later one scans
+just the positions a move has unsettled.  The skip is exact: no
+pole has moved since a settled position's last scan, so its remainder,
+floor and scan would repeat that scan bit for bit (the same chains, in the
+same order, through the same poles and rows) and again accept no move.
+The moves, the tuple, the sweep count and SearchNonConvergence are those
+of scanning every position in every sweep.
+
 The polar search bounds each ring before it transforms it.  On the ring of
 radius r, |<f_n, e_z>| <= UB = sqrt(1-r^2) * sum_k r^k |f_hat_n(k)|
 (`ring_bounds`, one small real matrix product on the cached ring tables).
@@ -202,21 +213,33 @@ def _coordinate_step(g, poles, rows, c, scan, eta):
 # module level, not a closure inside _cyclic_search: a closure that calls
 # itself is a reference cycle, which keeps every search's remainders alive
 # until the cyclic garbage collector runs
-def _sweep(g, poles, rows, lo, hi, scan, eta):
-    """Scan positions hi-1 down to lo, updating `poles` and `rows` in place.
+def _sweep(g, poles, rows, lo, hi, scan, eta, settled):
+    """Scan the positions hi-1 down to lo not in the set `settled`, updating
+    `poles`, `rows` and `settled` in place.
 
     g is f reduced through every pole outside [lo, hi).  The upper half is
     scanned first, from g reduced through the lower half's poles; then the
     lower half, from g reduced through the upper half's poles as updated.
+    A half whose positions are all settled is skipped with its chain.  A
+    scan with no move settles its position; a move unsettles every one.
     Returns the number of accepted moves.
     """
     if hi - lo == 1:
-        return _coordinate_step(g, poles, rows, lo, scan, eta)
+        moved = _coordinate_step(g, poles, rows, lo, scan, eta)
+        if moved:
+            settled.clear()
+        else:
+            settled.add(lo)
+        return moved
     mid = (lo + hi) // 2
-    upper = reduce_chain(g, poles[lo:mid], rows[lo:mid])
-    accepted = _sweep(upper, poles, rows, mid, hi, scan, eta)
-    lower = reduce_chain(g, poles[mid:hi], rows[mid:hi])
-    return accepted + _sweep(lower, poles, rows, lo, mid, scan, eta)
+    accepted = 0
+    if not settled.issuperset(range(mid, hi)):
+        upper = reduce_chain(g, poles[lo:mid], rows[lo:mid])
+        accepted += _sweep(upper, poles, rows, mid, hi, scan, eta, settled)
+    if not settled.issuperset(range(lo, mid)):
+        lower = reduce_chain(g, poles[mid:hi], rows[mid:hi])
+        accepted += _sweep(lower, poles, rows, lo, mid, scan, eta, settled)
+    return accepted
 
 
 def _cyclic_search(f, poles, scan):
@@ -225,15 +248,18 @@ def _cyclic_search(f, poles, scan):
     `scan(g, floor)` returns (flat magnitudes, flat nodes) of |<f_n, e_z>|,
     g the samples of f_n, over the grid or over a part of it that holds
     every node whose value reaches the floor (floor 0, the default, is the
-    whole grid).  Each sweep is one `_sweep` over all n positions, T(n)
-    reduction steps and n scans; the search stops after the first sweep
-    that accepts no move, or raises after MAX_SWEEPS sweeps.  `poles` is
-    updated in place; the poles' row sets at the N points are built here.
+    whole grid).  Each sweep is one `_sweep` over the positions not settled
+    (see the module docstring): the first scans all n at T(n) reduction
+    steps, a later one only the positions a move has unsettled since their
+    last scan.  The search stops after the first sweep that accepts no
+    move, or raises after MAX_SWEEPS sweeps.  `poles` is updated in place;
+    the poles' row sets at the N points are built here.
     """
     eta = ETA_REL * norm_sq(f)
     rows = pole_rows(circle_points(f.n_samples), poles)
+    settled = set()
     for _ in range(MAX_SWEEPS):
-        if _sweep(f.samples, poles, rows, 0, poles.size, scan, eta) == 0:
+        if _sweep(f.samples, poles, rows, 0, poles.size, scan, eta, settled) == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence(
         f"no coordinate maximum within {MAX_SWEEPS} sweeps", PoleTuple(poles)

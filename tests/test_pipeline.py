@@ -49,7 +49,6 @@ SMALL_RUN = RunConfig(
     degree=1,
     search=SearchConfig(radial=20, angular=64),
     cgd=CgdConfig(max_iters=200),
-    n_samples=256,
 )
 
 
@@ -372,7 +371,10 @@ def _form_run(name):
 
 
 def _spy_refine(monkeypatch):
-    """Record (sample count, iterations) of every cgd_refine call the pipeline makes."""
+    """Record (sample count, iterations) of every cgd_refine call the pipeline makes.
+
+    A call takes a Signal or an Objective; the count is the signal's.
+    """
     import blaschke.pipeline as pipeline
 
     calls = []
@@ -380,7 +382,8 @@ def _spy_refine(monkeypatch):
 
     def spy(f, start, cfg):
         report = refine(f, start, cfg)
-        calls.append((f.n_samples, report.iterations))
+        signal = f.signal if isinstance(f, reduction.Objective) else f
+        calls.append((signal.n_samples, report.iterations))
         return report
 
     monkeypatch.setattr(pipeline, "cgd_refine", spy)
@@ -412,8 +415,8 @@ class TestWorkingResolution:
         assert calls[1][1] == 0
 
     def test_full_n_report_is_one_call_at_n(self):
-        # at N' = N the first call runs on a new Signal of f's samples and
-        # the continuation starts at its tuple, so the merged report is a lone call's
+        # at N' = N the first call runs on f's samples and the continuation
+        # starts at its tuple, so the merged report is a lone call's
         f, truth, cfg = _form_run("ex5_4")
         res = cafd_cgd_result(f, cfg, truth=truth)
         assert res.working_samples == 1024
@@ -424,6 +427,64 @@ class TestWorkingResolution:
         assert report.status is lone.status
         assert report.final_gradient_norm_sq == lone.final_gradient_norm_sq
         assert report.energy_trace == lone.energy_trace
+
+    @pytest.mark.parametrize("name, shared", [("ex5_4", True), ("ex5_3", False)])
+    def test_confirm_call_shares_the_objective_at_full_n(self, monkeypatch, name, shared):
+        # at N' = N (ex5_4) both calls run on one Objective, so the confirm
+        # call starts from the entry the work call left at its tuple and
+        # builds no 2N-point row set; at N' < N (ex5_3) the confirm call's
+        # Objective holds f at N and shares nothing with the work call
+        import blaschke.pipeline as pipeline
+
+        f, _, cfg = _form_run(name)
+        start = its_search(f, cfg.degree, cfg.search)
+        refine, rows, objectives = pipeline.cgd_refine, reduction.pole_rows, []
+        calls = []
+
+        def counted_rows(z, poles):
+            calls[-1][1] += z.size == 2 * f.n_samples
+            return rows(z, poles)
+
+        def spy(state, start, cfg):
+            calls.append([state, 0])
+            return refine(state, start, cfg)
+
+        init = reduction.Objective.__init__
+
+        def counted_init(self, signal):
+            objectives.append(signal)
+            init(self, signal)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "pole_rows", counted_rows)
+            patch.setattr(reduction.Objective, "__init__", counted_init)
+            patch.setattr(pipeline, "cgd_refine", spy)
+            report, n_work = pipeline._refine(f, start, cfg.cgd)
+        (work_arg, _), (confirm_arg, confirm_rows) = calls
+        assert isinstance(confirm_arg, reduction.Objective) and confirm_arg.signal is f
+        if shared:
+            assert n_work == f.n_samples
+            assert work_arg is confirm_arg
+            assert len(objectives) == 1 and objectives[0] is f
+            assert confirm_rows == 0
+        else:
+            assert n_work < f.n_samples
+            assert isinstance(work_arg, Signal) and work_arg.n_samples == n_work
+            assert len(objectives) == 2 and objectives[0] is f
+            assert confirm_rows > 0
+
+        # the same report, bit for bit, as two calls with a fresh Objective each
+        def fresh(state, start, cfg):
+            return refine(state.signal if isinstance(state, reduction.Objective) else state,
+                          start, cfg)
+
+        monkeypatch.setattr(pipeline, "cgd_refine", fresh)
+        want, _ = pipeline._refine(f, start, cfg.cgd)
+        np.testing.assert_array_equal(report.tuple.poles, want.tuple.poles)
+        assert report.iterations == want.iterations
+        assert report.final_gradient_norm_sq == want.final_gradient_norm_sq
+        assert report.energy_trace == want.energy_trace
+        assert report.status is want.status
 
     def test_pole_near_the_circle_refines_at_full_n(self, monkeypatch):
         # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) exceeds

@@ -51,29 +51,63 @@ def _partial_energy_amp(f_n, a):
     return np.sqrt(1.0 - abs(a) ** 2) * abs(series_value(f_n.samples, a))
 
 
-def roll_cyclic_search(f, poles, scan):
+def roll_cyclic_search(f, poles, scan, sweeps=None):
     """Reference sweep: rebuild each remainder from f, scan the last pole, roll.
 
     Takes `_cyclic_search`'s arguments.  Each of the n steps of a sweep
     reduces f through the first n - 1 poles, n(n-1) reduction steps per
-    sweep; after n rolls the tuple is back in array order.
+    sweep; after n rolls the tuple is back in array order, so the steps
+    scan the array positions n-1, ..., 0, every position in every sweep.
+    `sweeps`, when given, gets one list per sweep of the (array position,
+    1 if it moved) of each step.
     """
     eta = blaschke.search.ETA_REL * norm_sq(f)
     n = poles.size
     for _ in range(blaschke.search.MAX_SWEEPS):
         accepted = 0
-        for _ in range(n):
+        steps = []
+        for c in reversed(range(n)):
             f_n = Signal(reduce_chain(f.samples, poles[:-1])) if n > 1 else f
             v = _partial_energy_amp(f_n, poles[-1])
             mags, nodes = scan(f_n.samples)
             best = _masked_argmax(mags, nodes, poles, n - 1)
-            if best is not None and best[0] ** 2 > v**2 + eta:
+            moved = best is not None and best[0] ** 2 > v**2 + eta
+            if moved:
                 poles[-1] = best[1]
                 accepted += 1
+            steps.append((c, int(moved)))
             poles = np.roll(poles, 1)
+        if sweeps is not None:
+            sweeps.append(steps)
         if accepted == 0:
             return PoleTuple(poles)
     raise SearchNonConvergence("no coordinate maximum", PoleTuple(poles))
+
+
+def spy_sweeps(monkeypatch, steps=lambda: 0):
+    """Record each sweep of `_cyclic_search`: its coordinate steps and cost.
+
+    Each entry of the returned list is one sweep, a dict of `scans`, the
+    (position, return) of each `_coordinate_step` in order, and `before`,
+    the value of `steps()` when the sweep began.
+    """
+    sweeps = []
+    sweep, step = blaschke.search._sweep, blaschke.search._coordinate_step
+
+    def sweep_spy(g, poles, rows, lo, hi, *rest):
+        # only a sweep's root call spans every position
+        if (lo, hi) == (0, poles.size):
+            sweeps.append({"scans": [], "before": steps()})
+        return sweep(g, poles, rows, lo, hi, *rest)
+
+    def step_spy(g, poles, rows, c, *rest):
+        moved = step(g, poles, rows, c, *rest)
+        sweeps[-1]["scans"].append((c, moved))
+        return moved
+
+    monkeypatch.setattr(blaschke.search, "_sweep", sweep_spy)
+    monkeypatch.setattr(blaschke.search, "_coordinate_step", step_spy)
+    return sweeps
 
 
 def sweep_steps(n):
@@ -208,15 +242,76 @@ class TestSweepCost:
         start = draw_separated(np.random.default_rng(n), n, 1.0 - grid.eps, 0.0, 100 * n)
         scan = _polar_scan(grid, grid.nodes().ravel())
         counts = self.counters(monkeypatch)
+        sweeps = spy_sweeps(monkeypatch, lambda: counts["steps"])
         _cyclic_search(f, start, scan)
-        sweeps, rem = divmod(counts["scans"], n)
-        assert sweeps >= 1 and rem == 0
         # one table call per scan, however few rings the bound leaves
         assert counts["tables"] == counts["scans"]
         # one transform per scan, shared by the ring bounds and the table
         assert counts["spectra"] == counts["scans"]
         assert counts["feval_spectra"] == 0
-        assert counts["steps"] == sweeps * sweep_steps(n)
+        # the first sweep scans every position, at T(n) reduction steps
+        assert [c for c, _ in sweeps[0]["scans"]] == list(reversed(range(n)))
+        ends = [sweep["before"] for sweep in sweeps[1:]] + [counts["steps"]]
+        assert ends[0] - sweeps[0]["before"] == sweep_steps(n)
+        # a sweep scans, in order, exactly the positions not settled; a
+        # scan with no move settles its position until the next move
+        settled = set()
+        for sweep, end in zip(sweeps, ends):
+            scans = iter(sweep["scans"])
+            for c in reversed(range(n)):
+                if c in settled:
+                    continue
+                position, moved = next(scans)
+                assert position == c
+                if moved:
+                    settled.clear()
+                else:
+                    settled.add(c)
+            assert next(scans, None) is None
+            # a skipped position skips at least the chain into it
+            steps = end - sweep["before"]
+            if len(sweep["scans"]) == n:
+                assert steps == sweep_steps(n)
+            else:
+                assert steps < sweep_steps(n)
+        assert not any(moved for _, moved in sweeps[-1]["scans"])
+        assert counts["scans"] == sum(len(sweep["scans"]) for sweep in sweeps)
+
+    @pytest.mark.parametrize("name, angular, seed", [
+        ("ex5_3", 128, None), ("ex5_6", 128, 0), ("ex5_2_f1", 256, None),
+        ("ex5_2_f2", 256, None),
+    ])
+    def test_skipped_scans_make_no_move_in_the_reference(self, monkeypatch, name, angular,
+                                                         seed):
+        # the roll reference scans every position of every sweep; each scan
+        # the sweeps skip is one it made with no move, and the scans they
+        # make return what its scans of the same sweep and position did
+        f, n = builtin_signal(name, 1024), BUILTIN_DEGREES[name]
+        cfg = SearchConfig(angular=angular)
+        if seed is not None:
+            start = draw_separated(np.random.default_rng(seed), n, 1.0 - cfg.grid.eps, 0.0,
+                                   100 * n)
+            monkeypatch.setattr(blaschke.search, "_place", lambda *args: start.copy())
+        ref_sweeps = []
+        with monkeypatch.context() as patch:
+            patch.setattr(blaschke.search, "_cyclic_search",
+                          lambda f, poles, scan: roll_cyclic_search(f, poles, scan, ref_sweeps))
+            ref = its_search(f, n, cfg)
+        sweeps = spy_sweeps(monkeypatch)
+        fast = its_search(f, n, cfg)
+        np.testing.assert_array_equal(fast.poles, ref.poles)
+        assert len(sweeps) == len(ref_sweeps)
+        skipped = 0
+        for sweep, ref_steps in zip(sweeps, ref_sweeps):
+            made = dict(sweep["scans"])
+            assert len(made) == len(sweep["scans"])
+            for c, moved in ref_steps:
+                if c in made:
+                    assert made[c] == moved
+                else:
+                    assert moved == 0
+                    skipped += 1
+        assert skipped > 0
 
     @pytest.mark.parametrize("n, given", [(1, 0), (5, 0), (5, 2), (30, 0), (4, 4)])
     def test_placement_scans(self, monkeypatch, n, given):
