@@ -24,9 +24,7 @@ from .pipeline import (
     cafd_cgd,
     cafd_cgd_result,
     l2_relative_error,
-    random_blaschke_form,
     rect_cafd,
-    run_benchmark,
     tuple_distance,
 )
 from .reduction import energy, energy_gradient, reduce_step
@@ -37,5 +35,7 @@ from .search import (
     its_search,
     rect_cafd_search,
 )
+from .suites import run_benchmark
+from .targets import random_blaschke_form
 
 __version__ = "0.1.0"

@@ -20,15 +20,10 @@ import numpy as np
 from .cgd import CgdStatus
 from .feval import PolarGrid, feval_table
 from .hardy import BlaschkeModel, PoleTuple, Signal, synthesize
-from .pipeline import (
-    BENCHMARK_COLUMNS,
-    DEFAULT_SAMPLES,
-    RunConfig,
-    builtin_signal,
-    cafd_cgd_result,
-    run_benchmark,
-)
+from .pipeline import RunConfig, cafd_cgd_result
 from .search import SearchConfig, SearchNonConvergence
+from .suites import BENCHMARK_COLUMNS, BUILTIN_SUITES, run_benchmark
+from .targets import DEFAULT_SAMPLES, builtin_signal
 
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
@@ -218,15 +213,6 @@ def benchmark(suite, out_path):
         for row in rows:
             writer.writerow(row)
     click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-
-BUILTIN_SUITES = {
-    "ex5_1": {"targets": [{"name": f"ex5_1_f{i}"} for i in (1, 2, 3)],
-              "algorithms": ["cafd_cgd"]},
-    "ex5_3": {"targets": [{"name": "ex5_3"}], "algorithms": ["cafd_cgd"]},
-    "recovery": {"targets": [{"name": n} for n in ("ex5_3", "ex5_4", "ex5_5", "ex5_6")],
-                 "algorithms": ["cafd_cgd"]},
-}
 
 
 def _load_suite(suite):

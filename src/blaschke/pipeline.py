@@ -7,35 +7,21 @@ which f and the search tuple's Takenaka-Malmquist system are held to
 round-off (`_working_samples`), and a second refinement call continues
 from its tuple at the full N.  The model and its error always come from
 the full N.
-
-Also houses the builtin target registry (the closed-form functions and the
-fixed Blaschke forms) and the benchmark harness, one row per case and
-algorithm; the pipeline and the rectangular baseline share one result assembly.
 """
 
-import numbers
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .cgd import CgdConfig, CgdReport, cgd_refine
-from .hardy import (
-    BlaschkeModel,
-    PoleTuple,
-    Signal,
-    check_degree,
-    circle_points,
-    draw_separated,
-    norm_sq,
-    project,
-    spectrum,
-    synthesize,
-    tm_band,
-)
+from .hardy import (BlaschkeModel, PoleTuple, Signal, check_degree, norm_sq, project, spectrum,
+                    tm_band)
 from .reduction import Objective
 from .search import RectGridConfig, SearchConfig, its_search, rect_cafd_search
+# builtin_signal and builtin_truth are unused here; kept only because
+# perfbench/workloads.py imports them from this module
+from .targets import DEFAULT_SAMPLES, builtin_signal, builtin_truth  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -45,74 +31,13 @@ __all__ = [
     "rect_cafd",
     "tuple_distance",
     "l2_relative_error",
-    "random_blaschke_form",
-    "run_benchmark",
-    "builtin_signal",
-    "builtin_truth",
-    "BUILTIN_FUNCTIONS",
-    "BUILTIN_FORMS",
 ]
 
-
-# circle samples of a builtin target unless the caller asks for another count
-DEFAULT_SAMPLES = 1024
 
 # the refinement may run on N' < N samples only when f's relative spectral
 # tail beyond N' is at most this, just above the round-off plateau of the
 # builtin targets' tails
 WORKING_TOL = 1e-14
-
-# the algorithms a benchmark descriptor may name
-ALGORITHMS = ("cafd_cgd", "rect_cafd")
-
-# the columns of a benchmark row, in the order of the CLI's CSV table
-BENCHMARK_COLUMNS = ("target", "algorithm", "degree", "l2_rel_error", "tuple_distance",
-                     "wall_time_s", "status", "iterations", "stat")
-
-# closed-form targets of the approximation suites, evaluated at tau on the circle
-BUILTIN_FUNCTIONS = {
-    "ex5_1_f1": lambda t: 1.0 / (2.0 + t**4),
-    "ex5_1_f2": lambda t: np.exp(t**2),
-    "ex5_1_f3": lambda t: np.log(2.0 + t**2),
-    "ex5_2_f1": lambda t: 1.0 + t**2 + t**4 + 1.0 / (3.0 + t**2),
-    "ex5_2_f2": lambda t: np.cos(t**2),
-    "ex5_2_f3": lambda t: np.cos(6.0 * t**2) / (2.0 + t**2),
-}
-
-# fixed (poles, coefficients) pairs of the recovery suites
-BUILTIN_FORMS = {
-    "ex5_3": (
-        [-0.475 + 0.305j, -0.180 + 0.715j, 0.260 - 0.730j,
-         0.540 + 0.360j, -0.485 - 0.215j],
-        [-0.5861 - 0.04445j, 0.2428 - 0.6878j, 0.4423 - 0.3309j,
-         -0.2703 - 0.8217j, -0.8085 + 0.3774j],
-    ),
-    "ex5_4": (
-        [-0.4900 - 0.8000j, 0.3100 + 0.1400j, -0.9400 - 0.2900j,
-         0.2300 - 0.6900j],
-        [1.0470 + 0.55587j, -0.2269 - 1.1203j, -0.1625 - 1.5327j,
-         0.6901 - 1.0979j],
-    ),
-    "ex5_5": (
-        [0.6800 + 0.5200j, 0.3900 + 0.8100j, -0.1300 - 0.8700j,
-         0.5500 - 0.1000j],
-        [0.1440 + 0.5197j, -1.6387 - 0.0142j, -0.7601 - 1.1555j,
-         -0.8188 - 0.0095j],
-    ),
-    "ex5_6": (
-        [-0.1800 + 0.7700j, -0.0200 - 0.1800j, 0.1000 + 0.2400j,
-         0.1800 - 0.5300j],
-        [0.1097 + 0.4754j, 1.1287 + 1.1741j, -0.2900 + 0.1269j,
-         1.2616 - 0.6568j],
-    ),
-}
-
-# default degree per builtin target; a form's is the size of its tuple
-BUILTIN_DEGREES = {
-    "ex5_1_f1": 6, "ex5_1_f2": 6, "ex5_1_f3": 6,
-    "ex5_2_f1": 10, "ex5_2_f2": 10, "ex5_2_f3": 30,
-    **{name: len(poles) for name, (poles, _) in BUILTIN_FORMS.items()},
-}
 
 
 @dataclass(frozen=True)
@@ -139,24 +64,6 @@ class RecoveryResult:
     # the sample count N' the refinement ran at (N when no smaller count
     # passed); None for rect_cafd
     working_samples: int | None = None
-
-
-def builtin_signal(name, n_samples=DEFAULT_SAMPLES):
-    """Sample a builtin target at n equidistant circle points."""
-    tau = circle_points(n_samples)
-    if name in BUILTIN_FUNCTIONS:
-        return Signal(BUILTIN_FUNCTIONS[name](tau))
-    if name in BUILTIN_FORMS:
-        poles, coeffs = BUILTIN_FORMS[name]
-        return synthesize(BlaschkeModel(PoleTuple(poles), coeffs), n_samples)
-    raise KeyError(f"unknown builtin target {name!r}")
-
-
-def builtin_truth(name):
-    """Ground-truth pole tuple of a builtin Blaschke form, else None."""
-    if name in BUILTIN_FORMS:
-        return PoleTuple(BUILTIN_FORMS[name][0])
-    return None
 
 
 def tuple_distance(u, v):
@@ -228,22 +135,11 @@ def l2_relative_error(f, approx):
     """||f - approx|| / ||f|| in the discrete H^2 norm, as a fraction."""
     if f.n_samples != approx.n_samples:
         raise ValueError("sample counts differ")
-    total = _checked_norm_sq(f)
+    total = checked_norm_sq(f)
     return float(np.sqrt(norm_sq(Signal(f.samples - approx.samples)) / total))
 
 
-def random_blaschke_form(n, seed):
-    """Random pole tuple (|a| < 0.9, pairwise gap >= 0.05) and coefficients.
-
-    Coefficients have real and imaginary parts uniform in [-1, 1].
-    """
-    rng = np.random.default_rng(seed)
-    poles = draw_separated(rng, n, 0.9, 0.05, 10000)
-    coeffs = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-    return PoleTuple(poles), coeffs
-
-
-def _checked_norm_sq(f, truth=None, degree=None):
+def checked_norm_sq(f, truth=None, degree=None):
     """||f||^2 of a case; rejects a zero f, a degree below 1 or one unlike the truth's."""
     if degree is not None:
         check_degree(degree)
@@ -322,7 +218,7 @@ def cafd_cgd_result(f, cfg, truth=None):
     the reported tuple (at worst the search tuple itself) is projected and
     returned.
     """
-    total = _checked_norm_sq(f, truth, cfg.degree)
+    total = checked_norm_sq(f, truth, cfg.degree)
     start_time = time.perf_counter()
     its_tuple = its_search(f, cfg.degree, cfg.search)
     report, n_work = _refine(f, its_tuple, cfg.cgd)
@@ -340,131 +236,7 @@ def cafd_cgd(f, n):
 
 def rect_cafd(f, n, cfg=RectGridConfig(), truth=None):
     """Rectangular-grid baseline run with the same reporting as the pipeline."""
-    total = _checked_norm_sq(f, truth, n)
+    total = checked_norm_sq(f, truth, n)
     start_time = time.perf_counter()
     tup = rect_cafd_search(f, n, cfg)
     return _result(f, total, start_time, tup, None, truth)
-
-
-def run_benchmark(descriptor):
-    """Run a benchmark descriptor and return result rows.
-
-    The descriptor is a dict: `targets` is a list of {name, degree} picking
-    builtin targets or {name: "random", degree, count} batches (count >= 1,
-    default 20); `algorithms` selects "cafd_cgd" and/or "rect_cafd";
-    optional `n_samples`, `seed`, `angular` override the defaults.  Rows
-    are dicts keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
-    `CgdStatus` value) and `iterations`; `rect_cafd` runs no refinement, so
-    its rows leave those two blank, as do the mean/max/std stat rows that
-    follow a batch's rows.  Every case is built before any runs, so each
-    bad input raises a `ValueError` or `KeyError` first: the descriptor's
-    JSON shape and any field not named here, then the target, degree,
-    sample count, grid shape, fold (N a multiple of angular) and random
-    draw where each rule is kept.
-    """
-    rows = []
-    for stat_target, algo, degree, runs in _plan(descriptor):
-        results = [run() for _, run in runs]
-        rows += [_result_row(t, algo, degree, res) for (t, _), res in zip(runs, results)]
-        if stat_target:
-            rows.extend(_stat_rows(stat_target, algo, degree, results))
-    return rows
-
-
-def _check_descriptor(descriptor):
-    """Reject a descriptor whose JSON shape is wrong or with an unknown field, naming it."""
-    if not isinstance(descriptor, dict):
-        raise ValueError("the descriptor must be a JSON object")
-    targets = descriptor.get("targets", [])
-    if not (isinstance(targets, list) and all(isinstance(t, dict) for t in targets)):
-        raise ValueError("descriptor field 'targets' must be a list of objects")
-    # a misspelled field would otherwise run its default unseen
-    for fields, known in (
-            (descriptor, ("targets", "algorithms", "n_samples", "seed", "angular")),
-            *((t, ("name", "degree", "count")) for t in targets)):
-        for key in fields:
-            if key not in known:
-                raise ValueError(f"descriptor field {key!r} is not one of {', '.join(known)}")
-    if not all(isinstance(t.get("name"), str) for t in targets):
-        raise ValueError("descriptor field 'name' of each target must be a string")
-    algorithms = descriptor.get("algorithms", [])
-    if not (isinstance(algorithms, list) and all(isinstance(a, str) for a in algorithms)):
-        raise ValueError("descriptor field 'algorithms' must be a list of strings")
-    for fields, keys in ((descriptor, ("n_samples", "seed", "angular")),
-                         *((t, ("degree", "count")) for t in targets)):
-        for key in keys:
-            # JSON true is a Python bool, which is an Integral but no count
-            value = fields.get(key, 0)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"descriptor field {key!r} must be an integer")
-    # a batch of no forms has no mean or max to report
-    if any(t.get("count", 1) < 1 for t in targets):
-        raise ValueError("descriptor field 'count' must be at least 1")
-    if descriptor.get("seed", 0) < 0:
-        raise ValueError("descriptor field 'seed' must be nonnegative")
-    if any(t["name"] == "random" and "degree" not in t for t in targets):
-        raise KeyError("no degree given for target 'random'")
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise KeyError(f"unknown algorithm {algo!r}")
-
-
-def _plan(descriptor):
-    """Every case, built and checked: per entry and algorithm, in row order,
-    (stat-row target or False, algorithm, degree, [(row target, run)])."""
-    _check_descriptor(descriptor)
-    n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
-    seed = descriptor.get("seed", 0)
-    plan = []
-    for entry in descriptor.get("targets", []):
-        name = entry["name"]
-        degree = entry.get("degree", BUILTIN_DEGREES.get(name))
-        if name == "random":
-            # drawn once, then run under every algorithm; the 2**32 offset keeps
-            # rect_cafd's seeded start off scaled true poles (the polar one reads none)
-            forms = [random_blaschke_form(degree, seed + i)
-                     for i in range(entry.get("count", 20))]
-            cases = [(f"random_n{degree}_{i}", synthesize(BlaschkeModel(*form), n_samples),
-                      form[0], seed + i + 2**32) for i, form in enumerate(forms)]
-        else:
-            cases = [(name, builtin_signal(name, n_samples), builtin_truth(name), seed)]
-        for _, f, truth, _ in cases:
-            _checked_norm_sq(f, truth, degree)
-        for algo in descriptor.get("algorithms", ["cafd_cgd"]):
-            runs = []
-            for target, f, truth, rect_seed in cases:
-                if algo == "cafd_cgd":
-                    angular = descriptor.get("angular", 128 if truth is not None else 256)
-                    cfg = RunConfig(degree, SearchConfig(angular=angular))
-                    cfg.search.grid.check_samples(f.n_samples)
-                    run = partial(cafd_cgd_result, f, cfg, truth=truth)
-                else:
-                    run = partial(rect_cafd, f, degree, RectGridConfig(seed=rect_seed),
-                                  truth=truth)
-                runs.append((target, run))
-            plan.append((name == "random" and f"random_n{degree}", algo, degree, runs))
-    return plan
-
-
-def _row(*values):
-    return dict(zip(BENCHMARK_COLUMNS, values, strict=True))
-
-
-def _result_row(target, algo, degree, res):
-    report = res.cgd_report
-    return _row(
-        target, algo, degree,
-        res.l2_relative_error, res.tuple_distance, res.wall_time_seconds,
-        "" if report is None else report.status.value,
-        "" if report is None else report.iterations,
-        "",
-    )
-
-
-def _stat_rows(target, algo, degree, results):
-    """mean, max and std of a batch's errors, distances and times."""
-    columns = ([r.l2_relative_error for r in results],
-               [r.tuple_distance for r in results],
-               [r.wall_time_seconds for r in results])
-    return [_row(target, algo, degree, *(float(fn(c)) for c in columns), "", "", stat)
-            for stat, fn in (("mean", np.mean), ("max", np.max), ("std", np.std))]

@@ -81,6 +81,7 @@ once as the `Spectrum` that both `ring_bounds` and `feval_table` read.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -354,6 +355,14 @@ def _polar_scan(grid, nodes):
     return scan
 
 
+@lru_cache(maxsize=8)
+def _grid_nodes(grid):
+    """`grid.nodes()` flattened, built once per grid and read-only."""
+    nodes = grid.nodes().ravel()
+    nodes.setflags(write=False)
+    return nodes
+
+
 def its_search(f, n, cfg=SearchConfig()):
     """Initial tuple selection over the polar grid using the fast table.
 
@@ -362,7 +371,7 @@ def its_search(f, n, cfg=SearchConfig()):
     node of the remainder (`_place`); the cyclic sweeps run from there.
     """
     check_degree(n)
-    nodes = cfg.grid.nodes().ravel()
+    nodes = _grid_nodes(cfg.grid)
     scan = _polar_scan(cfg.grid, nodes)
     start = _place(f, _snap(_pencil_poles(f, n), cfg.grid, nodes), n, scan)
     return _cyclic_search(f, start, scan)

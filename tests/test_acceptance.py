@@ -19,14 +19,10 @@ from blaschke import (
     tuple_distance,
 )
 from blaschke.cgd import CgdStatus
-from blaschke.pipeline import (
-    RunConfig,
-    builtin_signal,
-    builtin_truth,
-    cafd_cgd_result,
-)
+from blaschke.pipeline import RunConfig, cafd_cgd_result
 from blaschke.reduction import energy, energy_gradient
 from blaschke.search import RectGridConfig, SearchConfig, rect_cafd_search
+from blaschke.targets import builtin_signal, builtin_truth
 
 from conftest import (
     monomial_signal,

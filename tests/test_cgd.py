@@ -14,8 +14,9 @@ from blaschke import (
     tuple_distance,
 )
 from blaschke.cgd import CgdConfig, CgdStatus, _candidate, cgd_refine
-from blaschke.pipeline import RunConfig, builtin_signal, builtin_truth, cafd_cgd_result
+from blaschke.pipeline import RunConfig, cafd_cgd_result
 from blaschke.reduction import energy_gradient, remainder_jacobian
+from blaschke.targets import builtin_signal, builtin_truth
 
 from conftest import SEARCH_TUPLES, monomial_signal, szego_signal
 

@@ -26,8 +26,9 @@ from blaschke.cli import (
     write_model_json,
     write_signal_csv,
 )
-from blaschke.pipeline import DEFAULT_SAMPLES, RunConfig, builtin_signal, cafd_cgd_result
+from blaschke.pipeline import RunConfig, cafd_cgd_result
 from blaschke.search import SearchConfig
+from blaschke.targets import DEFAULT_SAMPLES, builtin_signal
 
 from conftest import fix_search_tuple
 

@@ -15,8 +15,8 @@ from blaschke import (
     spectrum,
 )
 from blaschke.feval import _ring_tables, ring_bounds
-from blaschke.pipeline import builtin_signal
 from blaschke.search import BOUND_SLACK
+from blaschke.targets import builtin_signal
 
 from conftest import kernel_reference, quadrature_kernel_inner, random_smooth_signal
 

@@ -24,16 +24,10 @@ import blaschke
 from blaschke import PolarGrid, eval_interior, feval_table, ring_bounds
 from blaschke.cgd import CgdConfig, cgd_refine
 from blaschke.hardy import check_sample_count
-from blaschke.pipeline import (
-    BUILTIN_FORMS,
-    RunConfig,
-    builtin_signal,
-    builtin_truth,
-    cafd_cgd_result,
-    random_blaschke_form,
-)
+from blaschke.pipeline import RunConfig, cafd_cgd_result
 from blaschke.reduction import energy, energy_gradient, error_energy
 from blaschke.search import SearchConfig
+from blaschke.targets import BUILTIN_FORMS, builtin_signal, builtin_truth, random_blaschke_form
 
 from conftest import (
     CLUSTER,

@@ -25,22 +25,24 @@ from blaschke import (
 from blaschke.cgd import CgdConfig, CgdStatus, cgd_refine
 from blaschke.hardy import draw_separated
 from blaschke.pipeline import (
-    BUILTIN_DEGREES,
-    BUILTIN_FORMS,
-    BUILTIN_FUNCTIONS,
     RunConfig,
     _assignment,
-    builtin_signal,
-    builtin_truth,
     cafd_cgd,
     cafd_cgd_result,
     l2_relative_error,
-    random_blaschke_form,
     rect_cafd,
-    run_benchmark,
     tuple_distance,
 )
 from blaschke.search import RectGridConfig, SearchConfig, its_search
+from blaschke.suites import BUILTIN_SUITES, run_benchmark
+from blaschke.targets import (
+    BUILTIN_DEGREES,
+    BUILTIN_FORMS,
+    BUILTIN_FUNCTIONS,
+    builtin_signal,
+    builtin_truth,
+    random_blaschke_form,
+)
 
 from conftest import CLUSTER, band_limit, brute_tuple_distance, fix_search_tuple, loop_columns
 
@@ -119,7 +121,7 @@ def test_pipeline_run_imports_no_numpy_random():
     # numpy.random and its memory
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; from blaschke import RunConfig, cafd_cgd_result; "
-            "from blaschke.pipeline import builtin_signal; "
+            "from blaschke.targets import builtin_signal; "
             "cafd_cgd_result(builtin_signal('ex5_5'), RunConfig(4)); "
             "print('numpy.random' in sys.modules)")
     out = subprocess.run(
@@ -237,6 +239,22 @@ class TestBuiltinTargets:
     def test_registry_complete(self):
         assert len(BUILTIN_FUNCTIONS) == 6
         assert len(BUILTIN_FORMS) == 4
+
+    def test_degrees_cover_exactly_the_registered_targets(self):
+        assert set(BUILTIN_DEGREES) == set(BUILTIN_FUNCTIONS) | set(BUILTIN_FORMS)
+
+    def test_every_suite_target_is_registered(self):
+        for suite in BUILTIN_SUITES.values():
+            for entry in suite["targets"]:
+                assert entry["name"] in BUILTIN_DEGREES
+
+    def test_pipeline_keeps_the_benchmark_import_path(self):
+        # perfbench/workloads.py imports both from blaschke.pipeline
+        import blaschke.pipeline as pipeline
+        import blaschke.targets as targets
+
+        assert pipeline.builtin_signal is targets.builtin_signal
+        assert pipeline.builtin_truth is targets.builtin_truth
 
 
 class TestPipeline:
@@ -639,10 +657,10 @@ class TestRunBenchmark:
                 assert isinstance(row["iterations"], int)
 
     def test_random_batch_search_seed_differs_from_form_seed(self, monkeypatch):
-        import blaschke.pipeline as pipeline
+        import blaschke.suites as suites
 
         form_seeds, search_seeds = [], []
-        draw = pipeline.random_blaschke_form
+        draw = suites.random_blaschke_form
 
         def record_form(n, seed):
             form_seeds.append(seed)
@@ -656,8 +674,8 @@ class TestRunBenchmark:
                 cgd_report=None,
             )
 
-        monkeypatch.setattr(pipeline, "random_blaschke_form", record_form)
-        monkeypatch.setattr(pipeline, "rect_cafd", record_run)
+        monkeypatch.setattr(suites, "random_blaschke_form", record_form)
+        monkeypatch.setattr(suites, "rect_cafd", record_run)
         run_benchmark({"targets": [{"name": "random", "degree": 2, "count": 4}],
                        "algorithms": ["rect_cafd"], "seed": 7})
         assert form_seeds == [7, 8, 9, 10]
@@ -686,12 +704,12 @@ class TestRunBenchmark:
         ({"targets": [{"name": "ex5_5"}], "samples": 256}, ValueError),
     ])
     def test_bad_entry_fails_before_any_case(self, monkeypatch, descriptor, error):
-        import blaschke.pipeline as pipeline
+        import blaschke.suites as suites
 
         def fail(*args, **kwargs):
             raise AssertionError("a case ran before the descriptor was checked")
 
-        monkeypatch.setattr(pipeline, "cafd_cgd_result", fail)
-        monkeypatch.setattr(pipeline, "rect_cafd", fail)
+        monkeypatch.setattr(suites, "cafd_cgd_result", fail)
+        monkeypatch.setattr(suites, "rect_cafd", fail)
         with pytest.raises(error):
             run_benchmark({"algorithms": ["rect_cafd", "cafd_cgd"], **descriptor})

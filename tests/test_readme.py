@@ -9,7 +9,8 @@ from blaschke import cli
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 # the modules whose docstrings the README points to
-MODULES = ("hardy", "feval", "reduction", "search", "cgd", "pipeline", "cli")
+MODULES = ("hardy", "feval", "reduction", "search", "cgd", "pipeline", "targets", "suites",
+           "cli")
 
 
 def _blocks(language):

@@ -18,7 +18,6 @@ from blaschke import (
 )
 from blaschke import reduction
 from blaschke.hardy import disk_points
-from blaschke.pipeline import BUILTIN_FORMS, builtin_signal, builtin_truth
 from blaschke.reduction import (
     Objective,
     derivative_reduce_step,
@@ -32,6 +31,7 @@ from blaschke.reduction import (
     remainder_jacobian,
     series_value,
 )
+from blaschke.targets import BUILTIN_FORMS, builtin_signal, builtin_truth
 
 from conftest import monomial_signal, quadrature_inner, random_smooth_signal, szego_signal
 

@@ -18,14 +18,7 @@ from blaschke import (
     synthesize,
 )
 from blaschke.hardy import draw_separated
-from blaschke.pipeline import (
-    BUILTIN_DEGREES,
-    RunConfig,
-    builtin_signal,
-    builtin_truth,
-    cafd_cgd_result,
-    tuple_distance,
-)
+from blaschke.pipeline import RunConfig, cafd_cgd_result, tuple_distance
 from blaschke.reduction import energy, pole_rows, reduce_chain, series_value
 from blaschke.search import (
     RectGridConfig,
@@ -42,6 +35,7 @@ from blaschke.search import (
     rect_cafd_search,
     rect_grid_nodes,
 )
+from blaschke.targets import BUILTIN_DEGREES, builtin_signal, builtin_truth
 
 from conftest import kernel_reference, monomial_signal, random_smooth_signal, szego_signal
 
@@ -435,6 +429,18 @@ class TestItsSearch:
         t2 = its_search(f, 2, cfg)
         np.testing.assert_array_equal(t1.poles, t2.poles)
 
+    def test_second_search_on_a_grid_builds_no_node_matrix(self, monkeypatch):
+        # the flattened nodes are built once per grid, read-only
+        f = builtin_signal("ex5_3", 256)
+        build, builds = PolarGrid.nodes, []
+        monkeypatch.setattr(PolarGrid, "nodes", lambda grid: builds.append(grid) or build(grid))
+        blaschke.search._grid_nodes.cache_clear()
+        first = its_search(f, 5, SearchConfig(radial=20, angular=64))
+        second = its_search(f, 5, SearchConfig(radial=20, angular=64))
+        assert builds == [PolarGrid(20, 64)]
+        assert not blaschke.search._grid_nodes(PolarGrid(20, 64)).flags.writeable
+        np.testing.assert_array_equal(second.poles, first.poles)
+
     def test_distinct_poles(self):
         f = monomial_signal(1, 256)
         tup = its_search(f, 3, SearchConfig(radial=20, angular=64))
@@ -461,7 +467,7 @@ class TestItsSearch:
     def test_amplitude_invariance(self):
         # eta defaults to an energy, 1e-12 * ||f||^2, so scaling f by lambda
         # must leave every accept decision, and the tuple, unchanged
-        from blaschke.pipeline import builtin_signal
+        from blaschke.targets import builtin_signal
 
         f = builtin_signal("ex5_3", 256)
         cfg = SearchConfig(radial=20, angular=64)
@@ -473,7 +479,7 @@ class TestItsSearch:
     def test_tuple_independent_of_table_evaluator(self, monkeypatch):
         # the fast table and a direct series sum differ by round-off only;
         # the argmax must not see the difference
-        from blaschke.pipeline import BUILTIN_DEGREES, builtin_signal
+        from blaschke.targets import BUILTIN_DEGREES, builtin_signal
 
         def direct_table(f, grid):
             return kernel_reference(f, grid)
@@ -512,7 +518,7 @@ class TestItsSearch:
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
         # from a start far from ex5_3's poles the first sweep moves, so one
         # sweep cannot end the search
-        from blaschke.pipeline import BUILTIN_FORMS
+        from blaschke.targets import BUILTIN_FORMS
 
         poles, coeffs = BUILTIN_FORMS["ex5_3"]
         f = synthesize(BlaschkeModel(PoleTuple(poles), coeffs), 256)
