@@ -17,7 +17,6 @@ import numpy as np
 from .cgd import CgdConfig, CgdReport, cgd_refine
 from .hardy import (BlaschkeModel, PoleTuple, Signal, check_degree, norm_sq, project, spectrum,
                     tm_band)
-from .reduction import Objective
 from .search import RectGridConfig, SearchConfig, its_search, rect_cafd_search
 # builtin_signal and builtin_truth are unused here; kept only because
 # perfbench/workloads.py imports them from this module
@@ -183,7 +182,7 @@ def _working_samples(f, tup):
 
 
 def _refine(f, start, cfg):
-    """cgd_refine on f[::N/N'], continued at the full N.
+    """cgd_refine on f[::N/N'] (f itself at N' = N), continued at the full N.
 
     Returns (report, N').  The second call starts from the first's tuple
     with what is left of `cfg.max_iters`; the report has that call's tuple,
@@ -193,16 +192,11 @@ def _refine(f, start, cfg):
     The second call usually makes no step; it finishes a tuple that drifted
     past the working bounds.  At N' = N, after a converged or capped first
     call, it makes none, and after a stall it restarts at INITIAL_DAMPING.
-    The second call's `Objective` holds f at N; at N' = N the first call
-    runs on it too, so the second starts from the entry the first left at
-    its tuple (unless a stall's rejected trial replaced it) and builds no
-    second f z or 2N-point row set.
     """
     n_work = _working_samples(f, start)
-    full = Objective(f)
-    work_f = full if n_work == f.n_samples else Signal(f.samples[::f.n_samples // n_work])
+    work_f = f if n_work == f.n_samples else Signal(f.samples[::f.n_samples // n_work])
     work = cgd_refine(work_f, start, cfg)
-    confirm = cgd_refine(full, work.tuple, CgdConfig(max_iters=cfg.max_iters - work.iterations))
+    confirm = cgd_refine(f, work.tuple, CgdConfig(max_iters=cfg.max_iters - work.iterations))
     report = CgdReport(confirm.tuple, work.iterations + confirm.iterations,
                        confirm.final_gradient_norm_sq,
                        work.energy_trace[:-1] + confirm.energy_trace, confirm.status)

@@ -38,14 +38,12 @@ midpoints (`_doubled_points`): the chain reads the first half of each row,
 and the gradient's means over all 2N points the whole row, since there
 1/(1 - conj(a) z) = conj(z w).  The rows, the remainder and the means of
 the last tuple, and the gradient's f z at the 2N points, are kept in an
-`Objective`, which `cgd_refine` builds once per call or takes from its
-caller, so `energy_gradient` and `remainder_jacobian` at a tuple that
-`error_energy` just evaluated run no second chain and form conj(B) once,
-and a refinement call that starts where the last one on the same
-Objective stopped runs no first chain.  A `Signal` passed in gets a fresh
-Objective, and nothing is stored on it.  E has one definition,
-||f||^2 - A, which `energy` returns and the refinement's energy trace
-records.
+`Objective`, which lives for one `cgd_refine` call, so within that call
+`energy_gradient` and `remainder_jacobian` at a tuple that `error_energy`
+just evaluated run no second chain and form conj(B) once.  A `Signal`
+passed in gets a fresh one, and nothing is stored on it.  E has one
+definition, ||f||^2 - A, which `energy` returns and the refinement's
+energy trace records.
 """
 
 from functools import cached_property, lru_cache
@@ -163,10 +161,9 @@ class Objective:
     """The energy of one Signal along a refinement: f z at the 2N points, and
     the 2N-point row sets, final remainder and means of the last tuple.
 
-    `cgd_refine` builds one per call unless its caller passes one, as the
-    pipeline's refinement does for its two calls at N' = N.  The one entry
-    is keyed on the pole bytes, so a second call at the same tuple reuses
-    it and a call at another tuple replaces it.  Its arrays are read-only.
+    Each `cgd_refine` call builds one and drops it on return.  The one entry
+    is keyed on the pole bytes, so a second evaluation at the same tuple
+    reuses it and one at another tuple replaces it.  Its arrays are read-only.
     """
 
     def __init__(self, signal):

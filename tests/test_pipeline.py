@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -388,10 +389,10 @@ def _form_run(name):
     return builtin_signal(name, 1024), truth, RunConfig(truth.degree, SearchConfig(angular=128))
 
 
-def _spy_refine(monkeypatch):
+def _spy_refine(monkeypatch, signals=None):
     """Record (sample count, iterations) of every cgd_refine call the pipeline makes.
 
-    A call takes a Signal or an Objective; the count is the signal's.
+    The Signal each call receives is appended to `signals` when it is a list.
     """
     import blaschke.pipeline as pipeline
 
@@ -400,8 +401,9 @@ def _spy_refine(monkeypatch):
 
     def spy(f, start, cfg):
         report = refine(f, start, cfg)
-        signal = f.signal if isinstance(f, reduction.Objective) else f
-        calls.append((signal.n_samples, report.iterations))
+        calls.append((f.n_samples, report.iterations))
+        if signals is not None:
+            signals.append(f)
         return report
 
     monkeypatch.setattr(pipeline, "cgd_refine", spy)
@@ -424,13 +426,16 @@ class TestWorkingResolution:
 
     def test_slow_tail_refines_at_full_n(self, monkeypatch):
         # ex5_4's spectrum decays like 0.984^k: its tail is 8.3e-3 at k = 256;
-        # the continuation at N starts where the first call converged
-        calls = _spy_refine(monkeypatch)
+        # both calls run on f itself, and the continuation at N starts where
+        # the first call converged
+        signals = []
+        calls = _spy_refine(monkeypatch, signals)
         f, truth, cfg = _form_run("ex5_4")
         res = cafd_cgd_result(f, cfg, truth=truth)
         assert res.working_samples == 1024
         assert [n for n, _ in calls] == [1024, 1024]
         assert calls[1][1] == 0
+        assert signals[0] is f and signals[1] is f
 
     def test_full_n_report_is_one_call_at_n(self):
         # at N' = N the first call runs on f's samples and the continuation
@@ -446,63 +451,43 @@ class TestWorkingResolution:
         assert report.final_gradient_norm_sq == lone.final_gradient_norm_sq
         assert report.energy_trace == lone.energy_trace
 
-    @pytest.mark.parametrize("name, shared", [("ex5_4", True), ("ex5_3", False)])
-    def test_confirm_call_shares_the_objective_at_full_n(self, monkeypatch, name, shared):
-        # at N' = N (ex5_4) both calls run on one Objective, so the confirm
-        # call starts from the entry the work call left at its tuple and
-        # builds no 2N-point row set; at N' < N (ex5_3) the confirm call's
-        # Objective holds f at N and shares nothing with the work call
+    def test_stall_at_full_n_continues_at_n(self, monkeypatch):
+        # a line-search stall at N' = N does not end the refinement: the
+        # second call continues on f from the stalled tuple with the budget
+        # left.  The first call on ex5_4 (5 iterations to converge) is cut
+        # after 2 and reported as a stall.
         import blaschke.pipeline as pipeline
 
-        f, _, cfg = _form_run(name)
+        f, _, cfg = _form_run("ex5_4")
         start = its_search(f, cfg.degree, cfg.search)
-        refine, rows, objectives = pipeline.cgd_refine, reduction.pole_rows, []
-        calls = []
+        refine, calls = pipeline.cgd_refine, []
 
-        def counted_rows(z, poles):
-            calls[-1][1] += z.size == 2 * f.n_samples
-            return rows(z, poles)
+        def spy(g, tup, run_cfg):
+            if calls:
+                report = refine(g, tup, run_cfg)
+            else:
+                cut = refine(g, tup, CgdConfig(max_iters=2))
+                report = replace(cut, status=CgdStatus.LINE_SEARCH_STALL)
+            calls.append((g, tup, run_cfg, report))
+            return report
 
-        def spy(state, start, cfg):
-            calls.append([state, 0])
-            return refine(state, start, cfg)
-
-        init = reduction.Objective.__init__
-
-        def counted_init(self, signal):
-            objectives.append(signal)
-            init(self, signal)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(reduction, "pole_rows", counted_rows)
-            patch.setattr(reduction.Objective, "__init__", counted_init)
-            patch.setattr(pipeline, "cgd_refine", spy)
-            report, n_work = pipeline._refine(f, start, cfg.cgd)
-        (work_arg, _), (confirm_arg, confirm_rows) = calls
-        assert isinstance(confirm_arg, reduction.Objective) and confirm_arg.signal is f
-        if shared:
-            assert n_work == f.n_samples
-            assert work_arg is confirm_arg
-            assert len(objectives) == 1 and objectives[0] is f
-            assert confirm_rows == 0
-        else:
-            assert n_work < f.n_samples
-            assert isinstance(work_arg, Signal) and work_arg.n_samples == n_work
-            assert len(objectives) == 2 and objectives[0] is f
-            assert confirm_rows > 0
-
-        # the same report, bit for bit, as two calls with a fresh Objective each
-        def fresh(state, start, cfg):
-            return refine(state.signal if isinstance(state, reduction.Objective) else state,
-                          start, cfg)
-
-        monkeypatch.setattr(pipeline, "cgd_refine", fresh)
-        want, _ = pipeline._refine(f, start, cfg.cgd)
-        np.testing.assert_array_equal(report.tuple.poles, want.tuple.poles)
-        assert report.iterations == want.iterations
-        assert report.final_gradient_norm_sq == want.final_gradient_norm_sq
-        assert report.energy_trace == want.energy_trace
-        assert report.status is want.status
+        monkeypatch.setattr(pipeline, "cgd_refine", spy)
+        report, n_work = pipeline._refine(f, start, cfg.cgd)
+        (work_f, _, _, work), (confirm_f, confirm_start, confirm_cfg, confirm) = calls
+        assert n_work == f.n_samples and work_f is f and confirm_f is f
+        assert work.iterations == 2
+        assert confirm_start is work.tuple
+        assert confirm_cfg.max_iters == cfg.cgd.max_iters - 2
+        assert confirm.iterations > 0 and confirm.status is CgdStatus.CONVERGED
+        # the merged report: the second call's tuple, status and gradient, the
+        # iterations of both and the traces spliced at the stalled tuple
+        assert report.tuple is confirm.tuple
+        assert report.status is confirm.status
+        assert report.final_gradient_norm_sq == confirm.final_gradient_norm_sq
+        assert report.iterations == 2 + confirm.iterations
+        assert report.energy_trace == work.energy_trace[:-1] + confirm.energy_trace
+        # both calls evaluate the stalled tuple on f, so the seam loses no value
+        assert work.energy_trace[-1] == confirm.energy_trace[0]
 
     def test_pole_near_the_circle_refines_at_full_n(self, monkeypatch):
         # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) exceeds
