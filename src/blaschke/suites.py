@@ -42,15 +42,15 @@ def run_benchmark(descriptor):
     The descriptor is a dict: `targets` is a list of {name, degree} picking
     builtin targets or {name: "random", degree, count} batches (count >= 1,
     default 20); `algorithms` selects "cafd_cgd" and/or "rect_cafd";
-    optional `n_samples`, `seed`, `angular` override the defaults.  Rows
-    are dicts keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
+    `n_samples`, `seed` and `angular` default to `DEFAULT_SAMPLES`, 0 and
+    `SearchConfig.angular` (as in `recover --builtin`).  Rows are dicts
+    keyed by BENCHMARK_COLUMNS, with the refinement's `status` (a
     `CgdStatus` value) and `iterations`; `rect_cafd` runs no refinement, so
-    its rows leave those two blank, as do the mean/max/std stat rows that
-    follow a batch's rows.  Every case is built before any runs, so each
-    bad input raises a `ValueError` or `KeyError` first: the descriptor's
-    JSON shape and any field not named here, then the target, degree,
-    sample count, grid shape, fold (N a multiple of angular) and random
-    draw where each rule is kept.
+    its rows leave those two blank, as do a batch's mean/max/std rows.
+    Every case is built before any runs, so each bad input raises a
+    `ValueError` or `KeyError` first: the descriptor's JSON shape and any
+    field not named here, then the target, degree, sample count, grid
+    shape, fold (N a multiple of angular) and random draw.
     """
     rows = []
     for stat_target, algo, degree, runs in _plan(descriptor):
@@ -105,6 +105,7 @@ def _plan(descriptor):
     _check_descriptor(descriptor)
     n_samples = descriptor.get("n_samples", DEFAULT_SAMPLES)
     seed = descriptor.get("seed", 0)
+    angular = descriptor.get("angular", SearchConfig.angular)
     plan = []
     for entry in descriptor.get("targets", []):
         name = entry["name"]
@@ -124,7 +125,6 @@ def _plan(descriptor):
             runs = []
             for target, f, truth, rect_seed in cases:
                 if algo == "cafd_cgd":
-                    angular = descriptor.get("angular", 128 if truth is not None else 256)
                     cfg = RunConfig(degree, SearchConfig(angular=angular))
                     cfg.search.grid.check_samples(f.n_samples)
                     run = partial(cafd_cgd_result, f, cfg, truth=truth)

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from blaschke import (
     BlaschkeModel,
@@ -18,13 +19,15 @@ from blaschke import (
     Signal,
     Spectrum,
     circle_points,
+    energy,
+    energy_gradient,
     eval_interior,
     hardy,
     pipeline,
     synthesize,
 )
 from blaschke.feval import RingBand
-from blaschke.hardy import disk_points
+from blaschke.hardy import disk_points, draw_separated
 
 # CI selects this profile (HYPOTHESIS_PROFILE=ci): a slow shared runner must
 # not trip the per-example deadline, and a fixed example sequence makes a
@@ -58,21 +61,13 @@ def random_smooth_signal(rng, n_samples=64, decay=0.5):
     return inverse_spectrum(Spectrum(coeffs))
 
 
-def quadrature_kernel_inner(coeffs, z, oversample=4096):
-    """Trapezoid quadrature of <f, e_z> on an oversampled circle.
+def quadrature_kernel_inner(coeffs, zs, oversample=4096):
+    """Trapezoid quadrature of <f, e_z> on an oversampled circle, for each z in zs.
 
     f is given by its truncated power-series coefficients; e_z is evaluated
     in closed form.  On the circle the trapezoid rule is the plain mean, so
-    this is (1/Nq) * sum_j f(w_j) * conj(e_z(w_j)).
+    this is (1/Nq) * sum_j f(w_j) * conj(e_z(w_j)), flattened over zs.
     """
-    w = np.exp(2j * np.pi * np.arange(oversample) / oversample)
-    fvals = np.polynomial.polynomial.polyval(w, coeffs)
-    ez = np.sqrt(1.0 - abs(z) ** 2) / (1.0 - np.conj(z) * w)
-    return complex(np.mean(fvals * np.conj(ez)))
-
-
-def quadrature_kernel_inner_many(coeffs, zs, oversample=4096):
-    """Vectorized form of quadrature_kernel_inner over an array of points."""
     w = np.exp(2j * np.pi * np.arange(oversample) / oversample)
     fvals = np.polynomial.polynomial.polyval(w, coeffs)
     zs = np.asarray(zs, dtype=complex).ravel()
@@ -131,10 +126,41 @@ def brute_tuple_distance(u, v):
     return best
 
 
+def gradient_fd_error(f, tup, h=1e-6):
+    """Central differences of E along Re a and Im a at each pole against the
+    closed forms dE/dx = -2 Re d(-E)/da and dE/dy = +2 Im d(-E)/da: the
+    largest gap, relative to max(1, |closed form|)."""
+    d_minus_e = -np.conj(energy_gradient(f, tup))
+    worst = 0.0
+    for ell in range(tup.degree):
+        for step, want in ((h, -2.0 * np.real(d_minus_e[ell])),
+                           (1j * h, 2.0 * np.imag(d_minus_e[ell]))):
+            up, dn = tup.poles.copy(), tup.poles.copy()
+            up[ell] += step
+            dn[ell] -= step
+            fd = (energy(f, PoleTuple(up)) - energy(f, PoleTuple(dn))) / (2 * h)
+            worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
+    return worst
+
+
 def monomial_signal(k, n_samples):
     """Samples of tau^k on the unit circle."""
     tau = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
     return Signal(tau**k)
+
+
+def random_tuple(rng, n, radius=0.8, gap=0.05):
+    """n poles uniform in the disk of `radius`, every two `gap` or more apart."""
+    return PoleTuple(draw_separated(rng, n, radius, gap, 10**6))
+
+
+def separated(poles, gap=0.05):
+    """Whether every two of the points lie at least `gap` apart."""
+    return all(abs(p - q) >= gap for i, p in enumerate(poles) for q in poles[:i])
+
+
+# a pole drawn in polar coordinates, |a| <= 0.9
+POLE = st.builds(lambda r, t: r * np.exp(1j * t), st.floats(0.0, 0.9), st.floats(0.0, 2.0 * np.pi))
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import numpy as np
 from blaschke import (
     BlaschkeModel,
     PolarGrid,
-    PoleTuple,
     Signal,
     Spectrum,
     feval_table,
@@ -20,14 +19,15 @@ from blaschke import (
 )
 from blaschke.cgd import CgdStatus
 from blaschke.pipeline import RunConfig, cafd_cgd_result
-from blaschke.reduction import energy, energy_gradient
 from blaschke.search import RectGridConfig, SearchConfig, rect_cafd_search
 from blaschke.targets import builtin_signal, builtin_truth
 
 from conftest import (
+    gradient_fd_error,
     monomial_signal,
-    quadrature_kernel_inner_many,
+    quadrature_kernel_inner,
     random_smooth_signal,
+    random_tuple,
     sample_gram,
     synthesized_columns,
 )
@@ -39,15 +39,6 @@ def report(capsys, num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def random_disk_tuple(rng, n, radius=0.9, gap=1e-3):
-    poles = []
-    while len(poles) < n:
-        w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(w) <= radius and all(abs(w - p) > gap for p in poles):
-            poles.append(w)
-    return PoleTuple(poles)
-
-
 def test_criterion_01_orthonormality(capsys):
     # 50 random tuples, n <= 6, |a| <= 0.9, N = 1024; runtime < 10 s.  The
     # columns are the ones `synthesize` sums, at the tuple's band limit M and
@@ -57,7 +48,7 @@ def test_criterion_01_orthonormality(capsys):
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 7))
-        gram = sample_gram(synthesized_columns(random_disk_tuple(rng, n), 1024))
+        gram = sample_gram(synthesized_columns(random_tuple(rng, n, 0.9, 1e-3), 1024))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n)))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -75,7 +66,7 @@ def test_criterion_02_feval_oracle_equivalence(capsys):
     for _ in range(10):
         f = random_smooth_signal(rng, 64)
         table = feval_table(f, grid)
-        want = quadrature_kernel_inner_many(spectrum(f).coeffs, nodes)
+        want = quadrature_kernel_inner(spectrum(f).coeffs, nodes)
         worst = max(worst, float(np.max(np.abs(table.ravel() - want))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -86,25 +77,13 @@ def test_criterion_02_feval_oracle_equivalence(capsys):
 def test_criterion_03_gradient_finite_differences(capsys):
     # 20 random (target, tuple) pairs, n in {2,3,4}, central FD step 1e-6
     rng = np.random.default_rng(303)
-    h = 1e-6
     worst = 0.0
     for trial in range(20):
         n = 2 + trial % 3
-        truth = random_disk_tuple(rng, n, radius=0.8, gap=0.05)
+        truth = random_tuple(rng, n)
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = synthesize(BlaschkeModel(truth, coeffs), 256)
-        at = random_disk_tuple(rng, n, radius=0.8, gap=0.05)
-        d_minus_e = -np.conj(energy_gradient(f, at))
-        for ell in range(n):
-            for step, want in (
-                (h, -2.0 * np.real(d_minus_e[ell])),
-                (1j * h, 2.0 * np.imag(d_minus_e[ell])),
-            ):
-                up, dn = at.poles.copy(), at.poles.copy()
-                up[ell] += step
-                dn[ell] -= step
-                fd = (energy(f, PoleTuple(up)) - energy(f, PoleTuple(dn))) / (2 * h)
-                worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
+        worst = max(worst, gradient_fd_error(f, random_tuple(rng, n)))
     ok = worst <= 1e-5
     report(capsys, 3, ok, f"max FD relative error = {worst:.2e} (tol 1e-5)")
 

@@ -7,7 +7,6 @@ import blaschke.cgd
 from blaschke import (
     BlaschkeModel,
     PoleTuple,
-    Signal,
     pipeline,
     reduction,
     synthesize,
@@ -18,22 +17,14 @@ from blaschke.pipeline import RunConfig, cafd_cgd_result
 from blaschke.reduction import energy_gradient, remainder_jacobian
 from blaschke.targets import builtin_signal, builtin_truth
 
-from conftest import SEARCH_TUPLES, monomial_signal, szego_signal
+from conftest import SEARCH_TUPLES, monomial_signal, random_tuple, szego_signal
 
 
 def well_separated_form(n, seed, radius=0.85, gap=0.15):
     """Random Blaschke form whose poles keep a healthy pairwise gap."""
     rng = np.random.default_rng(seed)
-    poles = []
-    while len(poles) < n:
-        w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(w) > radius:
-            continue
-        if poles and min(abs(w - p) for p in poles) < gap:
-            continue
-        poles.append(w)
-    coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-    return PoleTuple(poles), coeffs
+    poles = random_tuple(rng, n, radius, gap)
+    return poles, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
 
 
 def damped_step(f, poles, damping):
@@ -234,36 +225,6 @@ class TestCgdRefine:
                 start = cgd_refine(f, start, CgdConfig(max_iters=1)).tuple
                 assert len(energies) > 1
                 assert len(steps) == start.degree * len(energies)
-
-
-class TestStepEquivariance:
-    """One step on a turned or conjugated signal is the turned or conjugated step.
-
-    The damping gives each pole one scale on Re and Im, so it turns with the
-    poles; Marquardt's plain diagonal would not.
-    """
-
-    @staticmethod
-    def first_step(samples, poles):
-        return cgd_refine(Signal(samples), PoleTuple(poles), CgdConfig(max_iters=1)).tuple.poles
-
-    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
-    def test_rotation(self, name):
-        # f(wz), w = exp(2 pi i k / 128), is f's samples rolled by 8k
-        f, start = builtin_signal(name, 1024).samples, np.array(SEARCH_TUPLES[name])
-        base = self.first_step(f, start)
-        for k in (1, 5, 32):
-            turn = np.exp(-2j * np.pi * k / 128)
-            run = self.first_step(np.roll(f, -(1024 // 128) * k), start * turn)
-            np.testing.assert_allclose(run, base * turn, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
-    def test_conjugation(self, name):
-        # conj(f(conj z)) at the sample points is conj(f) read backwards from z = 1
-        f, start = builtin_signal(name, 1024).samples, np.array(SEARCH_TUPLES[name])
-        base = self.first_step(f, start)
-        run = self.first_step(np.conj(np.roll(f[::-1], 1)), np.conj(start))
-        np.testing.assert_allclose(run, np.conj(base), rtol=0, atol=1e-15)
 
 
 class TestConvergenceOnSmoothTargets:

@@ -112,9 +112,8 @@ class TestFevalTable:
         table = feval_table(f, grid)
         coeffs = spectrum(f).coeffs
         nodes = grid.nodes()
-        for idx in np.ndindex(nodes.shape):
-            want = quadrature_kernel_inner(coeffs, nodes[idx])
-            assert table[idx] == pytest.approx(want, abs=1e-9)
+        want = quadrature_kernel_inner(coeffs, nodes).reshape(nodes.shape)
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-9)
 
     def test_kernel_identity(self, rng):
         # table entry at z equals sqrt(1-|z|^2) * f(z)

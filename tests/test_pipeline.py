@@ -19,6 +19,7 @@ from blaschke import (
     energy,
     energy_gradient,
     norm_sq,
+    pipeline,
     project,
     reduction,
     synthesize,
@@ -45,7 +46,8 @@ from blaschke.targets import (
     random_blaschke_form,
 )
 
-from conftest import CLUSTER, band_limit, brute_tuple_distance, fix_search_tuple, loop_columns
+from conftest import (CLUSTER, SEARCH_TUPLES, band_limit, brute_tuple_distance, fix_search_tuple,
+                      loop_columns)
 
 
 SMALL_RUN = RunConfig(
@@ -251,7 +253,6 @@ class TestBuiltinTargets:
 
     def test_pipeline_keeps_the_benchmark_import_path(self):
         # perfbench/workloads.py imports both from blaschke.pipeline
-        import blaschke.pipeline as pipeline
         import blaschke.targets as targets
 
         assert pipeline.builtin_signal is targets.builtin_signal
@@ -298,8 +299,7 @@ class TestPipeline:
             return step(*args)
 
         monkeypatch.setattr(reduction, "reduce_step", counted)
-        f, truth, _ = _form_run("ex5_3")
-        cfg = RunConfig(truth.degree, SearchConfig(angular=128))
+        f, _, cfg = _form_run("ex5_3")
         runs, counts = [], []
         for _ in range(2):
             steps.clear()
@@ -339,23 +339,18 @@ class TestPipeline:
     def test_small_amplitude_recovery(self):
         # scaling f by 1e-2 scales the energy by 1e-4; the recovered tuple
         # must still meet criterion 5's tuple-distance bound
-        f = builtin_signal("ex5_5", 1024)
-        truth = builtin_truth("ex5_5")
-        cfg = RunConfig(degree=4, search=SearchConfig(radial=100, angular=128))
+        f, truth, cfg = _form_run("ex5_5")
         res = cafd_cgd_result(Signal(1e-2 * f.samples), cfg, truth=truth)
         assert res.tuple_distance <= 5e-3
 
     @pytest.mark.parametrize("name", ["ex5_3", "ex5_5"])
     def test_energy_is_the_recorded_trace_value(self, name):
         # E has one definition, ||f||^2 - A, in energy() and in the trace
-        f = builtin_signal(name, 1024)
-        cfg = RunConfig(degree=builtin_truth(name).degree, search=SearchConfig(angular=128))
+        f, _, cfg = _form_run(name)
         report = cafd_cgd_result(f, cfg).cgd_report
         assert energy(f, report.tuple) == report.energy_trace[-1]
 
     def test_truth_degree_checked_before_search(self, monkeypatch):
-        import blaschke.pipeline as pipeline
-
         def no_search(*args, **kwargs):
             raise AssertionError("search ran before the truth degree was checked")
 
@@ -369,8 +364,6 @@ class TestPipeline:
             rect_cafd(f, 1, RectGridConfig(gap=0.05), truth=truth)
 
     def test_zero_signal_rejected_before_search(self, monkeypatch):
-        import blaschke.pipeline as pipeline
-
         def no_search(*args, **kwargs):
             raise AssertionError("search ran on a zero signal")
 
@@ -384,7 +377,7 @@ class TestPipeline:
 
 
 def _form_run(name):
-    """The signal, truth and the run_benchmark config of a builtin form."""
+    """The signal, truth and a run config at angular 128 of a builtin form."""
     truth = builtin_truth(name)
     return builtin_signal(name, 1024), truth, RunConfig(truth.degree, SearchConfig(angular=128))
 
@@ -394,8 +387,6 @@ def _spy_refine(monkeypatch, signals=None):
 
     The Signal each call receives is appended to `signals` when it is a list.
     """
-    import blaschke.pipeline as pipeline
-
     calls = []
     refine = pipeline.cgd_refine
 
@@ -413,8 +404,6 @@ def _spy_refine(monkeypatch, signals=None):
 class TestWorkingResolution:
     @pytest.mark.parametrize("name", ["ex5_3", "ex5_4", "ex5_5", "ex5_6"])
     def test_same_answer_as_refining_at_full_n(self, monkeypatch, name):
-        import blaschke.pipeline as pipeline
-
         f, truth, cfg = _form_run(name)
         working = cafd_cgd_result(f, cfg, truth=truth)
         # no tail is exactly 0, so no N' < N passes
@@ -454,12 +443,10 @@ class TestWorkingResolution:
     def test_stall_at_full_n_continues_at_n(self, monkeypatch):
         # a line-search stall at N' = N does not end the refinement: the
         # second call continues on f from the stalled tuple with the budget
-        # left.  The first call on ex5_4 (5 iterations to converge) is cut
-        # after 2 and reported as a stall.
-        import blaschke.pipeline as pipeline
-
+        # left.  The first call on ex5_4 from its fixed search tuple (5
+        # iterations to converge) is cut after 2 and reported as a stall.
         f, _, cfg = _form_run("ex5_4")
-        start = its_search(f, cfg.degree, cfg.search)
+        start = PoleTuple(SEARCH_TUPLES["ex5_4"])
         refine, calls = pipeline.cgd_refine, []
 
         def spy(g, tup, run_cfg):
@@ -493,8 +480,6 @@ class TestWorkingResolution:
         # ex5_3's tail alone would pass at N' = 128, but 0.99^(N' - n) exceeds
         # n * BAND_TOL = 5e-15 for every N' <= 1024; with no budget left, the
         # continuation at N takes no iteration
-        import blaschke.pipeline as pipeline
-
         f, _, cfg = _form_run("ex5_3")
         poles = builtin_truth("ex5_3").poles.copy()
         poles[0] = 0.99
@@ -527,8 +512,6 @@ class TestWorkingResolution:
     def test_confirm_stage_that_iterates_still_recovers(self, monkeypatch):
         # at N' = 64, ex5_5's samples alias at max|a|^64 = 1.1e-3, so the
         # working stage converges to a tuple that must move again at N
-        import blaschke.pipeline as pipeline
-
         monkeypatch.setattr(pipeline, "_working_samples", lambda f, tup: 64)
         calls = _spy_refine(monkeypatch)
         f, truth, cfg = _form_run("ex5_5")
@@ -547,8 +530,6 @@ class TestWorkingResolution:
         # the a-priori start max|a|^(N' - n) alone is below the M that
         # project's tail test accepts for the search tuples of ex5_1_f2 (both
         # grids), and of ex5_2_f1 and ex5_2_f2 at angular 128
-        import blaschke.pipeline as pipeline
-
         f = builtin_signal(name, 1024)
         tup = its_search(f, BUILTIN_DEGREES[name], SearchConfig(angular=angular))
         band_limits.clear()
@@ -558,8 +539,6 @@ class TestWorkingResolution:
     def test_cluster_refines_at_the_band_limit_of_project(self, band_limits):
         # 30 poles at radius 0.9, 0.01 rad apart: the a-priori start gives
         # 512, where the sampled TM Gram matrix is 1.4e-8 off the identity
-        import blaschke.pipeline as pipeline
-
         f = builtin_signal("ex5_1_f1", 1024)
         project(f, CLUSTER)
         assert band_limit(band_limits, 1024) == 1024
@@ -568,23 +547,6 @@ class TestWorkingResolution:
     def test_rect_cafd_reports_no_working_resolution(self):
         f = synthesize(BlaschkeModel(PoleTuple([0.45 - 0.3j]), [1.0]), 256)
         assert rect_cafd(f, 1, RectGridConfig(gap=0.05)).working_samples is None
-
-
-@pytest.mark.parametrize("name", ["ex5_3", "ex5_4", "ex5_5", "ex5_6"])
-def test_rotation_equivariance(name):
-    # the north star's rotation f(wz), w = exp(2 pi i k / A), on the whole
-    # pipeline: A = 128 is the search grid's angular count, so w maps nodes
-    # onto nodes, and the run on f(wz), the samples rolled by (N / A) k, is
-    # the base run with every pole turned by conj(w)
-    f, _, cfg = _form_run(name)
-    base = cafd_cgd_result(f, cfg)
-    for k in (1, 5, 32):
-        run = cafd_cgd_result(Signal(np.roll(f.samples, -(1024 // 128) * k)), cfg)
-        turned = PoleTuple(base.model.tuple.poles * np.exp(-2j * np.pi * k / 128))
-        assert tuple_distance(run.model.tuple, turned) <= 1e-14
-        assert run.cgd_report.iterations == base.cgd_report.iterations
-        assert run.cgd_report.status == base.cgd_report.status
-        assert abs(run.l2_relative_error - base.l2_relative_error) <= 1e-13
 
 
 class TestRunBenchmark:
@@ -608,6 +570,16 @@ class TestRunBenchmark:
         assert row["tuple_distance"] is None
         assert row["status"] in {s.value for s in CgdStatus}
         assert 0 <= row["iterations"] <= CgdConfig().max_iters
+
+    @pytest.mark.parametrize("suite", ["ex5_3", "ex5_1"])
+    def test_builtin_row_is_the_default_run(self, suite):
+        # a suite runs each builtin target on the grid `recover --builtin` takes
+        for row in run_benchmark(BUILTIN_SUITES[suite]):
+            name = row["target"]
+            res = cafd_cgd_result(builtin_signal(name), RunConfig(BUILTIN_DEGREES[name]),
+                                  truth=builtin_truth(name))
+            assert row["l2_rel_error"] == res.l2_relative_error
+            assert row["tuple_distance"] == res.tuple_distance
 
     def test_rect_rows_leave_refinement_blank(self):
         # rect_cafd runs no refinement, so it reports no status or count

@@ -33,19 +33,8 @@ from blaschke.reduction import (
 )
 from blaschke.targets import BUILTIN_FORMS, builtin_signal, builtin_truth
 
-from conftest import monomial_signal, quadrature_inner, random_smooth_signal, szego_signal
-
-
-def random_tuple(rng, n, radius=0.8, gap=0.05):
-    poles = []
-    while len(poles) < n:
-        w = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(w) > radius:
-            continue
-        if poles and min(abs(w - p) for p in poles) < gap:
-            continue
-        poles.append(w)
-    return PoleTuple(poles)
+from conftest import (POLE, gradient_fd_error, monomial_signal, quadrature_inner,
+                      random_smooth_signal, random_tuple, separated, szego_signal)
 
 
 def kernel_coefficient(f, a):
@@ -252,15 +241,6 @@ class TestEnergy:
         total = energy(f, tup) + norm_sq(remainders(f, tup.poles)[-1])
         assert total == pytest.approx(norm_sq(f), abs=1e-9)
 
-    def test_permutation_invariance(self, rng):
-        f = random_smooth_signal(rng, 256)
-        tup = random_tuple(rng, 4)
-        base = energy(f, tup)
-        for perm in ([1, 0, 3, 2], [3, 2, 1, 0], [2, 0, 3, 1]):
-            assert energy(f, PoleTuple(tup.poles[perm])) == pytest.approx(
-                base, abs=1e-10
-            )
-
     def test_error_energy_complements(self, rng):
         f = random_smooth_signal(rng, 256)
         tup = random_tuple(rng, 3)
@@ -301,26 +281,12 @@ class TestEnergyGradient:
 
     def test_finite_difference_relations(self, rng):
         # dE/dx = -2 Re d(-E)/dz and dE/dy = +2 Im d(-E)/dz
-        h = 1e-6
         for trial in range(4):
             n = 2 + trial % 3
             tup = random_tuple(rng, n)
             coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             f = synthesize(BlaschkeModel(tup, coeffs), 256)
-            start = random_tuple(rng, n)
-            d_minus_e = -np.conj(energy_gradient(f, start))
-            for ell in range(n):
-                for step, want in (
-                    (h, -2.0 * np.real(d_minus_e[ell])),
-                    (1j * h, 2.0 * np.imag(d_minus_e[ell])),
-                ):
-                    up = start.poles.copy()
-                    dn = start.poles.copy()
-                    up[ell] += step
-                    dn[ell] -= step
-                    fd = (energy(f, PoleTuple(up)) - energy(f, PoleTuple(dn))) / (2 * h)
-                    scale = max(1.0, abs(want))
-                    assert fd == pytest.approx(want, abs=1e-5 * scale)
+            assert gradient_fd_error(f, random_tuple(rng, n)) <= 1e-5
 
     def test_ascent_direction_sign(self):
         # below the optimum radius the ascent direction points outward
@@ -336,20 +302,8 @@ class TestEnergyGradient:
         # poles coincide: no kernel divides by a pole difference
         z = circle_points(256)
         f = Signal(np.exp(z) + 1.0 / (1.5 - z))
-        h = 1e-6
         for poles in ([0.3, 0.3, 0.5j], [0, 0, 0], [0.2 + 0.1j] * 3 + [-0.4]):
-            at = PoleTuple(poles)
-            d_minus_e = -np.conj(energy_gradient(f, at))
-            for ell in range(at.degree):
-                for step, want in (
-                    (h, -2.0 * np.real(d_minus_e[ell])),
-                    (1j * h, 2.0 * np.imag(d_minus_e[ell])),
-                ):
-                    up, dn = at.poles.copy(), at.poles.copy()
-                    up[ell] += step
-                    dn[ell] -= step
-                    fd = (energy(f, PoleTuple(up)) - energy(f, PoleTuple(dn))) / (2 * h)
-                    assert abs(fd - want) <= 1e-5 * max(1.0, abs(want))
+            assert gradient_fd_error(f, PoleTuple(poles)) <= 1e-5
 
     def test_closed_form_matches_branch_definition(self, rng):
         f = random_smooth_signal(rng, 1024)
@@ -440,18 +394,6 @@ class TestRemainderJacobian:
         jac = remainder_jacobian(state, tup)
         assert len(steps) == 4
         assert jac.shape == (8, 256)
-
-
-def separated(poles, gap=0.05):
-    """Whether every two of the points lie at least `gap` apart."""
-    return all(abs(p - q) >= gap for i, p in enumerate(poles) for q in poles[:i])
-
-
-POLE = st.builds(
-    lambda r, t: r * np.exp(1j * t),
-    st.floats(0.0, 0.9),
-    st.floats(0.0, 2.0 * np.pi),
-)
 
 
 class TestReductionTrail:
@@ -617,39 +559,3 @@ class TestRowLayout:
         np.testing.assert_array_equal(rows, want_rows)
         np.testing.assert_array_equal(rest, want_rest)
         np.testing.assert_array_equal(-np.conj(grad), -np.conj(energy_gradient(f, tup)))
-
-
-class TestInvariances:
-    @given(
-        n_samples=st.sampled_from([256, 1024]),
-        poles=st.lists(POLE, min_size=1, max_size=10).filter(separated),
-        decay=st.floats(0.5, 0.999),
-        seed=st.integers(0, 2**32 - 1),
-        log_amp=st.floats(-4.0, 4.0),
-        phase=st.floats(0.0, 2.0 * np.pi),
-        data=st.data(),
-    )
-    def test_error_and_gradient(self, n_samples, poles, decay, seed, log_amp, phase, data):
-        # the north star's invariances, at the kernel: rotation f(wz),
-        # conjugation conj(f(conj z)), amplitude lambda f and pole order
-        f = random_smooth_signal(np.random.default_rng(seed), n_samples, decay).samples
-        poles = np.array(poles)
-        err = error_energy(Signal(f), PoleTuple(poles))
-        grad = energy_gradient(Signal(f), PoleTuple(poles))
-
-        def check(samples, moved, scale, want_grad, rtol=1e-12):
-            g, tup = Signal(samples), PoleTuple(moved)
-            err_gap = abs(error_energy(g, tup) - scale * err)
-            assert err_gap <= rtol * scale * norm_sq(Signal(f))
-            grad_gap = np.max(np.abs(energy_gradient(g, tup) - scale * want_grad))
-            assert grad_gap <= rtol * scale * np.max(np.abs(grad))
-
-        k = data.draw(st.integers(0, n_samples - 1))
-        turn = np.exp(-2j * np.pi * k / n_samples)
-        check(np.roll(f, -k), poles * turn, 1.0, grad * turn)
-        check(np.conj(np.roll(f[::-1], 1)), np.conj(poles), 1.0, np.conj(grad))
-        lam = 10.0**log_amp * np.exp(1j * phase)
-        check(lam * f, poles, abs(lam) ** 2, grad)
-        perm = np.array(data.draw(st.permutations(range(poles.size))), dtype=int)
-        alias = float(np.max(np.abs(poles))) ** n_samples
-        check(f, poles[perm], 1.0, grad[perm], 1e-12 + 4 * poles.size * alias)

@@ -35,7 +35,7 @@ from blaschke.search import (
     rect_cafd_search,
     rect_grid_nodes,
 )
-from blaschke.targets import BUILTIN_DEGREES, builtin_signal, builtin_truth
+from blaschke.targets import BUILTIN_DEGREES, BUILTIN_FORMS, builtin_signal, builtin_truth
 
 from conftest import kernel_reference, monomial_signal, random_smooth_signal, szego_signal
 
@@ -272,20 +272,19 @@ class TestSweepCost:
         assert counts["scans"] == sum(len(sweep["scans"]) for sweep in sweeps)
 
     @pytest.mark.parametrize("name, angular, seed", [
-        ("ex5_3", 128, None), ("ex5_6", 128, 0), ("ex5_2_f1", 256, None),
-        ("ex5_2_f2", 256, None),
+        ("ex5_3", 128, 2), ("ex5_6", 128, 0), ("ex5_2_f1", 256, 0), ("ex5_2_f2", 256, 0),
     ])
     def test_skipped_scans_make_no_move_in_the_reference(self, monkeypatch, name, angular,
                                                          seed):
         # the roll reference scans every position of every sweep; each scan
         # the sweeps skip is one it made with no move, and the scans they
-        # make return what its scans of the same sweep and position did
+        # make return what its scans of the same sweep and position did.
+        # The sweeps start from a drawn tuple, seeded so that a later sweep
+        # skips a scan
         f, n = builtin_signal(name, 1024), BUILTIN_DEGREES[name]
         cfg = SearchConfig(angular=angular)
-        if seed is not None:
-            start = draw_separated(np.random.default_rng(seed), n, 1.0 - cfg.grid.eps, 0.0,
-                                   100 * n)
-            monkeypatch.setattr(blaschke.search, "_place", lambda *args: start.copy())
+        start = draw_separated(np.random.default_rng(seed), n, 1.0 - cfg.grid.eps, 0.0, 100 * n)
+        monkeypatch.setattr(blaschke.search, "_place", lambda *args: start.copy())
         ref_sweeps = []
         with monkeypatch.context() as patch:
             patch.setattr(blaschke.search, "_cyclic_search",
@@ -464,23 +463,9 @@ class TestItsSearch:
             cand[-1] = z
             assert energy(f, PoleTuple(cand)) <= base + 1e-9
 
-    def test_amplitude_invariance(self):
-        # eta defaults to an energy, 1e-12 * ||f||^2, so scaling f by lambda
-        # must leave every accept decision, and the tuple, unchanged
-        from blaschke.targets import builtin_signal
-
-        f = builtin_signal("ex5_3", 256)
-        cfg = SearchConfig(radial=20, angular=64)
-        ref = its_search(f, 5, cfg)
-        for lam in (1e-4, 1e-6):
-            tup = its_search(Signal(lam * f.samples), 5, cfg)
-            np.testing.assert_array_equal(tup.poles, ref.poles)
-
     def test_tuple_independent_of_table_evaluator(self, monkeypatch):
         # the fast table and a direct series sum differ by round-off only;
         # the argmax must not see the difference
-        from blaschke.targets import BUILTIN_DEGREES, builtin_signal
-
         def direct_table(f, grid):
             return kernel_reference(f, grid)
 
@@ -518,8 +503,6 @@ class TestItsSearch:
     def test_sweep_cap_raises_with_best_tuple(self, monkeypatch):
         # from a start far from ex5_3's poles the first sweep moves, so one
         # sweep cannot end the search
-        from blaschke.targets import BUILTIN_FORMS
-
         poles, coeffs = BUILTIN_FORMS["ex5_3"]
         f = synthesize(BlaschkeModel(PoleTuple(poles), coeffs), 256)
         far = np.array([0.9, 0.9j, -0.9, -0.9j, 0.1 + 0.1j])
@@ -621,20 +604,6 @@ class TestPencilStart:
                   for seed in range(4)]
         for poles in tuples[1:]:
             np.testing.assert_array_equal(poles, tuples[0])
-
-    @pytest.mark.parametrize("name, angular", [
-        ("ex5_3", 128), ("ex5_5", 128), ("ex5_2_f2", 256), ("ex5_1_f3", 256),
-    ])
-    def test_conjugation(self, name, angular):
-        # conj(f(conj z)) has the conjugated poles; its samples are the
-        # conjugates of f's at the mirrored circle points
-        f = builtin_signal(name, 1024)
-        mirrored = Signal(np.conj(f.samples[-np.arange(1024) % 1024]))
-        n = BUILTIN_DEGREES[name]
-        cfg = SearchConfig(angular=angular)
-        tup = its_search(f, n, cfg)
-        conj = its_search(mirrored, n, cfg)
-        assert tuple_distance(PoleTuple(np.conj(tup.poles)), conj) <= 1e-14
 
 
 class TestRectCafdSearch:
