@@ -5,24 +5,22 @@ A statement runs one layer of the program on a problem, f's samples and
 the poles the layer starts from, and again on the problem moved by a
 transform; `check` asserts that each output of the second run is the
 first run's output moved the same way, within the statement's bound.  The
-rows of STATEMENTS take fixed problems; `test_kernel` draws its own.
+rows of STATEMENTS take fixed problems; the kernel's statements, which
+draw their problems, run through the same `check` in test_reduction.py.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from blaschke import PoleTuple, Signal, norm_sq, project
+from blaschke import PoleTuple, Signal, project
 from blaschke.cgd import CgdConfig, cgd_refine
 from blaschke.pipeline import RunConfig, cafd_cgd_result, tuple_distance
-from blaschke.reduction import energy_gradient, error_energy
 from blaschke.search import SearchConfig, its_search
 from blaschke.targets import BUILTIN_DEGREES, builtin_signal
 
-from conftest import POLE, SEARCH_TUPLES, random_smooth_signal, separated
+from conftest import SEARCH_TUPLES, random_smooth_signal
 
 
 class Move(NamedTuple):
@@ -79,11 +77,6 @@ def check(run, f, poles, moves, bounds):
                 assert np.array_equal(out[name], want), name
             else:
                 assert gap(want, out[name]) <= bound, name
-
-
-def kernel(f, poles):
-    g, tup = Signal(f), PoleTuple(poles)
-    return {"error": error_energy(g, tup) / norm_sq(g), "gradient": energy_gradient(g, tup)}
 
 
 # each layer of STATEMENTS builds its problem from a case: (run, f's
@@ -156,25 +149,3 @@ STATEMENTS = [
 def test_statement(layer, transform, bounds, case):
     check(*layer(*case), MOVES[transform], bounds)
 
-
-@given(
-    n_samples=st.sampled_from([256, 1024]),
-    poles=st.lists(POLE, min_size=1, max_size=10).filter(separated),
-    decay=st.floats(0.5, 0.999),
-    seed=st.integers(0, 2**32 - 1),
-    log_amp=st.floats(-4.0, 4.0),
-    phase=st.floats(0.0, 2.0 * np.pi),
-    data=st.data(),
-)
-def test_kernel(n_samples, poles, decay, seed, log_amp, phase, data):
-    # E / ||f||^2 and the gradient of E to 1e-12 relative, under a rotation
-    # by any sample step; a reorder also moves the chain's remainder by its
-    # O(max|a|^N) aliasing
-    f = random_smooth_signal(np.random.default_rng(seed), n_samples, decay).samples
-    poles = np.array(poles)
-    k = data.draw(st.integers(0, n_samples - 1))
-    moves = [rotation(k, n_samples), MIRROR, amplitude(10.0**log_amp * np.exp(1j * phase))]
-    check(kernel, f, poles, moves, {"error": 1e-12, "gradient": 1e-12})
-    perm = data.draw(st.permutations(range(poles.size)))
-    tol = 1e-12 + 4 * poles.size * float(np.max(np.abs(poles))) ** n_samples
-    check(kernel, f, poles, [order(perm)], {"error": tol, "gradient": tol})

@@ -35,6 +35,7 @@ from blaschke.targets import BUILTIN_FORMS, builtin_signal, builtin_truth
 
 from conftest import (POLE, gradient_fd_error, monomial_signal, quadrature_inner,
                       random_smooth_signal, random_tuple, separated, szego_signal)
+from test_invariance import MIRROR, amplitude, check, order, rotation
 
 
 def kernel_coefficient(f, a):
@@ -240,6 +241,13 @@ class TestEnergy:
         tup = random_tuple(rng, 3)
         total = energy(f, tup) + norm_sq(remainders(f, tup.poles)[-1])
         assert total == pytest.approx(norm_sq(f), abs=1e-9)
+
+    def test_permutation_invariance(self, rng):
+        f = random_smooth_signal(rng, 256).samples
+        poles = random_tuple(rng, 4).poles
+        check(lambda g, p: {"energy": energy(Signal(g), PoleTuple(p))}, f, poles,
+              [order(perm) for perm in ([1, 0, 3, 2], [3, 2, 1, 0], [2, 0, 3, 1])],
+              {"energy": 1e-10})
 
     def test_error_energy_complements(self, rng):
         f = random_smooth_signal(rng, 256)
@@ -559,3 +567,32 @@ class TestRowLayout:
         np.testing.assert_array_equal(rows, want_rows)
         np.testing.assert_array_equal(rest, want_rest)
         np.testing.assert_array_equal(-np.conj(grad), -np.conj(energy_gradient(f, tup)))
+
+
+def kernel(f, poles):
+    g, tup = Signal(f), PoleTuple(poles)
+    return {"error": error_energy(g, tup) / norm_sq(g), "gradient": energy_gradient(g, tup)}
+
+
+class TestInvariances:
+    @given(
+        n_samples=st.sampled_from([256, 1024]),
+        poles=st.lists(POLE, min_size=1, max_size=10).filter(separated),
+        decay=st.floats(0.5, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+        log_amp=st.floats(-4.0, 4.0),
+        phase=st.floats(0.0, 2.0 * np.pi),
+        data=st.data(),
+    )
+    def test_error_and_gradient(self, n_samples, poles, decay, seed, log_amp, phase, data):
+        # E / ||f||^2 and the gradient of E to 1e-12 relative, under a
+        # rotation by any sample step; a reorder also moves the chain's
+        # remainder by its O(max|a|^N) aliasing
+        f = random_smooth_signal(np.random.default_rng(seed), n_samples, decay).samples
+        poles = np.array(poles)
+        k = data.draw(st.integers(0, n_samples - 1))
+        moves = [rotation(k, n_samples), MIRROR, amplitude(10.0**log_amp * np.exp(1j * phase))]
+        check(kernel, f, poles, moves, {"error": 1e-12, "gradient": 1e-12})
+        perm = data.draw(st.permutations(range(poles.size)))
+        tol = 1e-12 + 4 * poles.size * float(np.max(np.abs(poles))) ** n_samples
+        check(kernel, f, poles, [order(perm)], {"error": tol, "gradient": tol})
