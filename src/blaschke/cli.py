@@ -19,7 +19,7 @@ import numpy as np
 
 from .cgd import CgdStatus
 from .feval import PolarGrid, feval_table
-from .hardy import BlaschkeModel, PoleTuple, Signal, synthesize
+from .hardy import BlaschkeModel, PoleTuple, Signal, spectrum, synthesize
 from .pipeline import RunConfig, cafd_cgd_result
 from .search import SearchConfig, SearchNonConvergence
 from .suites import BENCHMARK_COLUMNS, BUILTIN_SUITES, run_benchmark
@@ -235,7 +235,7 @@ def eval_grid(input_path, radial, angular, out_path):
     """Dump the raw <f, e_z> table over a polar grid as CSV."""
     f = read_signal_csv(input_path)
     grid = PolarGrid(radial, angular)
-    table = feval_table(f, grid)
+    table = feval_table(spectrum(f), grid)
     nodes = grid.nodes()
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

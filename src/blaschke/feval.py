@@ -32,6 +32,8 @@ differ in the last bit).  Most of the search's scans have a one-ring band,
 whose call then scales one row of its block, not 16.  The full grid is the
 band of all rings.
 
+Every evaluator here reads f as a `Spectrum`, which a caller holding a
+Signal takes once (`hardy.spectrum`) and passes on; none transforms.
 `eval_interior` sums the series directly and is the tests' reference; the
 solver evaluates single points by Parseval means over the circle points,
 each a dot product with the pole's z w row (`reduction.pole_rows`), which
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hardy import Signal, Spectrum, disk_points, spectrum
+from .hardy import Spectrum, disk_points
 
 __all__ = [
     "PolarGrid",
@@ -117,12 +119,13 @@ class RingBand:
 def eval_interior(f, z):
     """Value of the analytic function at an interior point |z| < 1.
 
-    Sums the truncated power series sum_k f_hat(k) z^k directly; `f` may be
-    a Signal or a Spectrum, `z` a scalar or an array of interior points.
+    Sums the truncated power series sum_k f_hat(k) z^k of the Spectrum `f`
+    directly; `z` is a scalar or an array of interior points.
     """
+    if not isinstance(f, Spectrum):
+        raise TypeError(f"expected Spectrum, got {type(f).__name__}")
     z = disk_points(z, "evaluation points")
-    coeffs = f.coeffs if isinstance(f, Spectrum) else spectrum(f).coeffs
-    values = np.polynomial.polynomial.polyval(z, coeffs)
+    values = np.polynomial.polynomial.polyval(z, f.coeffs)
     return complex(values) if z.ndim == 0 else values
 
 
@@ -148,15 +151,11 @@ def _ring_tables(grid, n):
 
 
 def _operands(f, grid):
-    """f's coefficients, checked against the grid, and the grid's ring tables for them."""
-    if isinstance(f, Spectrum):
-        coeffs = f.coeffs
-    elif isinstance(f, Signal):
-        coeffs = spectrum(f).coeffs
-    else:
-        raise TypeError(f"expected Signal or Spectrum, got {type(f).__name__}")
-    grid.check_samples(coeffs.size)
-    return (coeffs, *_ring_tables(grid, coeffs.size))
+    """The Spectrum f's coefficients, checked against the grid, and the grid's ring tables."""
+    if not isinstance(f, Spectrum):
+        raise TypeError(f"expected Spectrum, got {type(f).__name__}")
+    grid.check_samples(f.n_samples)
+    return (f.coeffs, *_ring_tables(grid, f.n_samples))
 
 
 def ring_bounds(f, grid):
@@ -176,10 +175,10 @@ def feval_table(f, grid):
 
     Returns a read-only rings x angular complex array whose entry (i, n-1)
     belongs to node (i, n-1) of `grid.nodes()`; for a band, row i is row
-    lo + i of the full grid's table, bit for bit.  `f` is a Signal or a
-    Spectrum, and its sample count must be a multiple of the grid's angular
-    count; the spectrum is folded modulo the angular count, which evaluates
-    the same truncated series at the subsampled angles.
+    lo + i of the full grid's table, bit for bit.  `f` is a Spectrum whose
+    sample count is a multiple of the grid's angular count; it is folded
+    modulo the angular count, which evaluates the same truncated series at
+    the subsampled angles.
     """
     band = grid if isinstance(grid, RingBand) else grid.band(0, grid.radial - 1)
     coeffs, v_tab, r_tab = _operands(f, band.grid)

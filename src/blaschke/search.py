@@ -383,7 +383,7 @@ def rect_cafd_search(f, n, cfg=RectGridConfig()):
     weight = np.sqrt(1.0 - np.abs(nodes) ** 2)
 
     def scan(g, floor=0.0):
-        return weight * np.abs(eval_interior(Signal(g), nodes)), nodes
+        return weight * np.abs(eval_interior(spectrum(Signal(g)), nodes)), nodes
 
     # about one try in five falls outside the disk; 100 per pole leave ample room
     start = draw_separated(np.random.default_rng(cfg.seed), n, 1.0 - cfg.gap, 0.0, 100 * n)

@@ -19,6 +19,7 @@ from blaschke import (
     PoleTuple,
     Signal,
     feval_table,
+    spectrum,
 )
 from blaschke.cli import (
     read_model_json,
@@ -514,7 +515,7 @@ class TestEvalGridCommand:
             "--angular", "64", "--out", str(out),
         )
         assert res.returncode == 0, res.stderr
-        table = feval_table(f, PolarGrid(4, 64))
+        table = feval_table(spectrum(f), PolarGrid(4, 64))
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 64

@@ -63,25 +63,25 @@ class TestPolarGrid:
 
 class TestEvalInterior:
     def test_constant(self):
-        f = Signal(np.ones(16))
+        f = spectrum(Signal(np.ones(16)))
         assert eval_interior(f, 0.3 + 0.2j) == pytest.approx(1.0)
 
     def test_identity_function(self):
-        f = Signal(circle_points(16))
+        f = spectrum(Signal(circle_points(16)))
         assert eval_interior(f, 0.5j) == pytest.approx(0.5j)
 
     def test_rational_closed_form(self):
         tau = circle_points(1024)
-        f = Signal(1.0 / (2.0 + tau**4))
+        f = spectrum(Signal(1.0 / (2.0 + tau**4)))
         assert eval_interior(f, 0.6) == pytest.approx(1.0 / (2.0 + 0.6**4), abs=1e-10)
 
     def test_boundary_point_rejected(self):
-        f = Signal(np.ones(16))
+        f = spectrum(Signal(np.ones(16)))
         with pytest.raises(ValueError):
             eval_interior(f, 1.0)
 
     def test_array_matches_scalar(self, rng):
-        f = random_smooth_signal(rng, 64)
+        f = spectrum(random_smooth_signal(rng, 64))
         pts = 0.8 * (rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)) / np.sqrt(2)
         got = eval_interior(f, pts)
         want = [eval_interior(f, z) for z in pts]
@@ -92,33 +92,44 @@ class TestEvalInterior:
         assert eval_interior(s, 0.25) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda f: feval_table(f, PolarGrid(4, 4)),
+    lambda f: ring_bounds(f, PolarGrid(4, 4)),
+    lambda f: eval_interior(f, 0.5j),
+], ids=["feval_table", "ring_bounds", "eval_interior"])
+@pytest.mark.parametrize("f", [Signal(np.ones(4)), [1, 2, 3, 4]], ids=["signal", "list"])
+def test_rejects_non_spectrum_input(evaluate, f):
+    # an evaluator transforms nothing: its caller takes the spectrum once
+    with pytest.raises(TypeError, match="Spectrum"):
+        evaluate(f)
+
+
 class TestFevalTable:
     def test_constant_signal_rows(self):
         grid = PolarGrid(8, 16)
-        table = feval_table(Signal(np.ones(16)), grid)
+        table = feval_table(spectrum(Signal(np.ones(16))), grid)
         want = np.sqrt(1.0 - grid.radii**2)[:, None] * np.ones((1, 16))
         np.testing.assert_allclose(table, want, atol=1e-13)
 
     def test_single_harmonic(self):
         grid = PolarGrid(8, 16)
-        table = feval_table(Signal(circle_points(16)), grid)
+        table = feval_table(spectrum(Signal(circle_points(16))), grid)
         nodes = grid.nodes()
         want = np.sqrt(1.0 - np.abs(nodes) ** 2) * nodes
         np.testing.assert_allclose(table, want, atol=1e-13)
 
     def test_matches_quadrature_oracle(self, rng):
         grid = PolarGrid(8, 32)
-        f = random_smooth_signal(rng, 32)
+        f = spectrum(random_smooth_signal(rng, 32))
         table = feval_table(f, grid)
-        coeffs = spectrum(f).coeffs
         nodes = grid.nodes()
-        want = quadrature_kernel_inner(coeffs, nodes).reshape(nodes.shape)
+        want = quadrature_kernel_inner(f.coeffs, nodes).reshape(nodes.shape)
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-9)
 
     def test_kernel_identity(self, rng):
         # table entry at z equals sqrt(1-|z|^2) * f(z)
         grid = PolarGrid(6, 8)
-        f = random_smooth_signal(rng, 32)
+        f = spectrum(random_smooth_signal(rng, 32))
         table = feval_table(f, grid)
         nodes = grid.nodes()
         for idx in np.ndindex(nodes.shape):
@@ -128,7 +139,7 @@ class TestFevalTable:
 
     def test_coarse_angular_grid_subsamples(self, rng):
         # a 256-sample signal on a 64-angle grid folds the spectrum exactly
-        f = random_smooth_signal(rng, 256)
+        f = spectrum(random_smooth_signal(rng, 256))
         grid = PolarGrid(6, 64)
         table = feval_table(f, grid)
         nodes = grid.nodes()
@@ -136,13 +147,9 @@ class TestFevalTable:
         np.testing.assert_allclose(table, want, atol=1e-12)
 
     def test_incompatible_angular_count_rejected(self, rng):
-        f = random_smooth_signal(rng, 64)
+        f = spectrum(random_smooth_signal(rng, 64))
         with pytest.raises(ValueError):
             feval_table(f, PolarGrid(6, 128))
-
-    def test_rejects_non_signal_input(self):
-        with pytest.raises(TypeError):
-            feval_table([1, 2, 3, 4], PolarGrid(4, 4))
 
     def test_reference_on_benchmark_grids(self, rng):
         # the search grids of the benchmark, a grid with angular = N (one
@@ -151,11 +158,11 @@ class TestFevalTable:
         phases = np.exp(2j * np.pi * rng.uniform(size=1024))
         tail = Spectrum(phases * 10.0 ** (-310.0 * k / 1023))
         cases = [
-            (builtin_signal("ex5_3", 1024), PolarGrid(100, 128)),
-            (builtin_signal("ex5_5", 2048), PolarGrid(100, 256)),
-            (builtin_signal("ex5_3", 1024), PolarGrid(100, 256)),
-            (builtin_signal("ex5_5", 2048), PolarGrid(100, 128)),
-            (builtin_signal("ex5_6", 1024), PolarGrid(8, 1024)),
+            (spectrum(builtin_signal("ex5_3", 1024)), PolarGrid(100, 128)),
+            (spectrum(builtin_signal("ex5_5", 2048)), PolarGrid(100, 256)),
+            (spectrum(builtin_signal("ex5_3", 1024)), PolarGrid(100, 256)),
+            (spectrum(builtin_signal("ex5_5", 2048)), PolarGrid(100, 128)),
+            (spectrum(builtin_signal("ex5_6", 1024)), PolarGrid(8, 1024)),
             (tail, PolarGrid(100, 128)),
         ]
         first = []
@@ -203,7 +210,7 @@ class TestRingBounds:
 
     def test_incompatible_angular_count_rejected(self, rng):
         with pytest.raises(ValueError):
-            ring_bounds(random_smooth_signal(rng, 64), PolarGrid(6, 128))
+            ring_bounds(spectrum(random_smooth_signal(rng, 64)), PolarGrid(6, 128))
 
 
 class TestBandTable:
@@ -215,7 +222,7 @@ class TestBandTable:
     def test_band_rows_equal_full_table_rows(self, radial, lo, hi):
         # bands that start or end inside a 16-ring block, span several
         # blocks, or end at the grid's last, partial block
-        f = builtin_signal("ex5_3", 1024)
+        f = spectrum(builtin_signal("ex5_3", 1024))
         grid = PolarGrid(radial, 128)
         band = feval_table(f, grid.band(lo, hi))
         assert band.shape == (hi - lo, 128)
@@ -224,7 +231,7 @@ class TestBandTable:
             band[0, 0] = 0.0
 
     def test_band_of_all_rings_is_the_grid(self, rng):
-        f = random_smooth_signal(rng, 256)
+        f = spectrum(random_smooth_signal(rng, 256))
         grid = PolarGrid(40, 64)
         np.testing.assert_array_equal(
             feval_table(f, grid.band(0, 39)), feval_table(f, grid)

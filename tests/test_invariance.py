@@ -14,9 +14,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from blaschke import PoleTuple, Signal, project
+from blaschke import PoleTuple, Signal, norm_sq, project
 from blaschke.cgd import CgdConfig, cgd_refine
-from blaschke.pipeline import RunConfig, cafd_cgd_result, tuple_distance
+from blaschke.pipeline import RunConfig, _refine, cafd_cgd_result, tuple_distance
 from blaschke.search import SearchConfig, its_search
 from blaschke.targets import BUILTIN_DEGREES, builtin_signal
 
@@ -45,8 +45,12 @@ def amplitude(lam):
     return Move(lambda f: lam * f, lambda p: p, abs(lam) ** 2)
 
 
-def order(perm):
-    return Move(lambda f: f, lambda p: p[list(perm)])
+def order(head):
+    """The poles p[head] first, then the others in their order."""
+    return Move(lambda f: f, lambda p: np.concatenate([p[head], np.delete(p, head)]))
+
+
+REVERSE = Move(lambda f: f, lambda p: p[::-1])
 
 
 # per output: how it moves with the problem, and the gap between the moved
@@ -97,6 +101,18 @@ def residual(seed):
             f, np.array([0.4, -0.3j, 0.2 + 0.5j]))
 
 
+def refine(name):
+    """The refinement from a builtin form's fixed search tuple, projected."""
+    def run(f, poles):
+        f = Signal(f)
+        report, _ = _refine(f, PoleTuple(poles), CgdConfig())
+        return {"tuple": report.tuple.poles,
+                "l2": np.sqrt(project(f, report.tuple).residual_error / norm_sq(f)),
+                "iterations": report.iterations, "status": report.status}
+
+    return run, builtin_signal(name, 1024).samples, np.array(SEARCH_TUPLES[name])
+
+
 def search(name, angular, n_samples=1024, radial=100):
     n, cfg = BUILTIN_DEGREES[name], SearchConfig(radial, angular)
     return (lambda f, _: {"tuple": its_search(Signal(f), n, cfg).poles},
@@ -119,7 +135,7 @@ MOVES = {
     "rotation": [rotation(k, 128) for k in (1, 5, 32)],
     "mirror": [MIRROR],
     "amplitude": [amplitude(1e-4), amplitude(1e-6)],
-    "order": [order([2, 0, 1])],
+    "order": [order([2, 0, 1]), REVERSE],
 }
 FORMS = [("ex5_3",), ("ex5_4",), ("ex5_5",), ("ex5_6",)]
 PIPELINE = {"tuple": 1e-14, "l2": 1e-13, "iterations": EXACT, "status": EXACT}
@@ -136,6 +152,9 @@ STATEMENTS = [
     (search, "amplitude", {"tuple": EXACT}, [("ex5_3", 64, 256, 20)]),
     (search, "mirror", {"tuple": 1e-14},
      [("ex5_3", 128), ("ex5_5", 128), ("ex5_2_f2", 256), ("ex5_1_f3", 256)]),
+    (refine, "order", PIPELINE, [("ex5_3",), ("ex5_5",)]),
+    # off the model class the refined tuples of two orders lie 5.5e-14 apart
+    (refine, "order", {"l2": 1e-13, "iterations": EXACT, "status": EXACT}, [("ex5_1_f3",)]),
     (pipeline, "rotation", PIPELINE, FORMS),
     (pipeline, "mirror", PIPELINE, FORMS),
 ]
